@@ -12,6 +12,8 @@
 //	§X.B       BenchmarkGEMMSweepParallel — multithreaded outer-loop split
 //	Table I    BenchmarkTableI*       — end-to-end autotuning runs
 //	ablations  BenchmarkAblation*     — hoisting and folding switched off
+//	plan time  BenchmarkPlanCompile   — plan.Compile with and without the
+//	                                    loop-order optimizer, per space family
 //
 // Report iterations/second by dividing the per-op iteration counts (logged
 // via b.ReportMetric as "Mit/s") — the paper's quantity of merit.
@@ -25,6 +27,7 @@ import (
 	"repro/internal/batched"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/families"
 	"repro/internal/gemm"
 	"repro/internal/gensweep"
 	"repro/internal/kernelsim"
@@ -821,6 +824,64 @@ func BenchmarkLoopReorder(b *testing.B) {
 				}
 				b.ReportMetric(float64(st.TotalVisits()), "visits/op")
 				b.ReportMetric(float64(st.TotalVisits())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mit/s")
+			})
+		}
+	}
+}
+
+// planFamilies returns the space families BenchmarkPlanCompile compiles:
+// four GEMM variants at scale 32, 32 batched-Cholesky sizes spread over
+// [8, 512], and four stencil and four dense-inner specs.
+func planFamilies(b *testing.B) []struct {
+	name   string
+	spaces []*space.Space
+} {
+	b.Helper()
+	must := func(s *space.Space, err error) *space.Space {
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	var gemms, batch, stencils, denses []*space.Space
+	for _, name := range []string{"sgemm_nn", "dgemm_nn", "cgemm_nn", "zgemm_nn"} {
+		gemms = append(gemms, must(families.GEMM(name, 32)))
+	}
+	for i := int64(0); i < 32; i++ {
+		batch = append(batch, must(families.Batched(8+i*504/32)))
+	}
+	for _, dim := range []int64{129, 257} {
+		for _, elem := range []int64{4, 8} {
+			stencils = append(stencils, must(families.Stencil(dim, elem)))
+		}
+	}
+	for _, n := range []int64{1024, 1536, 2048, 2560} {
+		denses = append(denses, must(families.Dense(n)))
+	}
+	return []struct {
+		name   string
+		spaces []*space.Space
+	}{{"gemm", gemms}, {"batched", batch}, {"stencil", stencils}, {"dense", denses}}
+}
+
+// BenchmarkPlanCompile measures plan-time cost: one op compiles every
+// space of a family. auto runs the loop-order optimizer (the default),
+// declared skips it (DisableReorder), so auto/declared is the optimizer's
+// plan-time overhead.
+func BenchmarkPlanCompile(b *testing.B) {
+	for _, fam := range planFamilies(b) {
+		for _, mode := range []struct {
+			name string
+			opts plan.Options
+		}{{"auto", plan.Options{}}, {"declared", plan.Options{DisableReorder: true}}} {
+			b.Run(fam.name+"/"+mode.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, s := range fam.spaces {
+						if _, err := plan.Compile(s, mode.opts); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 			})
 		}
 	}

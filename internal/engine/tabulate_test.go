@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/expr"
@@ -149,13 +150,18 @@ func canonTuples(tuples [][]int64) []string {
 	return out
 }
 
+// collectCanon runs e and returns its canonical tuple stream. OnTuple runs
+// concurrently when opts.Workers > 1, so the append is locked.
 func collectCanon(t *testing.T, e Engine, opts Options, label string) ([]string, *Stats) {
 	t.Helper()
+	var mu sync.Mutex
 	var tuples [][]int64
 	opts.OnTuple = func(tu []int64) bool {
 		cp := make([]int64, len(tu))
 		copy(cp, tu)
+		mu.Lock()
 		tuples = append(tuples, cp)
+		mu.Unlock()
 		return true
 	}
 	st, err := e.Run(opts)

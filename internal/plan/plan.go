@@ -252,7 +252,7 @@ type Options struct {
 
 // Compile builds the Program for s. Unless opts disables it (or fixes an
 // explicit Order), a plan-time loop-order optimization runs first: a probe
-// compile estimates per-constraint selectivity and per-loop cardinality,
+// placement estimates per-constraint selectivity and per-loop cardinality,
 // a cost-model search picks the cheapest DAG-valid order (see reorder.go),
 // and the winning order — when it beats the declared one decisively — is
 // fed back through the Options.Order path so every later pass (hoisting,
@@ -270,59 +270,74 @@ func Compile(s *space.Space, opts Options) (*Program, error) {
 	return prog, nil
 }
 
-// compileReordered runs the loop-order arbitration around compile.
+// compileReordered runs the loop-order arbitration. Each nest order is
+// placed once: the declared placement serves as the probe, then (with
+// bounds added) as the declared arbitration program, and the arbitration
+// winner becomes the final plan once the remaining passes run on it.
+// Placement runs again only when the caller's options change it:
+// DisableHoisting changes where steps land, and DisableNarrowing forbids
+// the bounds the arbitration programs carry.
 func compileReordered(s *space.Space, opts Options) (*Program, error) {
 	if opts.DisableReorder || opts.Order != nil {
 		return compile(s, opts)
 	}
-	probe, err := compile(s, probeOptions(opts))
+	// The probe is placed with fixed flags — hoisting on, folding as
+	// requested — and no passes, so every constraint is present as a step
+	// with its bound expression. Keeping the decision independent of the
+	// other ablation flags guarantees every ablation combo of one space
+	// sees the same chosen order: the cross-engine fuzz tests rely on
+	// identical tuple streams across those combos.
+	arb := Options{DisableFolding: opts.DisableFolding}
+	prog, err := place(s, arb)
 	if err != nil {
 		return nil, err
 	}
-	info := chooseReorder(probe)
+	info := chooseReorder(prog)
+	bounded := false
 	if info != nil && info.Applied {
-		// Arbitrate between the two orders on fully compiled programs: the
+		// Arbitrate between the two orders on bounds-compiled programs: the
 		// search-time model cannot see how much bounds narrowing each order
 		// wins, so re-score both with the compiled bound groups in place
 		// (estimateCompiledVisits) and keep the declared nest unless the
-		// chosen one still beats it decisively. The arbitration compiles
-		// use fixed flags (hoisting on, CSE off, narrowing on, folding as
-		// requested) so every ablation combination of one space reaches the
-		// same decision — cross-engine comparisons rely on identical tuple
-		// streams across those combos.
-		arb := probeOptions(opts)
-		arb.DisableNarrowing = false
-		arbChosen := arb
-		arbChosen.Order = info.Chosen
-		declProg, dErr := compile(s, arb)
-		chosenProg, cErr := compile(s, arbChosen)
-		apply := dErr == nil && cErr == nil
-		if apply {
+		// chosen one still beats it decisively.
+		compileBounds(prog)
+		bounded = true
+		arb.Order = info.Chosen
+		apply := false
+		chosen, err := place(s, arb)
+		if err == nil {
+			compileBounds(chosen)
 			sel := make(map[string]float64, len(info.Selectivity))
 			for _, e := range info.Selectivity {
 				sel[e.Name] = e.Pass
 			}
-			info.EstimatedVisits = estimateCompiledVisits(chosenProg, sel)
-			info.DeclaredVisits = estimateCompiledVisits(declProg, sel)
+			info.EstimatedVisits = estimateCompiledVisits(chosen, sel)
+			info.DeclaredVisits = estimateCompiledVisits(prog, sel)
 			apply = info.EstimatedVisits < info.DeclaredVisits*reorderMargin
 		}
+		// A chosen order that fails to place (it should not: it is
+		// DAG-valid by construction) falls back to the declared order.
 		if apply {
-			o := opts
-			o.Order = info.Chosen
-			if prog, err := compile(s, o); err == nil {
-				prog.Reorder = info
-				return prog, nil
-			}
-			// A chosen order that fails to recompile (it should not: it is
-			// DAG-valid by construction) falls back to the declared order.
+			prog = chosen
+		} else {
+			info.Applied = false
+			info.Chosen = info.Declared
+			info.EstimatedVisits = info.DeclaredVisits
 		}
-		info.Applied = false
-		info.Chosen = info.Declared
-		info.EstimatedVisits = info.DeclaredVisits
 	}
-	prog, err := compile(s, opts)
-	if err != nil {
-		return nil, err
+	if opts.DisableHoisting || (bounded && opts.DisableNarrowing) {
+		o := opts
+		if info != nil && info.Applied {
+			o.Order = info.Chosen
+		}
+		if prog, err = compile(s, o); err != nil {
+			return nil, err
+		}
+	} else {
+		if !bounded && !opts.DisableNarrowing {
+			compileBounds(prog)
+		}
+		runPasses(prog, opts)
 	}
 	prog.Reorder = info
 	return prog, nil
@@ -330,6 +345,43 @@ func compileReordered(s *space.Space, opts Options) (*Program, error) {
 
 // compile builds the Program for s with the loop order opts dictates.
 func compile(s *space.Space, opts Options) (*Program, error) {
+	prog, err := place(s, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Bounds compilation runs before the expression optimizer: absorbed
+	// checks leave the bodies (so they no longer block subexpression
+	// hoisting) and the derived bound expressions then participate in
+	// CSE and invariant motion like any other step expression.
+	if !opts.DisableNarrowing {
+		compileBounds(prog)
+	}
+	runPasses(prog, opts)
+	return prog, nil
+}
+
+// runPasses runs the passes after bounds compilation: the expression
+// optimizer, the chunk layout and constraint tabulation.
+func runPasses(prog *Program, opts Options) {
+	if !opts.DisableCSE {
+		optimize(prog)
+	}
+	// Chunk layout comes last so the lane set includes optimizer temps
+	// and the Vec marks see the final (CSE-rewritten) step expressions.
+	computeVector(prog)
+	// Constraint tabulation reads the Vec marks, so it runs after the
+	// chunk layout.
+	prog.TabDisabled = opts.DisableTabulation
+	if !opts.DisableTabulation {
+		tabulate(prog, opts.TabulateBudget)
+	}
+}
+
+// place builds the Program for s up to step placement: constant folding,
+// the dependency DAG, the loop order opts dictates, slot binding, and the
+// placement of every derived variable and constraint at its loop. Only
+// opts.DisableFolding, opts.DisableHoisting and opts.Order affect it.
+func place(s *space.Space, opts Options) (*Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -599,27 +651,6 @@ func compile(s *space.Space, opts Options) (*Program, error) {
 		}
 		attach(depth, st)
 	}
-
-	// Bounds compilation runs before the expression optimizer: absorbed
-	// checks leave the bodies (so they no longer block subexpression
-	// hoisting) and the derived bound expressions then participate in
-	// CSE and invariant motion like any other step expression.
-	if !opts.DisableNarrowing {
-		compileBounds(prog)
-	}
-	if !opts.DisableCSE {
-		optimize(prog)
-	}
-	// Chunk layout comes last so the lane set includes optimizer temps
-	// and the Vec marks see the final (CSE-rewritten) step expressions.
-	computeVector(prog)
-	// Constraint tabulation reads the Vec marks, so it runs after the
-	// chunk layout.
-	prog.TabDisabled = opts.DisableTabulation
-	if !opts.DisableTabulation {
-		tabulate(prog, opts.TabulateBudget)
-	}
-
 	return prog, nil
 }
 

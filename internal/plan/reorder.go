@@ -139,7 +139,7 @@ func (ri *ReorderInfo) String() string {
 // chooseReorder scores DAG-valid loop orders for the probe program and
 // returns the decision, or nil when the space is out of scope for the
 // optimizer (fewer than two loops, or too large for the bitmask search).
-// The probe must be compiled with hoisting on and CSE/narrowing off so
+// The probe must be placed with hoisting on and no passes run on it, so
 // every constraint is present as a step with its bound expression.
 func chooseReorder(p *Program) *ReorderInfo {
 	n := len(p.Loops)
@@ -173,11 +173,12 @@ func chooseReorder(p *Program) *ReorderInfo {
 		}
 	}
 	bc, subst := reorderBoundsCtx(p)
-	for _, st := range allCheckSteps(p) {
-		est := estimateSelectivity(p, st, info.Cards)
+	steps := allCheckSteps(p)
+	for i, est := range estimateSelectivities(p, steps, info.Cards) {
 		if est == nil {
 			continue
 		}
+		st := steps[i]
 		info.Selectivity = append(info.Selectivity, *est)
 		if len(search.cmask) < 64 {
 			var mask uint64
@@ -246,155 +247,152 @@ func allCheckSteps(p *Program) []Step {
 	return out
 }
 
-// estimateSelectivity samples the pass rate of one constraint over the
-// iterators it transitively depends on. It returns nil for constraints with
-// no iterator dependencies (prelude checks — order-irrelevant).
-func estimateSelectivity(p *Program, st Step, cards map[string]int64) *SelectivityEstimate {
-	// Support set: every iterator with a DAG path to the constraint. This
-	// closure includes the ancestors needed to evaluate dependent domains
-	// and the derived variables the predicate reads.
-	var support []*Loop
-	var deps []string
-	for _, lp := range p.Loops {
-		if p.Graph.Reaches(lp.Iter.Name, st.Name) {
-			support = append(support, lp)
-			deps = append(deps, lp.Iter.Name)
+// estimateSelectivities samples the pass rate of each constraint step over
+// the iterators it transitively depends on, returning one estimate per step.
+// The estimate is nil for constraints with no iterator dependencies
+// (prelude checks — order-irrelevant) and for steps with no expression.
+//
+// Constraints small enough for an exact census are grouped by support set
+// and each set is walked once, every member counting its own passes at
+// the leaves (see census). Monte Carlo constraints are sampled one by one,
+// since each draws from an RNG seeded by its own name.
+func estimateSelectivities(p *Program, steps []Step, cards map[string]int64) []*SelectivityEstimate {
+	out := make([]*SelectivityEstimate, len(steps))
+	groups := make(map[uint64]*census)
+	var order []*census
+	for i, st := range steps {
+		// Support set: every iterator with a DAG path to the constraint.
+		// This closure includes the ancestors needed to evaluate dependent
+		// domains and the derived variables the predicate reads.
+		anc := ancestorSet(p, st.Name)
+		var support []*Loop
+		var deps []string
+		var mask uint64
+		for d, lp := range p.Loops {
+			if anc[lp.Iter.Name] {
+				support = append(support, lp)
+				deps = append(deps, lp.Iter.Name)
+				mask |= uint64(1) << d
+			}
 		}
-	}
-	if len(support) == 0 {
-		return nil
-	}
-
-	env := p.NewEnv()
-	runPreludeAssigns(p, env)
-
-	// Assignment steps feeding the constraint, grouped by support level.
-	assigns := make([][]Step, len(support))
-	levelOf := make(map[string]int, len(support))
-	for i, lp := range support {
-		levelOf[lp.Iter.Name] = i
-	}
-	for _, lp := range p.Loops {
-		lvl, ok := levelOf[lp.Iter.Name]
-		if !ok {
+		if len(support) == 0 {
 			continue
 		}
-		for _, s := range lp.Steps {
-			if s.Kind == AssignStep && p.Graph.Reaches(s.Name, st.Name) {
-				assigns[lvl] = append(assigns[lvl], s)
-			}
-		}
-	}
+		est := &SelectivityEstimate{Name: st.Name, Deps: deps}
 
-	est := &SelectivityEstimate{Name: st.Name, Deps: deps}
-
-	// Plan time never calls user host functions: deferred constraints are
-	// opaque (possibly expensive or stateful, and hoisting promises a
-	// bounded invocation count), and deferred/closure iterators likewise
-	// cannot be enumerated without invoking their generators. Constraints
-	// touching either get a fixed moderate estimate instead of a sample —
-	// matching EstimateLoopCards, which defaults rather than calling hosts.
-	if st.Constraint != nil && st.Constraint.Deferred() {
-		est.Pass = reorderDeferredSel
-		return est
-	}
-	if st.Expr == nil {
-		return nil
-	}
-	for _, lp := range support {
-		if lp.Iter.Kind != space.ExprIter {
+		// Plan time never calls user host functions: deferred constraints
+		// are opaque (possibly expensive or stateful, and hoisting promises
+		// a bounded invocation count), and deferred/closure iterators
+		// likewise cannot be enumerated without invoking their generators.
+		// Constraints touching either get a fixed moderate estimate instead
+		// of a sample — matching EstimateLoopCards, which defaults rather
+		// than calling hosts.
+		if st.Constraint != nil && st.Constraint.Deferred() {
 			est.Pass = reorderDeferredSel
-			return est
+			out[i] = est
+			continue
 		}
-	}
+		if st.Expr == nil {
+			continue
+		}
+		out[i] = est
+		hostIter := false
+		for _, lp := range support {
+			if lp.Iter.Kind != space.ExprIter {
+				hostIter = true
+			}
+		}
+		if hostIter {
+			est.Pass = reorderDeferredSel
+			continue
+		}
 
-	// Expected product of the support cardinalities decides exact vs MC.
-	product := int64(1)
-	for _, lp := range support {
-		c := maxI64(cards[lp.Iter.Name], 1)
-		if product > (reorderExactCap+1)/c {
-			product = reorderExactCap + 1
-			break
+		// Expected product of the support cardinalities decides exact vs MC.
+		product := int64(1)
+		for _, lp := range support {
+			c := maxI64(cards[lp.Iter.Name], 1)
+			if product > (reorderExactCap+1)/c {
+				product = reorderExactCap + 1
+				break
+			}
+			product *= c
 		}
-		product *= c
+		if product > reorderExactCap {
+			sampleSelectivity(p, st, support, anc, est)
+			continue
+		}
+		g := groups[mask]
+		if g == nil {
+			g = &census{support: support, feeds: make(map[string]bool)}
+			groups[mask] = g
+			order = append(order, g)
+		}
+		for name := range anc {
+			g.feeds[name] = true
+		}
+		g.members = append(g.members, &censusMember{st: &steps[i], est: est})
 	}
+	for _, g := range order {
+		g.run(p)
+	}
+	return out
+}
 
-	var pass, total int
-	rejects := func() bool {
-		kill := false
-		func() {
-			defer func() { _ = recover() }()
-			kill = st.Expr.Eval(env).Truthy()
-		}()
-		return kill
-	}
-	runAssigns := func(lvl int) {
-		for _, s := range assigns[lvl] {
-			func() {
-				defer func() { _ = recover() }()
-				env.Slots[s.Slot] = s.Expr.Eval(env)
-			}()
+// ancestorSet returns the names with a nonempty DAG path to name: the x
+// for which p.Graph.Reaches(x, name) holds, found in one backward walk.
+func ancestorSet(p *Program, name string) map[string]bool {
+	seen := make(map[string]bool)
+	stack := p.Graph.Predecessors(name)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[n] {
+			continue
 		}
+		seen[n] = true
+		stack = append(stack, p.Graph.Predecessors(n)...)
 	}
+	return seen
+}
 
-	if product <= reorderExactCap {
-		est.Exact = true
-		var walk func(lvl int)
-		walk = func(lvl int) {
-			if total >= reorderWalkCap {
-				est.Exact = false
-				return
-			}
-			if lvl == len(support) {
-				total++
-				if !rejects() {
-					pass++
-				}
-				return
-			}
-			lp := support[lvl]
-			func() {
-				defer func() { _ = recover() }()
-				iterateLoop(lp, env, func(v int64) bool {
-					env.Slots[lp.Slot] = expr.IntVal(v)
-					runAssigns(lvl)
-					walk(lvl + 1)
-					return total < reorderWalkCap
-				})
-			}()
-		}
-		walk(0)
-	} else {
-		rng := newReorderRNG(st.Name)
-		var vals []int64
-		for i := 0; i < reorderSamples; i++ {
-			ok := true
-			for lvl, lp := range support {
-				vals = vals[:0]
-				func() {
-					defer func() { _ = recover() }()
-					iterateLoop(lp, env, func(v int64) bool {
-						vals = append(vals, v)
-						return len(vals) < reorderMatCap
-					})
-				}()
-				if len(vals) == 0 {
-					ok = false
-					break
-				}
-				env.Slots[lp.Slot] = expr.IntVal(vals[rng.next()%uint64(len(vals))])
-				runAssigns(lvl)
-			}
-			if !ok {
-				continue
-			}
-			total++
-			if !rejects() {
-				pass++
+// feedingAssigns returns, per support level, the level's assignment steps
+// named in feeds, in body order.
+func feedingAssigns(support []*Loop, feeds map[string]bool) [][]Step {
+	out := make([][]Step, len(support))
+	for lvl, lp := range support {
+		for _, s := range lp.Steps {
+			if s.Kind == AssignStep && feeds[s.Name] {
+				out[lvl] = append(out[lvl], s)
 			}
 		}
 	}
+	return out
+}
 
+// runAssigns evaluates assignment steps into env, each guarded against
+// type errors from unfolded string programs.
+func runAssigns(steps []Step, env *expr.Env) {
+	for i := range steps {
+		runAssign(&steps[i], env)
+	}
+}
+
+// runAssign evaluates one assignment step into env; a type error leaves
+// the slot as it was.
+func runAssign(s *Step, env *expr.Env) {
+	defer func() { _ = recover() }()
+	env.Slots[s.Slot] = s.Expr.Eval(env)
+}
+
+// rejects reports whether the constraint step kills the assignment in env;
+// a predicate that fails to evaluate does not.
+func rejects(st *Step, env *expr.Env) (kill bool) {
+	defer func() { _ = recover() }()
+	return st.Expr.Eval(env).Truthy()
+}
+
+// setPass turns pass/total counts into the estimate's pass rate.
+func setPass(est *SelectivityEstimate, pass, total int) {
 	est.Samples = total
 	switch {
 	case total == 0:
@@ -404,7 +402,187 @@ func estimateSelectivity(p *Program, st Step, cards map[string]int64) *Selectivi
 	default:
 		est.Pass = float64(pass) / float64(total)
 	}
-	return est
+}
+
+// census is one exact enumeration of a support set shared by several
+// constraints. Every member's feeding assignments run at each level, so
+// the walk reaches the same leaves with the same slot values a
+// per-constraint walk would: anything a support domain or a member's
+// predicate reads is an ancestor of that member and so is assigned anyway.
+type census struct {
+	support []*Loop
+	feeds   map[string]bool // union of the members' ancestor sets
+	members []*censusMember
+}
+
+type censusMember struct {
+	st   *Step
+	est  *SelectivityEstimate
+	pass int
+}
+
+// run walks the support set once, capped at reorderWalkCap leaves, and
+// fills in every member's estimate.
+func (c *census) run(p *Program) {
+	env := p.NewEnv()
+	runPreludeAssigns(p, env)
+	assigns := feedingAssigns(c.support, c.feeds)
+	exact, total := true, 0
+	var walk func(lvl int)
+	walk = func(lvl int) {
+		if total >= reorderWalkCap {
+			exact = false
+			return
+		}
+		if lvl == len(c.support) {
+			total++
+			for _, m := range c.members {
+				if !rejects(m.st, env) {
+					m.pass++
+				}
+			}
+			return
+		}
+		lp := c.support[lvl]
+		func() {
+			defer func() { _ = recover() }()
+			iterateLoop(lp, env, func(v int64) bool {
+				env.Slots[lp.Slot] = expr.IntVal(v)
+				runAssigns(assigns[lvl], env)
+				walk(lvl + 1)
+				return total < reorderWalkCap
+			})
+		}()
+	}
+	walk(0)
+	for _, m := range c.members {
+		m.est.Exact = exact
+		setPass(m.est, m.pass, total)
+	}
+}
+
+// sampleSelectivity estimates one constraint's pass rate from
+// reorderSamples Monte Carlo draws over its support levels, outermost
+// first, each level's domain evaluated under the values drawn above it.
+func sampleSelectivity(p *Program, st Step, support []*Loop, anc map[string]bool, est *SelectivityEstimate) {
+	env := p.NewEnv()
+	runPreludeAssigns(p, env)
+	assigns := feedingAssigns(support, anc)
+	pk := &picker{rng: newReorderRNG(st.Name)}
+	var pass, total int
+	for i := 0; i < reorderSamples; i++ {
+		ok := true
+		for lvl, lp := range support {
+			v, found := pk.pick(lp, env)
+			if !found {
+				ok = false
+				break
+			}
+			env.Slots[lp.Slot] = expr.IntVal(v)
+			runAssigns(assigns[lvl], env)
+		}
+		if !ok {
+			continue
+		}
+		total++
+		if !rejects(&st, env) {
+			pass++
+		}
+	}
+	setPass(est, pass, total)
+}
+
+// picker draws one value per call from a loop's domain: the value at
+// index rng.next() mod n among the domain's first n = min(len,
+// reorderMatCap) values, with no draw when the domain is empty or fails
+// to evaluate.
+type picker struct {
+	rng  *reorderRNG
+	vals []int64 // materialization buffer, reused across draws
+}
+
+// pick computes a range domain's value arithmetically from its Span and
+// materializes every other domain (pickMaterialized); both yield the same
+// value and the same RNG draws.
+func (pk *picker) pick(lp *Loop, env *expr.Env) (int64, bool) {
+	rd, ok := lp.Domain.(*space.RangeDomain)
+	if !ok || lp.Iter.Kind != space.ExprIter {
+		return pk.pickMaterialized(lp, env)
+	}
+	start, stop, step, ok := safeSpan(rd, env)
+	if !ok {
+		return 0, false
+	}
+	n, wraps := rangeLen(start, stop, step, reorderMatCap)
+	if wraps {
+		return pk.pickMaterialized(lp, env)
+	}
+	if n == 0 {
+		return 0, false
+	}
+	i := pk.rng.next() % n
+	return int64(uint64(start) + i*uint64(step)), true
+}
+
+// pickMaterialized walks the domain into the buffer, stopping at
+// reorderMatCap values, and picks one.
+func (pk *picker) pickMaterialized(lp *Loop, env *expr.Env) (int64, bool) {
+	pk.vals = pk.vals[:0]
+	func() {
+		defer func() { _ = recover() }()
+		iterateLoop(lp, env, func(v int64) bool {
+			pk.vals = append(pk.vals, v)
+			return len(pk.vals) < reorderMatCap
+		})
+	}()
+	if len(pk.vals) == 0 {
+		return 0, false
+	}
+	return pk.vals[pk.rng.next()%uint64(len(pk.vals))], true
+}
+
+// safeSpan evaluates a range's bounds; ok is false for an empty-by-
+// definition range (zero step, non-integer bound) and for bounds that fail
+// to evaluate.
+func safeSpan(rd *space.RangeDomain, env *expr.Env) (start, stop, step int64, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return rd.Span(env)
+}
+
+// rangeLen returns how many values RangeDomain.Iterate yields for
+// range(start, stop, step) (step nonzero) before a walk capped at limit
+// stops. wraps reports that the walk would not stop there: the step past
+// the last in-range value overflows int64 and lands back inside the range,
+// so only the materializing walk reproduces what follows.
+func rangeLen(start, stop, step int64, limit uint64) (n uint64, wraps bool) {
+	var span, stride uint64
+	if step > 0 {
+		if start >= stop {
+			return 0, false
+		}
+		span, stride = uint64(stop)-uint64(start), uint64(step)
+	} else {
+		if start <= stop {
+			return 0, false
+		}
+		span, stride = uint64(start)-uint64(stop), -uint64(step)
+	}
+	n = span / stride
+	if span%stride != 0 {
+		n++
+	}
+	if n >= limit {
+		return limit, false // the capped walk stops before stepping past the last value
+	}
+	last := int64(uint64(start) + (n-1)*uint64(step))
+	if step > 0 {
+		return n, last > math.MaxInt64-step
+	}
+	return n, last < math.MinInt64-step
 }
 
 // reorderBoundsCtx builds an interval/taint context and a full inlining
@@ -531,14 +709,10 @@ func iterateLoop(lp *Loop, env *expr.Env, yield func(int64) bool) {
 // runPreludeAssigns evaluates the prelude's assignment steps, guarding
 // against type errors from unfolded string programs.
 func runPreludeAssigns(p *Program, env *expr.Env) {
-	for _, st := range p.Prelude {
-		if st.Kind != AssignStep {
-			continue
+	for i := range p.Prelude {
+		if p.Prelude[i].Kind == AssignStep {
+			runAssign(&p.Prelude[i], env)
 		}
-		func() {
-			defer func() { _ = recover() }()
-			env.Slots[st.Slot] = st.Expr.Eval(env)
-		}()
 	}
 }
 
@@ -695,21 +869,4 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// probeOptions derives the deterministic probe-compile options for the
-// reorder decision: hoisting on, CSE and narrowing off (so every
-// constraint keeps a step with its bound expression), folding as the
-// caller requested (it changes real dependency sets). Keeping the probe
-// independent of the other ablation flags guarantees every ablation combo
-// of one space sees the same chosen order — the cross-engine fuzz tests
-// rely on identical tuple streams across those combos.
-func probeOptions(opts Options) Options {
-	return Options{
-		DisableFolding:    opts.DisableFolding,
-		DisableCSE:        true,
-		DisableNarrowing:  true,
-		DisableReorder:    true,
-		DisableTabulation: true,
-	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -303,5 +304,60 @@ func TestReorderOutOfScopeSingleLoop(t *testing.T) {
 	}
 	if prog.Reorder != nil {
 		t.Error("single-loop space should be out of the optimizer's scope")
+	}
+}
+
+// TestPickMatchesMaterialized: the arithmetic range pick must return the
+// value the materializing walk picks, after the same RNG draws, for every
+// range shape. Ranges whose walk wraps int64 must fall back to the walk;
+// every other range must not touch the materialization buffer.
+func TestPickMatchesMaterialized(t *testing.T) {
+	lit := expr.IntLit
+	cases := []struct {
+		name              string
+		start, stop, step expr.Expr
+		fallback          bool
+	}{
+		{"ascending", lit(0), lit(10), lit(1), false},
+		{"ascending, step does not divide span", lit(3), lit(100), lit(7), false},
+		{"descending", lit(10), lit(0), lit(-1), false},
+		{"descending, step does not divide span", lit(100), lit(-5), lit(-7), false},
+		{"single value", lit(5), lit(6), lit(1), false},
+		{"empty", lit(5), lit(5), lit(1), false},
+		{"empty, reversed bounds", lit(5), lit(0), lit(1), false},
+		{"empty descending", lit(0), lit(5), lit(-1), false},
+		{"zero step", lit(0), lit(10), lit(0), false},
+		{"exactly the cap", lit(0), lit(reorderMatCap), lit(1), false},
+		{"longer than the cap", lit(0), lit(1_000_000), lit(1), false},
+		{"descending, longer than the cap", lit(0), lit(-1_000_000), lit(-3), false},
+		{"ends at MaxInt64, capped before the end", lit(math.MaxInt64 - 100_000), lit(math.MaxInt64), lit(1), false},
+		{"wraps past MaxInt64", lit(math.MaxInt64 - 10), lit(math.MaxInt64), lit(4), true},
+		{"wraps past MinInt64", lit(math.MinInt64 + 10), lit(math.MinInt64), lit(-4), true},
+		{"whole int64 line", lit(math.MinInt64), lit(math.MaxInt64), lit(math.MaxInt64), true},
+		{"Span panics on a string operand", expr.Add(expr.StrLit("x"), lit(1)), lit(10), lit(1), false},
+		{"string bound", lit(0), expr.StrLit("x"), lit(1), false},
+	}
+	for _, c := range cases {
+		lp := &Loop{
+			Iter:   &space.Iterator{Name: "x", Kind: space.ExprIter},
+			Domain: &space.RangeDomain{Start: c.start, Stop: c.stop, Step: c.step},
+		}
+		env := expr.NewEnv(1)
+		fast := &picker{rng: newReorderRNG(c.name)}
+		walk := &picker{rng: newReorderRNG(c.name)}
+		for i := 0; i < 64; i++ {
+			got, gotOK := fast.pick(lp, env)
+			want, wantOK := walk.pickMaterialized(lp, env)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%s, draw %d: pick = (%d, %v), materialized = (%d, %v)",
+					c.name, i, got, gotOK, want, wantOK)
+			}
+			if fast.rng.state != walk.rng.state {
+				t.Fatalf("%s, draw %d: RNG draw counts differ", c.name, i)
+			}
+		}
+		if used := cap(fast.vals) > 0; used != c.fallback {
+			t.Errorf("%s: materialized = %v, want %v", c.name, used, c.fallback)
+		}
 	}
 }

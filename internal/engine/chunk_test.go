@@ -14,14 +14,7 @@ import (
 // collectChunked enumerates sequentially with the given chunk size and
 // returns every surviving tuple.
 func collectChunked(e Engine, chunk int) ([][]int64, *Stats, error) {
-	var out [][]int64
-	st, err := e.Run(Options{ChunkSize: chunk, OnTuple: func(tu []int64) bool {
-		cp := make([]int64, len(tu))
-		copy(cp, tu)
-		out = append(out, cp)
-		return true
-	}})
-	return out, st, err
+	return collect(e, Options{ChunkSize: chunk})
 }
 
 // assertChunkAgrees compares a chunked run's statistics against the
@@ -159,4 +152,82 @@ func TestChunkStringFallback(t *testing.T) {
 	if st.ChunksEvaluated != 0 {
 		t.Fatalf("ineligible program still chunked: %d chunks", st.ChunksEvaluated)
 	}
+}
+
+// TestChunkHostGrid pins the chunked host branches: testSpace's innermost
+// loop carries the deferred odd_total check, and under the reordered nest
+// (a,b,e,c,d) it is also a closure iterator. Every backend's chunked runs,
+// complete and stopped at each Limit, must match its own ChunkSize 1 run
+// on survivors, visits, checks, kills and temp counters.
+func TestChunkHostGrid(t *testing.T) {
+	planCombos := []struct {
+		label string
+		opts  plan.Options
+	}{
+		{"default", plan.Options{}},
+		{"noreorder", plan.Options{DisableReorder: true}},
+		{"nocse+nonarrow", plan.Options{DisableCSE: true, DisableNarrowing: true}},
+	}
+	for _, pc := range planCombos {
+		prog, engines := compileAll(t, testSpace(t), pc.opts)
+		inner := prog.Loops[len(prog.Loops)-1]
+		hostCheck := false
+		for _, st := range inner.Steps {
+			hostCheck = hostCheck || (st.Kind == plan.CheckStep && st.Constraint.Deferred())
+		}
+		if !hostCheck || prog.Vector == nil || !prog.Vector.Eligible {
+			t.Fatalf("%s: innermost loop %s lost its chunk-eligible host check\n%s",
+				pc.label, inner.Iter.Name, prog.Describe())
+		}
+		for _, e := range engines {
+			for _, limit := range []int64{0, 1, 3, 7, 50, 271} {
+				want, wantStats, err := collect(e, Options{ChunkSize: 1, Limit: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, chunk := range []int{8, 64} {
+					label := fmt.Sprintf("%s %s chunk=%d limit=%d", pc.label, e.Name(), chunk, limit)
+					got, st, err := collect(e, Options{ChunkSize: chunk, Limit: limit})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %d tuples, want %d", label, len(got), len(want))
+					}
+					requireStatsEqual(t, label, st, wantStats)
+					if !reflect.DeepEqual(st.TempEvals, wantStats.TempEvals) ||
+						!reflect.DeepEqual(st.TempHits, wantStats.TempHits) {
+						t.Fatalf("%s: temp counters diverge: %v/%v want %v/%v",
+							label, st.TempEvals, st.TempHits, wantStats.TempEvals, wantStats.TempHits)
+					}
+					if st.Stopped != wantStats.Stopped {
+						t.Fatalf("%s: Stopped=%v want %v", label, st.Stopped, wantStats.Stopped)
+					}
+					if st.ChunksEvaluated == 0 {
+						t.Fatalf("%s: chunked run evaluated no chunks", label)
+					}
+					if limit != 0 {
+						continue
+					}
+					st4, err := e.Run(Options{ChunkSize: chunk, Workers: 4})
+					if err != nil {
+						t.Fatalf("%s workers=4: %v", label, err)
+					}
+					assertChunkAgrees(t, st4, wantStats, label+" workers=4", prog)
+				}
+			}
+		}
+	}
+}
+
+// collect runs e sequentially under opts and returns a copy of every
+// delivered tuple.
+func collect(e Engine, opts Options) ([][]int64, *Stats, error) {
+	var out [][]int64
+	opts.OnTuple = func(tu []int64) bool {
+		out = append(out, append([]int64(nil), tu...))
+		return true
+	}
+	st, err := e.Run(opts)
+	return out, st, err
 }

@@ -674,31 +674,54 @@ func BenchmarkAblationFolding(b *testing.B) {
 	}
 }
 
-// TestInterpAllocSteadyState pins the interpreter's allocation behaviour:
+// TestInterpAllocSteadyState pins the engines' allocation behaviour:
 // after the first run warms the per-engine scratch buffers (environment,
 // range/argument staging, chunk lanes), repeated runs of the same engine
-// must not allocate per visited iteration. The bound is a small constant
-// per run — regressing to even one allocation per iteration would put the
-// figure in the tens of thousands for this space.
+// must not allocate per visited iteration or per narrowed loop entry. The
+// bound is a small constant per run — regressing to even one allocation
+// per iteration or per loop entry would put the figure in the thousands
+// for these spaces. chunkPressureSpace runs the interpreter;
+// narrowPressureSpace, where bounds narrowing runs at every innermost
+// loop entry, runs all three backends.
 func TestInterpAllocSteadyState(t *testing.T) {
-	prog, err := Compile(chunkPressureSpace(), PlanOptions{})
+	chunkProg, err := Compile(chunkPressureSpace(), PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range []int{1, 64} {
-		in := NewInterp(prog)
-		if _, err := in.Run(RunOptions{ChunkSize: chunk}); err != nil {
-			t.Fatal(err) // warm-up run owns the one-time scratch allocations
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := in.Run(RunOptions{ChunkSize: chunk}); err != nil {
-				t.Fatal(err)
+	narrowProg, err := Compile(narrowPressureSpace(), PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := NewCompiled(narrowProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		space string
+		e     Engine
+	}{
+		{"chunkPressure", NewInterp(chunkProg)},
+		{"narrowPressure", NewInterp(narrowProg)},
+		{"narrowPressure", NewVM(narrowProg)},
+		{"narrowPressure", comp},
+	}
+	for _, tc := range cases {
+		for _, chunk := range []int{1, 64} {
+			if _, err := tc.e.Run(RunOptions{ChunkSize: chunk}); err != nil {
+				t.Fatal(err) // warm-up run owns the one-time scratch allocations
 			}
-		})
-		// Per-run bookkeeping (Stats, narrowing state) is allowed;
-		// per-iteration churn is not. ~295k visits in this space.
-		if allocs > 64 {
-			t.Errorf("chunk=%d: interpreter allocates %.0f times per run; want O(1) bookkeeping only", chunk, allocs)
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := tc.e.Run(RunOptions{ChunkSize: chunk}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s %s chunk=%d: %.0f allocs/run", tc.space, tc.e.Name(), chunk, allocs)
+			// Per-run bookkeeping (Stats, narrowing state) is allowed;
+			// per-iteration churn is not. ~295k visits in chunkPressure.
+			if allocs > 64 {
+				t.Errorf("%s %s chunk=%d: allocates %.0f times per run; want O(1) bookkeeping only",
+					tc.space, tc.e.Name(), chunk, allocs)
+			}
 		}
 	}
 }

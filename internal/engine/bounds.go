@@ -15,77 +15,13 @@ import (
 // surface only in LoopVisits and the BoundsNarrowed/IterationsSkipped
 // counters.
 //
-// Two evaluation strata mirror the backends: narrowRangeAST walks the plan
-// expressions through an adapter (the boxed interpreter and the parallel
-// tiler), narrowRangeRegs runs pre-compiled closures over the int64
-// register file (the Compiled and VM backends).
+// One routine, narrowRange, runs for every caller. Each loop's bounds are
+// lowered once to intFn closures over a register file: the compiled and
+// VM backends compile them (CompileExpr), while the interpreter and the
+// parallel tiler wrap their own evaluators in closures built once per
+// state, which read the trial value of a probe from the register file.
 
-// astEval abstracts a boxed evaluator for narrowing: bound expressions are
-// loop-variable-free, probes need the loop variable bound to a trial value
-// before evaluating the predicate.
-type astEval interface {
-	boundInt(e expr.Expr) int64
-	probeRejects(p *plan.Probe, v int64) bool
-}
-
-// narrowRangeAST applies lb to the range [start, stop) with the given
-// step, returning the tightened bounds. step must be positive. Skipped
-// iterations are credited in st at loop depth d.
-func narrowRangeAST(lb *plan.LoopBounds, be astEval, start, stop, step int64, st *Stats, d int) (int64, int64) {
-	lo, hi := start, stop
-	if rangeCount(lo, hi, step) == 0 {
-		return lo, hi
-	}
-	if lb.TempRefs > 0 {
-		st.TempHits[d] += int64(lb.TempRefs)
-	}
-	var totalSkipped int64
-	for gi := range lb.Groups {
-		g := &lb.Groups[gi]
-		before := rangeCount(lo, hi, step)
-		if before == 0 {
-			break
-		}
-		for _, e := range g.Lo {
-			if b := be.boundInt(e); b > lo {
-				lo += ceilDiv(b-lo, step) * step
-			}
-		}
-		for _, e := range g.Hi {
-			if b := be.boundInt(e); b < hi {
-				hi = b
-			}
-		}
-		for pi := range g.Probes {
-			p := &g.Probes[pi]
-			n := rangeCount(lo, hi, step)
-			if n == 0 {
-				break
-			}
-			var k int64
-			if p.SuffixFeasible {
-				k = searchK(n, func(i int64) bool { return !be.probeRejects(p, lo+i*step) })
-				lo += k * step
-			} else {
-				k = searchK(n, func(i int64) bool { return be.probeRejects(p, lo+i*step) })
-				hi = lo + k*step
-			}
-		}
-		if skipped := before - rangeCount(lo, hi, step); skipped > 0 {
-			st.Checks[g.StatsID] += skipped
-			st.Kills[g.StatsID] += skipped
-			totalSkipped += skipped
-		}
-	}
-	if totalSkipped > 0 {
-		st.BoundsNarrowed[d]++
-		st.IterationsSkipped[d] += totalSkipped
-	}
-	return lo, hi
-}
-
-// compiledBounds is a LoopBounds lowered to register-file closures, shared
-// by the Compiled and VM backends.
+// compiledBounds is a LoopBounds lowered to register-file closures.
 type compiledBounds struct {
 	tempRefs int
 	groups   []compiledBoundGroup
@@ -98,32 +34,62 @@ type compiledBoundGroup struct {
 }
 
 type compiledProbe struct {
-	pred   intFn
+	pred   intFn // nonzero when the trial value in reg[slot] is rejected
 	slot   int
 	suffix bool
 }
 
-// compileLoopBounds lowers lb for the loop variable in slot.
-func compileLoopBounds(lb *plan.LoopBounds, slot int) (*compiledBounds, error) {
+// boundLowering turns a bound (probe false) or probe predicate (probe
+// true) into an intFn.
+type boundLowering func(e expr.Expr, probe bool) (intFn, error)
+
+// compileBound is the compiled and VM backends' lowering.
+func compileBound(e expr.Expr, _ bool) (intFn, error) { return CompileExpr(e) }
+
+// boxedBounds is the lowering of the boxed evaluators (the interpreter
+// and the parallel tiler): eval evaluates an expression against their
+// environment, and bind binds the loop variable to a probe's trial
+// value, which narrowRange leaves in reg[slot].
+func boxedBounds(eval func(expr.Expr) expr.Value, bind func(int64), slot int) boundLowering {
+	return func(e expr.Expr, probe bool) (intFn, error) {
+		if probe {
+			return func(r []int64) int64 {
+				bind(r[slot])
+				return b2i(eval(e).Truthy())
+			}, nil
+		}
+		return func([]int64) int64 {
+			v := eval(e)
+			i, ok := v.AsInt()
+			if !ok {
+				panic(&expr.TypeError{Op: "bound", A: v})
+			}
+			return i
+		}, nil
+	}
+}
+
+// lowerLoopBounds lowers lb for the loop variable in slot.
+func lowerLoopBounds(lb *plan.LoopBounds, slot int, lower boundLowering) (*compiledBounds, error) {
 	cb := &compiledBounds{tempRefs: lb.TempRefs}
 	for _, g := range lb.Groups {
 		cg := compiledBoundGroup{statsID: g.StatsID}
 		for _, e := range g.Lo {
-			fn, err := CompileExpr(e)
+			fn, err := lower(e, false)
 			if err != nil {
 				return nil, err
 			}
 			cg.lo = append(cg.lo, fn)
 		}
 		for _, e := range g.Hi {
-			fn, err := CompileExpr(e)
+			fn, err := lower(e, false)
 			if err != nil {
 				return nil, err
 			}
 			cg.hi = append(cg.hi, fn)
 		}
 		for _, p := range g.Probes {
-			fn, err := CompileExpr(p.Pred)
+			fn, err := lower(p.Pred, true)
 			if err != nil {
 				return nil, err
 			}
@@ -134,10 +100,12 @@ func compileLoopBounds(lb *plan.LoopBounds, slot int) (*compiledBounds, error) {
 	return cb, nil
 }
 
-// narrowRangeRegs is narrowRangeAST over the compiled representation.
-// Probes write trial values into the loop-variable register; callers reset
-// it afterwards (both backends store the start value before iterating).
-func narrowRangeRegs(cb *compiledBounds, reg []int64, start, stop, step int64, st *Stats, d int) (int64, int64) {
+// narrowRange applies cb to the range [start, stop) with the given step,
+// returning the tightened bounds. step must be positive. Skipped
+// iterations are credited in st at loop depth d. Probes write trial
+// values into the loop-variable register; callers reset it afterwards
+// (every caller stores the start value before iterating).
+func narrowRange(cb *compiledBounds, reg []int64, start, stop, step int64, st *Stats, d int) (int64, int64) {
 	lo, hi := start, stop
 	if rangeCount(lo, hi, step) == 0 {
 		return lo, hi
@@ -194,33 +162,13 @@ func narrowRangeRegs(cb *compiledBounds, reg []int64, start, stop, step int64, s
 	return lo, hi
 }
 
-// envBoundEval adapts the boxed slot environment (the parallel tiler's
-// evaluation surface) to the narrowing helper.
-type envBoundEval struct {
-	env  *expr.Env
-	slot int
-}
-
-func (b *envBoundEval) boundInt(e expr.Expr) int64 {
-	v, ok := e.Eval(b.env).AsInt()
-	if !ok {
-		panic(&expr.TypeError{Op: "bound", A: e.Eval(b.env)})
-	}
-	return v
-}
-
-func (b *envBoundEval) probeRejects(p *plan.Probe, v int64) bool {
-	b.env.Slots[b.slot] = expr.IntVal(v)
-	return p.Pred.Eval(b.env).Truthy()
-}
-
 // collectNarrowed materializes a bounded range loop's values during tiling
-// with the compiled bounds applied, crediting skips in st at depth d. It
-// reports false — domain untouched — when the loop has no bounds or the
-// evaluated range is not ascending, in which case the caller enumerates
-// the domain as before.
-func collectNarrowed(lp *plan.Loop, env *expr.Env, st *Stats, d int, collect func(int64) bool) bool {
-	if lp.Bounds == nil {
+// with the bounds cb applied, crediting skips in st at depth d. It reports
+// false — domain untouched — when the loop has no bounds or the evaluated
+// range is not ascending, in which case the caller enumerates the domain
+// as before.
+func collectNarrowed(lp *plan.Loop, cb *compiledBounds, env *expr.Env, reg []int64, st *Stats, d int, collect func(int64) bool) bool {
+	if cb == nil {
 		return false
 	}
 	rd, ok := lp.Domain.(*space.RangeDomain)
@@ -231,8 +179,7 @@ func collectNarrowed(lp *plan.Loop, env *expr.Env, st *Stats, d int, collect fun
 	if !ok || step <= 0 {
 		return false
 	}
-	be := &envBoundEval{env: env, slot: lp.Slot}
-	lo, hi := narrowRangeAST(lp.Bounds, be, start, stop, step, st, d)
+	lo, hi := narrowRange(cb, reg, start, stop, step, st, d)
 	for v := lo; v < hi; v += step {
 		if !collect(v) {
 			break

@@ -4,490 +4,110 @@ import (
 	"fmt"
 
 	"repro/internal/expr"
-	"repro/internal/plan"
 )
 
-// vecCtx is the evaluation context of one innermost chunk in the
-// compiled backend: the scalar register file for loop-invariant
-// (broadcast) reads plus the per-lane arrays of the chunk-resident
-// slots, in plan.VectorLayout lane order.
-type vecCtx struct {
-	reg  []int64
-	lane [][]int64
-	k    int // lanes filled in this chunk (<= chunk size)
+// compiledLanes is the compiled backend's lane evaluator: one vecFn per
+// innermost step, nil for tabulated and host checks.
+type compiledLanes struct {
+	regLanes
+	k   int // lanes filled in the block being evaluated
+	vec []vecFn
 }
 
-// vecFn evaluates an expression over all k lanes of a chunk at once,
-// returning a slice of k results. Implementations own their scratch
-// buffer (or alias a lane array for resident refs), so a vecFn tree is
-// single-threaded — each state/worker compiles its own.
-type vecFn func(c *vecCtx) []int64
+// vecFn evaluates an expression over all k lanes of a block at once,
+// returning a slice of k results: broadcast reads come from the register
+// file, lane-resident ones from the lane arrays. Implementations own
+// their scratch buffer (or alias a lane array for resident refs), so a
+// vecFn tree is single-threaded — each state/worker compiles its own.
+type vecFn func(c *compiledLanes) []int64
 
-// chunkStep mirrors compiledStep for block evaluation: assigns write a
-// whole lane array, expression checks produce a kill vector, deferred
-// (host) checks run per surviving lane after lane writeback.
-type chunkStep struct {
-	check      bool
-	laneIdx    int // assign target lane
-	vec        vecFn
-	statsID    int
-	tabIdx     int // plan table index, -1 for the expression path
-	deferredFn func(r []int64) bool
-	temp       bool
-	level      int
-	tempRefs   int64
+func (e *compiledLanes) evalStep(i, k int) []int64 {
+	e.k = k
+	return e.vec[i](e)
 }
 
-// compiledChunk is the per-state chunked evaluator of the innermost
-// loop. The fill buffer aliases lane 0 (the loop variable's lanes).
-type compiledChunk struct {
-	size      int
-	depth     int
-	laneSlots []int
-	lane      [][]int64
-	vals      []int64 // == lane[0]
-	n         int     // fill cursor
-	pushed    int     // values pushed since loop entry (position-indexed tables)
-	mask      laneMask
-	steps     []chunkStep
-	events    []chunkEvent
-	trace     *chunkTrace
-	ctx       vecCtx
+// attachLanes gives ch the state's lane evaluator and host checks. The
+// innermost expressions already compiled to scalar closures, so they
+// are known to lower.
+func (s *compiledState) attachLanes(ch *chunker) {
+	prog := s.c.prog
+	v := prog.Vector
+	ev := &compiledLanes{regLanes: newRegLanes(prog, ch, s.reg, s.c.settings)}
+	steps := prog.Loops[v.Depth].Steps
+	ev.vec = make([]vecFn, len(steps))
+	for i := range steps {
+		if cs := &ch.steps[i]; cs.tab < 0 && cs.host == nil {
+			ev.vec[i] = compileVecExpr(steps[i].Expr, v.LaneOf, ch.size)
+		}
+	}
+	ch.ev = ev
+	s.chunk = ch
 }
 
-// newChunk builds the chunked evaluator, or nil when the program is not
-// statically chunkable (no loops, ineligible innermost steps). It never
-// changes semantics: a nil return just means scalar stepping.
-func (c *Compiled) newChunk(size int) (*compiledChunk, error) {
-	v := c.prog.Vector
-	if v == nil || !v.Eligible {
-		return nil, nil
+// compileVecExpr lowers a bound, chunk-eligible expression to a
+// lane-wise closure: one call evaluates all k lanes of a chunk.
+func compileVecExpr(e expr.Expr, laneOf []int, size int) vecFn {
+	if n, ok := e.(*expr.Ref); ok && laneOf[n.Slot] >= 0 {
+		li := laneOf[n.Slot]
+		return func(c *compiledLanes) []int64 { return c.lane[li][:c.k] }
 	}
-	ch := &compiledChunk{
-		size:      size,
-		depth:     v.Depth,
-		laneSlots: v.LaneSlots,
-		lane:      make([][]int64, len(v.LaneSlots)),
-		mask:      newLaneMask(size),
-	}
-	for i := range ch.lane {
-		ch.lane[i] = make([]int64, size)
-	}
-	ch.vals = ch.lane[0]
-	inner := c.prog.Loops[v.Depth]
-	tabIdx := tabStepIndex(c.prog, v.Depth)
-	for i := range inner.Steps {
-		st := &inner.Steps[i]
-		cs := chunkStep{
-			check: st.Kind == plan.CheckStep, statsID: st.StatsID,
-			tabIdx: tabIdx[i],
-			temp:   st.Temp, level: st.Depth + 1, tempRefs: int64(st.TempRefs),
-		}
-		if cs.tabIdx >= 0 {
-			// Tabulated check: the pass bits replace the kill vector, so
-			// no lane-wise expression is compiled.
-		} else if cs.check && st.Constraint.Deferred() {
-			cs.deferredFn = c.loops[v.Depth].steps[i].deferredFn
-		} else {
-			fn, err := compileVecExpr(st.Expr, v.LaneOf, size)
-			if err != nil {
-				return nil, fmt.Errorf("engine: chunk step %s: %w", st.Name, err)
-			}
-			cs.vec = fn
-			if !cs.check {
-				cs.laneIdx = v.LaneOf[st.Slot]
-			}
-		}
-		ch.steps = append(ch.steps, cs)
-	}
-	ch.events = chunkEvents(inner.Steps)
-	ch.trace = newChunkTrace(size, len(ch.events))
-	ch.ctx.lane = ch.lane
-	return ch, nil
-}
-
-// push appends one innermost value to the current chunk, flushing when
-// full. Returns false when the run was stopped.
-func (s *compiledState) push(d int, v int64) bool {
-	ch := s.chunk
-	ch.vals[ch.n] = v
-	ch.n++
-	ch.pushed++
-	if ch.n == ch.size {
-		return s.flushChunk(d)
-	}
-	return true
-}
-
-// flushChunk evaluates the buffered lanes through every innermost step
-// with a survivor bitmask, then emits survivors in lane order. The
-// counter discipline reproduces scalar stepping exactly: each step is
-// credited once per lane still live when it runs.
-func (s *compiledState) flushChunk(d int) bool {
-	ch := s.chunk
-	k := ch.n
-	ch.n = 0
-	if k == 0 {
-		return true
-	}
-	if s.ctl.cancelled() {
-		return false
-	}
-	s.stats.LoopVisits[d] += int64(k)
-	s.stats.ChunksEvaluated++
-	ch.mask.setFirst(k)
-	ch.trace.reset()
-	live := int64(k)
-	ch.ctx.k = k
-	ch.ctx.reg = s.reg
-	for i := range ch.steps {
-		st := &ch.steps[i]
-		if st.tempRefs > 0 {
-			ch.trace.snap(ch.mask)
-			s.stats.TempHits[st.level] += st.tempRefs * live
-		}
-		if !st.check {
-			res := st.vec(&ch.ctx)
-			copy(ch.lane[st.laneIdx][:k], res)
-			if st.temp {
-				ch.trace.snap(ch.mask)
-				s.stats.TempEvals[st.level] += live
-			}
-			continue
-		}
-		ch.trace.snap(ch.mask)
-		s.stats.Checks[st.statsID] += live
-		var kills int64
-		if st.tabIdx >= 0 && s.tabx != nil {
-			s.stats.TabulatedChecks += live
-			var outer int64
-			if t := s.tabx.tab.Tables[st.tabIdx]; t.Kind == plan.BinaryTable {
-				outer = s.reg[t.OuterSlot]
-			}
-			row := s.tabx.row(st.tabIdx, outer, s.stats)
-			kills = andMaskRow(ch.mask, k, row, s.tabx.basePos(ch.vals[0], ch.pushed, k))
-		} else if st.deferredFn != nil {
-			ch.mask.forEach(func(lane int) bool {
-				for li, arr := range ch.lane {
-					s.reg[ch.laneSlots[li]] = arr[lane]
-				}
-				if st.deferredFn(s.reg) {
-					ch.mask.clear(lane)
-					kills++
-				}
-				return true
-			})
-		} else {
-			res := st.vec(&ch.ctx)
-			ch.mask.forEach(func(lane int) bool {
-				if res[lane] != 0 {
-					ch.mask.clear(lane)
-					kills++
-				}
-				return true
-			})
-		}
-		if kills > 0 {
-			s.stats.Kills[st.statsID] += kills
-			s.stats.LanesMasked += kills
-			live -= kills
-			if live == 0 {
-				return true
-			}
-		}
-	}
-	ch.trace.snap(ch.mask)
-	stop := -1
-	ch.mask.forEach(func(lane int) bool {
-		for li, arr := range ch.lane {
-			s.reg[ch.laneSlots[li]] = arr[lane]
-		}
-		if s.survivor() {
-			return true
-		}
-		stop = lane
-		return false
-	})
-	if stop < 0 {
-		return true
-	}
-	// Early stop inside the chunk: rewind the counters of the lanes past
-	// the stop point, so the Stopped run's Stats match a scalar run
-	// stopping at the same survivor.
-	rewindChunk(s.stats, d, k, stop, ch.events, ch.trace)
-	return false
-}
-
-// loopChunk drives the innermost loop in blocks: values stream from the
-// (possibly narrowed) range or any other domain into the fill buffer,
-// and full blocks flush through flushChunk.
-func (s *compiledState) loopChunk(d int) bool {
-	lp := &s.c.loops[d]
-	ch := s.chunk
-	ch.n = 0
-	ch.pushed = 0
-	if lp.rng != nil {
-		start, stop, step := lp.rng.span(s.reg)
-		if step > 0 {
-			if lp.bounds != nil {
-				start, stop = narrowRangeRegs(lp.bounds, s.reg, start, stop, step, s.stats, d)
-			}
-			for v := start; v < stop; v += step {
-				if !s.push(d, v) {
-					return false
-				}
-			}
-		} else if step < 0 {
-			for v := start; v > stop; v += step {
-				if !s.push(d, v) {
-					return false
-				}
-			}
-		}
-		return s.flushChunk(d)
-	}
-	if !lp.domain.iterate(s.reg, func(v int64) bool { return s.push(d, v) }) {
-		return false
-	}
-	return s.flushChunk(d)
-}
-
-// compileVecExpr lowers a bound expression to a lane-wise closure: one
-// call evaluates all k lanes of a chunk. Short-circuit operators become
-// selects — safe because the expression arithmetic is total (floor
-// division by zero yields zero, table lookups have defaults), so dead
-// and not-yet-killed lanes evaluate harmlessly.
-func compileVecExpr(e expr.Expr, laneOf []int, size int) (vecFn, error) {
+	buf := make([]int64, size)
 	switch n := e.(type) {
 	case *expr.Lit:
-		if n.V.K == expr.Str {
-			return nil, fmt.Errorf("string literal %s cannot be chunked", n.V)
-		}
-		buf := make([]int64, size)
-		for i := range buf {
-			buf[i] = n.V.I
-		}
-		return func(c *vecCtx) []int64 { return buf[:c.k] }, nil
+		broadcast(buf, n.V.I)
+		return func(c *compiledLanes) []int64 { return buf[:c.k] }
 	case *expr.Ref:
 		slot := n.Slot
-		if slot < 0 {
-			return nil, fmt.Errorf("unbound reference %q", n.Name)
-		}
-		if li := laneOf[slot]; li >= 0 {
-			return func(c *vecCtx) []int64 { return c.lane[li][:c.k] }, nil
-		}
-		buf := make([]int64, size)
-		return func(c *vecCtx) []int64 {
-			out := buf[:c.k]
-			v := c.reg[slot]
-			for i := range out {
-				out[i] = v
-			}
-			return out
-		}, nil
+		return func(c *compiledLanes) []int64 { return broadcast(buf[:c.k], c.reg[slot]) }
 	case *expr.Unary:
-		x, err := compileVecExpr(n.X, laneOf, size)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]int64, size)
-		switch n.Op {
-		case expr.OpNeg:
-			return func(c *vecCtx) []int64 {
-				xs, out := x(c), buf[:c.k]
-				for i := range out {
-					out[i] = -xs[i]
-				}
-				return out
-			}, nil
-		case expr.OpNot:
-			return func(c *vecCtx) []int64 {
-				xs, out := x(c), buf[:c.k]
-				for i := range out {
-					out[i] = b2iv(xs[i] == 0)
-				}
-				return out
-			}, nil
-		}
-		return nil, fmt.Errorf("bad unary op %v", n.Op)
-	case *expr.Binary:
-		l, err := compileVecExpr(n.L, laneOf, size)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileVecExpr(n.R, laneOf, size)
-		if err != nil {
-			return nil, err
-		}
-		return compileVecBinary(n.Op, l, r, size)
-	case *expr.Ternary:
-		cond, err := compileVecExpr(n.Cond, laneOf, size)
-		if err != nil {
-			return nil, err
-		}
-		then, err := compileVecExpr(n.Then, laneOf, size)
-		if err != nil {
-			return nil, err
-		}
-		els, err := compileVecExpr(n.Else, laneOf, size)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]int64, size)
-		return func(c *vecCtx) []int64 {
-			cs, ts, es, out := cond(c), then(c), els(c), buf[:c.k]
-			for i := range out {
-				if cs[i] != 0 {
-					out[i] = ts[i]
-				} else {
-					out[i] = es[i]
-				}
-			}
+		x, op := compileVecExpr(n.X, laneOf, size), n.Op
+		return func(c *compiledLanes) []int64 {
+			out := buf[:c.k]
+			vecUnary(op, out, x(c))
 			return out
-		}, nil
+		}
+	case *expr.Binary:
+		l, r, op := compileVecExpr(n.L, laneOf, size), compileVecExpr(n.R, laneOf, size), n.Op
+		return func(c *compiledLanes) []int64 {
+			out := buf[:c.k]
+			vecBinary(op, out, l(c), r(c))
+			return out
+		}
+	case *expr.Ternary:
+		cond := compileVecExpr(n.Cond, laneOf, size)
+		then := compileVecExpr(n.Then, laneOf, size)
+		els := compileVecExpr(n.Else, laneOf, size)
+		return func(c *compiledLanes) []int64 {
+			out := buf[:c.k]
+			vecSelect(out, cond(c), then(c), els(c))
+			return out
+		}
 	case *expr.Call:
 		args := make([]vecFn, len(n.Args))
 		for i, a := range n.Args {
-			fn, err := compileVecExpr(a, laneOf, size)
-			if err != nil {
-				return nil, err
+			args[i] = compileVecExpr(a, laneOf, size)
+		}
+		fn := n.Fn
+		return func(c *compiledLanes) []int64 {
+			out := buf[:c.k]
+			if fn == "abs" {
+				vecBuiltin(fn, out, args[0](c))
+				return out
 			}
-			args[i] = fn
+			copy(out, args[0](c))
+			for _, a := range args[1:] {
+				vecBuiltin(fn, out, a(c))
+			}
+			return out
 		}
-		buf := make([]int64, size)
-		switch n.Fn {
-		case "min":
-			return func(c *vecCtx) []int64 {
-				out := buf[:c.k]
-				copy(out, args[0](c))
-				for _, a := range args[1:] {
-					as := a(c)
-					for i := range out {
-						if as[i] < out[i] {
-							out[i] = as[i]
-						}
-					}
-				}
-				return out
-			}, nil
-		case "max":
-			return func(c *vecCtx) []int64 {
-				out := buf[:c.k]
-				copy(out, args[0](c))
-				for _, a := range args[1:] {
-					as := a(c)
-					for i := range out {
-						if as[i] > out[i] {
-							out[i] = as[i]
-						}
-					}
-				}
-				return out
-			}, nil
-		case "abs":
-			return func(c *vecCtx) []int64 {
-				xs, out := args[0](c), buf[:c.k]
-				for i := range out {
-					if xs[i] < 0 {
-						out[i] = -xs[i]
-					} else {
-						out[i] = xs[i]
-					}
-				}
-				return out
-			}, nil
-		}
-		return nil, fmt.Errorf("unknown builtin %q", n.Fn)
 	case *expr.Table2D:
-		row, err := compileVecExpr(n.Row, laneOf, size)
-		if err != nil {
-			return nil, err
-		}
-		col, err := compileVecExpr(n.Col, laneOf, size)
-		if err != nil {
-			return nil, err
-		}
+		row, col := compileVecExpr(n.Row, laneOf, size), compileVecExpr(n.Col, laneOf, size)
 		data, def := n.Data, n.Default
-		buf := make([]int64, size)
-		return func(c *vecCtx) []int64 {
-			rs, cs, out := row(c), col(c), buf[:c.k]
-			for i := range out {
-				ri, ci := rs[i], cs[i]
-				if ri < 0 || ri >= int64(len(data)) {
-					out[i] = def
-					continue
-				}
-				rw := data[ri]
-				if ci < 0 || ci >= int64(len(rw)) {
-					out[i] = def
-					continue
-				}
-				out[i] = rw[ci]
-			}
-			return out
-		}, nil
-	default:
-		return nil, fmt.Errorf("unsupported expression type %T", e)
-	}
-}
-
-func b2iv(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func compileVecBinary(op expr.Op, l, r vecFn, size int) (vecFn, error) {
-	buf := make([]int64, size)
-	bin := func(f func(a, b int64) int64) vecFn {
-		return func(c *vecCtx) []int64 {
-			ls, rs, out := l(c), r(c), buf[:c.k]
-			for i := range out {
-				out[i] = f(ls[i], rs[i])
-			}
+		return func(c *compiledLanes) []int64 {
+			out := buf[:c.k]
+			vecTable(out, row(c), col(c), data, def)
 			return out
 		}
 	}
-	switch op {
-	case expr.OpAdd:
-		return bin(func(a, b int64) int64 { return a + b }), nil
-	case expr.OpSub:
-		return bin(func(a, b int64) int64 { return a - b }), nil
-	case expr.OpMul:
-		return bin(func(a, b int64) int64 { return a * b }), nil
-	case expr.OpDiv:
-		return bin(expr.FloorDiv), nil
-	case expr.OpMod:
-		return bin(expr.FloorMod), nil
-	case expr.OpEq:
-		return bin(func(a, b int64) int64 { return b2iv(a == b) }), nil
-	case expr.OpNe:
-		return bin(func(a, b int64) int64 { return b2iv(a != b) }), nil
-	case expr.OpLt:
-		return bin(func(a, b int64) int64 { return b2iv(a < b) }), nil
-	case expr.OpLe:
-		return bin(func(a, b int64) int64 { return b2iv(a <= b) }), nil
-	case expr.OpGt:
-		return bin(func(a, b int64) int64 { return b2iv(a > b) }), nil
-	case expr.OpGe:
-		return bin(func(a, b int64) int64 { return b2iv(a >= b) }), nil
-	case expr.OpAnd:
-		// Scalar And returns l when falsy, else r: a select, not a jump.
-		return bin(func(a, b int64) int64 {
-			if a == 0 {
-				return a
-			}
-			return b
-		}), nil
-	case expr.OpOr:
-		return bin(func(a, b int64) int64 {
-			if a != 0 {
-				return a
-			}
-			return b
-		}), nil
-	default:
-		return nil, fmt.Errorf("bad binary op %v", op)
-	}
+	panic(fmt.Sprintf("engine: unsupported expression type %T", e))
 }

@@ -2,34 +2,25 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/space"
 )
 
-// interpChunk is the interpreter's chunked evaluator of the innermost
-// loop: per-lane int64 arrays for the chunk-resident names (one
-// associative lookup per name per chunk instead of per iteration) and a
-// cursor arena of scratch buffers so one AST walk per step is amortized
-// over every lane of the chunk.
-type interpChunk struct {
-	size      int
-	depth     int
+// interpLanes is the interpreter's lane evaluator: one AST walk per step
+// per chunk over operand arrays, reading the chunk-resident names from
+// the lanes (one associative lookup per name per chunk instead of per
+// iteration) and drawing scratch buffers from a cursor arena.
+type interpLanes struct {
+	env       ienv
+	steps     []plan.Step
 	laneNames []string
 	laneOf    map[string]int
 	lane      [][]int64
-	vals      []int64 // == lane[0], the chunk fill buffer
-	n         int     // fill cursor
-	pushed    int     // values pushed since loop entry (position-indexed tables)
-	mask      laneMask
-	events    []chunkEvent
-	trace     *chunkTrace
+	size      int
 	arena     [][]int64
 	cursor    int
-	// tabIdx[i] is the plan table index of innermost step i, -1 when the
-	// step keeps the expression path (see tabulate.go).
-	tabIdx []int
 	// refNames lists the non-resident names the innermost expressions
 	// read; each loop entry verifies they hold numeric values before
 	// chunking (a string — possible only under -no-fold — falls back to
@@ -37,59 +28,46 @@ type interpChunk struct {
 	refNames []string
 }
 
-func (in *Interp) newChunk(size int) *interpChunk {
-	v := in.prog.Vector
-	if v == nil || !v.Eligible {
-		return nil
-	}
-	ch := &interpChunk{
-		size:   size,
-		depth:  v.Depth,
-		laneOf: make(map[string]int, len(v.LaneSlots)),
-		mask:   newLaneMask(size),
+// attachLanes gives ch the state's lane evaluator and host checks.
+func (s *interpState) attachLanes(ch *chunker) {
+	prog := s.in.prog
+	v := prog.Vector
+	ev := &interpLanes{
+		env:       s.env,
+		steps:     prog.Loops[v.Depth].Steps,
+		laneOf:    make(map[string]int, len(v.LaneSlots)),
+		laneNames: make([]string, 0, len(v.LaneSlots)),
+		lane:      ch.lane,
+		size:      ch.size,
 	}
 	for li, slot := range v.LaneSlots {
-		name := in.prog.Scope.Name(slot)
-		ch.laneNames = append(ch.laneNames, name)
-		ch.laneOf[name] = li
-		ch.lane = append(ch.lane, make([]int64, size))
+		name := prog.Scope.Name(slot)
+		ev.laneNames = append(ev.laneNames, name)
+		ev.laneOf[name] = li
 	}
-	ch.vals = ch.lane[0]
-	ch.events = chunkEvents(in.prog.Loops[v.Depth].Steps)
-	ch.trace = newChunkTrace(size, len(ch.events))
-	ch.tabIdx = tabStepIndex(in.prog, v.Depth)
-	seen := make(map[string]bool)
-	for i := range in.prog.Loops[v.Depth].Steps {
-		st := &in.prog.Loops[v.Depth].Steps[i]
+	for i := range ev.steps {
+		st := &ev.steps[i]
 		if st.Expr == nil {
-			continue // deferred check: env values pass through unconverted
+			// Deferred check: env values pass through unconverted.
+			cn := st.Constraint
+			ch.steps[i].host = func() bool { return cn.Fn(s.deferredArgs(cn.DeclaredDeps)) }
+			continue
 		}
 		for _, dep := range expr.Deps(st.Expr) {
-			if _, resident := ch.laneOf[dep]; !resident && !seen[dep] {
-				seen[dep] = true
-				ch.refNames = append(ch.refNames, dep)
+			if _, resident := ev.laneOf[dep]; !resident && !slices.Contains(ev.refNames, dep) {
+				ev.refNames = append(ev.refNames, dep)
 			}
 		}
 	}
-	return ch
+	ch.ev = ev
+	s.chunk, s.lanes = ch, ev
 }
 
-// buf hands out a scratch buffer from the arena; reset the cursor before
-// each step evaluation.
-func (ch *interpChunk) buf() []int64 {
-	if ch.cursor == len(ch.arena) {
-		ch.arena = append(ch.arena, make([]int64, ch.size))
-	}
-	b := ch.arena[ch.cursor]
-	ch.cursor++
-	return b
-}
-
-// chunkReady reports whether the innermost loop can run chunked for the
+// ready reports whether the innermost loop can run chunked for the
 // current outer bindings: every non-resident operand must be numeric.
-func (s *interpState) chunkReady() bool {
-	for _, name := range s.chunk.refNames {
-		v, ok := s.env[name]
+func (e *interpLanes) ready() bool {
+	for _, name := range e.refNames {
+		v, ok := e.env[name]
 		if !ok || v.K == expr.Str {
 			return false
 		}
@@ -97,360 +75,83 @@ func (s *interpState) chunkReady() bool {
 	return true
 }
 
-// evalVec walks e once, computing all k lanes per node. Semantics match
+func (e *interpLanes) evalStep(i, k int) []int64 {
+	e.cursor = 0
+	return e.eval(e.steps[i].Expr, k)
+}
+
+func (e *interpLanes) bindLane(j int) {
+	for li, name := range e.laneNames {
+		e.env[name] = expr.IntVal(e.lane[li][j])
+	}
+}
+
+func (e *interpLanes) tabOuter(t *plan.Table) int64 { return e.env[t.OuterName].I }
+
+// buf hands out a k-lane scratch buffer from the arena; evalStep resets
+// the cursor.
+func (e *interpLanes) buf(k int) []int64 {
+	if e.cursor == len(e.arena) {
+		e.arena = append(e.arena, make([]int64, e.size))
+	}
+	b := e.arena[e.cursor]
+	e.cursor++
+	return b[:k]
+}
+
+// eval walks x once, computing all k lanes per node. Semantics match
 // evalMap over numeric values: truthiness is nonzero, equality and
 // ordering compare by value, and/or select their operands, arithmetic is
-// total. String operands cannot appear (chunkReady + plan eligibility).
-func (s *interpState) evalVec(e expr.Expr, k int) []int64 {
-	ch := s.chunk
-	switch n := e.(type) {
+// total. String operands cannot appear (ready + plan eligibility).
+func (e *interpLanes) eval(x expr.Expr, k int) []int64 {
+	switch n := x.(type) {
 	case *expr.Lit:
-		out := ch.buf()[:k]
-		for i := range out {
-			out[i] = n.V.I
-		}
-		return out
+		return broadcast(e.buf(k), n.V.I)
 	case *expr.Ref:
-		if li, ok := ch.laneOf[n.Name]; ok {
-			return ch.lane[li][:k]
+		if li, ok := e.laneOf[n.Name]; ok {
+			return e.lane[li][:k]
 		}
-		v, ok := s.env[n.Name]
+		v, ok := e.env[n.Name]
 		if !ok {
 			panic(fmt.Sprintf("interp: NameError: %q is not defined", n.Name))
 		}
-		out := ch.buf()[:k]
-		for i := range out {
-			out[i] = v.I
-		}
-		return out
+		return broadcast(e.buf(k), v.I)
 	case *expr.Unary:
-		xs := s.evalVec(n.X, k)
-		out := ch.buf()[:k]
-		if n.Op == expr.OpNot {
-			for i := range out {
-				out[i] = b2iv(xs[i] == 0)
-			}
-		} else {
-			for i := range out {
-				out[i] = -xs[i]
-			}
-		}
+		xs := e.eval(n.X, k)
+		out := e.buf(k)
+		vecUnary(n.Op, out, xs)
 		return out
 	case *expr.Binary:
-		ls := s.evalVec(n.L, k)
-		rs := s.evalVec(n.R, k)
-		out := ch.buf()[:k]
-		switch n.Op {
-		case expr.OpAdd:
-			for i := range out {
-				out[i] = ls[i] + rs[i]
-			}
-		case expr.OpSub:
-			for i := range out {
-				out[i] = ls[i] - rs[i]
-			}
-		case expr.OpMul:
-			for i := range out {
-				out[i] = ls[i] * rs[i]
-			}
-		case expr.OpDiv:
-			for i := range out {
-				out[i] = expr.FloorDiv(ls[i], rs[i])
-			}
-		case expr.OpMod:
-			for i := range out {
-				out[i] = expr.FloorMod(ls[i], rs[i])
-			}
-		case expr.OpEq:
-			for i := range out {
-				out[i] = b2iv(ls[i] == rs[i])
-			}
-		case expr.OpNe:
-			for i := range out {
-				out[i] = b2iv(ls[i] != rs[i])
-			}
-		case expr.OpLt:
-			for i := range out {
-				out[i] = b2iv(ls[i] < rs[i])
-			}
-		case expr.OpLe:
-			for i := range out {
-				out[i] = b2iv(ls[i] <= rs[i])
-			}
-		case expr.OpGt:
-			for i := range out {
-				out[i] = b2iv(ls[i] > rs[i])
-			}
-		case expr.OpGe:
-			for i := range out {
-				out[i] = b2iv(ls[i] >= rs[i])
-			}
-		case expr.OpAnd:
-			for i := range out {
-				if ls[i] == 0 {
-					out[i] = ls[i]
-				} else {
-					out[i] = rs[i]
-				}
-			}
-		case expr.OpOr:
-			for i := range out {
-				if ls[i] != 0 {
-					out[i] = ls[i]
-				} else {
-					out[i] = rs[i]
-				}
-			}
-		default:
-			panic(fmt.Sprintf("interp: bad binary op %v", n.Op))
-		}
+		ls := e.eval(n.L, k)
+		rs := e.eval(n.R, k)
+		out := e.buf(k)
+		vecBinary(n.Op, out, ls, rs)
 		return out
 	case *expr.Ternary:
-		cs := s.evalVec(n.Cond, k)
-		ts := s.evalVec(n.Then, k)
-		es := s.evalVec(n.Else, k)
-		out := ch.buf()[:k]
-		for i := range out {
-			if cs[i] != 0 {
-				out[i] = ts[i]
-			} else {
-				out[i] = es[i]
-			}
-		}
+		cs := e.eval(n.Cond, k)
+		ts := e.eval(n.Then, k)
+		es := e.eval(n.Else, k)
+		out := e.buf(k)
+		vecSelect(out, cs, ts, es)
 		return out
 	case *expr.Call:
-		switch n.Fn {
-		case "min", "max":
-			out := ch.buf()[:k]
-			copy(out, s.evalVec(n.Args[0], k))
-			for _, a := range n.Args[1:] {
-				as := s.evalVec(a, k)
-				if n.Fn == "min" {
-					for i := range out {
-						if as[i] < out[i] {
-							out[i] = as[i]
-						}
-					}
-				} else {
-					for i := range out {
-						if as[i] > out[i] {
-							out[i] = as[i]
-						}
-					}
-				}
-			}
-			return out
-		case "abs":
-			xs := s.evalVec(n.Args[0], k)
-			out := ch.buf()[:k]
-			for i := range out {
-				if xs[i] < 0 {
-					out[i] = -xs[i]
-				} else {
-					out[i] = xs[i]
-				}
-			}
+		out := e.buf(k)
+		if n.Fn == "abs" {
+			vecBuiltin(n.Fn, out, e.eval(n.Args[0], k))
 			return out
 		}
-		panic(fmt.Sprintf("interp: unknown builtin %q", n.Fn))
-	case *expr.Table2D:
-		rs := s.evalVec(n.Row, k)
-		cs := s.evalVec(n.Col, k)
-		out := ch.buf()[:k]
-		for i := range out {
-			ri, ci := rs[i], cs[i]
-			if ri < 0 || ri >= int64(len(n.Data)) {
-				out[i] = n.Default
-				continue
-			}
-			row := n.Data[ri]
-			if ci < 0 || ci >= int64(len(row)) {
-				out[i] = n.Default
-				continue
-			}
-			out[i] = row[ci]
+		copy(out, e.eval(n.Args[0], k))
+		for _, a := range n.Args[1:] {
+			vecBuiltin(n.Fn, out, e.eval(a, k))
 		}
 		return out
+	case *expr.Table2D:
+		rs := e.eval(n.Row, k)
+		cs := e.eval(n.Col, k)
+		out := e.buf(k)
+		vecTable(out, rs, cs, n.Data, n.Default)
+		return out
 	default:
-		panic(fmt.Sprintf("interp: unsupported expression type %T", e))
+		panic(fmt.Sprintf("interp: unsupported expression type %T", x))
 	}
-}
-
-// pushChunk appends one innermost value, flushing full blocks.
-func (s *interpState) pushChunk(d int, v int64) bool {
-	ch := s.chunk
-	ch.vals[ch.n] = v
-	ch.n++
-	ch.pushed++
-	if ch.n == ch.size {
-		return s.flushChunk(d)
-	}
-	return true
-}
-
-// writebackLanes binds lane values into the associative environment, for
-// deferred checks and survivor emission.
-func (s *interpState) writebackLanes(lane int) {
-	ch := s.chunk
-	for li, name := range ch.laneNames {
-		s.env[name] = expr.IntVal(ch.lane[li][lane])
-	}
-}
-
-// flushChunk evaluates the buffered lanes through the innermost steps
-// under the survivor bitmask; counter discipline matches scalar stepping
-// exactly (each step credited once per lane live when it runs).
-func (s *interpState) flushChunk(d int) bool {
-	ch := s.chunk
-	k := ch.n
-	ch.n = 0
-	if k == 0 {
-		return true
-	}
-	if s.ctl.cancelled() {
-		return false
-	}
-	s.stats.LoopVisits[d] += int64(k)
-	s.stats.ChunksEvaluated++
-	ch.mask.setFirst(k)
-	ch.trace.reset()
-	live := int64(k)
-	steps := s.in.prog.Loops[d].Steps
-	for i := range steps {
-		st := &steps[i]
-		if st.TempRefs > 0 {
-			ch.trace.snap(ch.mask)
-			s.stats.TempHits[st.Depth+1] += int64(st.TempRefs) * live
-		}
-		if st.Kind == plan.AssignStep {
-			ch.cursor = 0
-			res := s.evalVec(st.Expr, k)
-			copy(ch.lane[ch.laneOf[st.Name]][:k], res)
-			if st.Temp {
-				ch.trace.snap(ch.mask)
-				s.stats.TempEvals[st.Depth+1] += live
-			}
-			continue
-		}
-		ch.trace.snap(ch.mask)
-		s.stats.Checks[st.StatsID] += live
-		var kills int64
-		if ti := ch.tabIdx[i]; ti >= 0 && s.tabx != nil {
-			s.stats.TabulatedChecks += live
-			var outer int64
-			if t := s.tabx.tab.Tables[ti]; t.Kind == plan.BinaryTable {
-				outer = s.env[t.OuterName].I
-			}
-			row := s.tabx.row(ti, outer, s.stats)
-			kills = andMaskRow(ch.mask, k, row, s.tabx.basePos(ch.vals[0], ch.pushed, k))
-		} else if st.Constraint.Deferred() {
-			ch.mask.forEach(func(lane int) bool {
-				s.writebackLanes(lane)
-				args := s.deferredArgs(st.Constraint.DeclaredDeps)
-				if st.Constraint.Fn(args) {
-					ch.mask.clear(lane)
-					kills++
-				}
-				return true
-			})
-		} else {
-			ch.cursor = 0
-			res := s.evalVec(st.Expr, k)
-			ch.mask.forEach(func(lane int) bool {
-				if res[lane] != 0 {
-					ch.mask.clear(lane)
-					kills++
-				}
-				return true
-			})
-		}
-		if kills > 0 {
-			s.stats.Kills[st.StatsID] += kills
-			s.stats.LanesMasked += kills
-			live -= kills
-			if live == 0 {
-				return true
-			}
-		}
-	}
-	ch.trace.snap(ch.mask)
-	stop := -1
-	ch.mask.forEach(func(lane int) bool {
-		s.writebackLanes(lane)
-		if s.survivor() {
-			return true
-		}
-		stop = lane
-		return false
-	})
-	if stop < 0 {
-		return true
-	}
-	// Early stop inside the chunk: rewind the counters of the lanes past
-	// the stop point, so the Stopped run's Stats match a scalar run
-	// stopping at the same survivor.
-	rewindChunk(s.stats, d, k, stop, ch.events, ch.trace)
-	return false
-}
-
-// loopChunk drives the innermost loop in blocks. The loop protocol is
-// intentionally ignored here: chunked mode replaces the per-iteration
-// control machinery the protocols model, and the protocols are already
-// property-tested to leave every counter unchanged.
-func (s *interpState) loopChunk(d int) bool {
-	lp := s.in.prog.Loops[d]
-	ch := s.chunk
-	ch.n = 0
-	ch.pushed = 0
-	if lp.Iter.Kind != space.ExprIter {
-		args := s.iterArgs(d, lp)
-		switch lp.Iter.Kind {
-		case space.DeferredIter:
-			dom := lp.Iter.Deferred(args)
-			if dom == nil {
-				return true
-			}
-			if !dom.Iterate(&expr.Env{}, func(v int64) bool { return s.pushChunk(d, v) }) {
-				return false
-			}
-		default: // ClosureIter
-			done := true
-			lp.Iter.Generator(args, func(v int64) bool {
-				if !s.pushChunk(d, v) {
-					done = false
-					return false
-				}
-				return true
-			})
-			if !done {
-				return false
-			}
-		}
-		return s.flushChunk(d)
-	}
-	if r, isRange := lp.Domain.(*space.RangeDomain); isRange {
-		start, stop, step, ok := spanMap(r, s.env)
-		if !ok {
-			return true
-		}
-		start, stop = s.narrow(d, start, stop, step)
-		if step > 0 {
-			for v := start; v < stop; v += step {
-				if !s.pushChunk(d, v) {
-					return false
-				}
-			}
-		} else {
-			for v := start; v > stop; v += step {
-				if !s.pushChunk(d, v) {
-					return false
-				}
-			}
-		}
-		return s.flushChunk(d)
-	}
-	if !iterateMap(lp.Domain, s.env, func(v int64) bool { return s.pushChunk(d, v) }) {
-		return false
-	}
-	return s.flushChunk(d)
 }

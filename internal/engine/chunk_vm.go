@@ -4,534 +4,93 @@ import (
 	"fmt"
 
 	"repro/internal/expr"
-	"repro/internal/plan"
 )
 
-// The VM's chunked innermost loop compiles to a second, jump-free
-// instruction stream of vector superinstructions: one fetch-decode per
-// instruction per chunk, with the per-lane work done in tight k-loops
-// inside each handler. Short-circuit control flow (and/or/ternary)
-// becomes selects, so the stream never branches; residual checks fold
-// the kill into the survivor mask instead of jumping.
-type vop uint8
-
-const (
-	vPushC     vop = iota // push broadcast consts[a]
-	vLoadLane             // push copy of lane[a]
-	vLoadReg              // push broadcast reg[a]
-	vStoreLane            // lane[a] = pop
-	vAdd                  // in-place binary ops on the vector stack
-	vSub
-	vMul
-	vDiv
-	vMod
-	vNeg
-	vEq
-	vNe
-	vLt
-	vLe
-	vGt
-	vGe
-	vNot
-	vAnd    // select: l==0 ? l : r
-	vOr     // select: l!=0 ? l : r
-	vSelect // pop else, then, cond; push cond!=0 ? then : else
-	vMinN   // pop a values, push lane-wise min
-	vMaxN
-	vAbs
-	vTable    // pop col, row; push tables[a][row][col] or default b
-	vCheck    // pop kill vector; mask lanes, count Checks/Kills for constraint a
-	vTabChk   // AND plan table a's pass bits into the mask; count Checks/Kills for constraint b
-	vHostChk  // deferred[a] per live lane after lane writeback
-	vTempEval // stats.TempEvals[a] += live
-	vTempHits // stats.TempHits[a] += b * live
-)
-
-type vins struct {
-	op      vop
-	a, b, c int32
+// vmLanes is the VM's lane evaluator. Each innermost step compiles to a
+// jump-free program over the scalar opcode set plus opLane and the
+// select forms (opAnd, opOr, opSelect), and a stack machine whose slots
+// are lane vectors runs it: one dispatch per instruction per chunk.
+type vmLanes struct {
+	regLanes
+	code *vmCode
+	size int
+	stk  [][]int64 // operand stack; a slot may alias a lane array
+	pool [][]int64 // owned result buffer per stack depth
 }
 
-// vmChunkCode is the compiled chunk program: shared tables live in the
-// owning vmCode (consts, tables, deferred).
-type vmChunkCode struct {
-	size      int
-	depth     int32
-	ins       []vins
-	laneSlots []int32
-	events    []chunkEvent
+// buf returns the result buffer of stack depth d, k lanes long.
+func (v *vmLanes) buf(d, k int) []int64 {
+	for d >= len(v.pool) {
+		v.pool = append(v.pool, make([]int64, v.size))
+	}
+	return v.pool[d][:k]
 }
 
-// vmChunkState is the per-executor chunk scratch: lane arrays, the fill
-// buffer (aliasing lane 0), the survivor mask, and the vector stack of
-// owned, reused buffers.
-type vmChunkState struct {
-	lane   [][]int64
-	vals   []int64
-	n      int
-	pushed int // values pushed since loop entry (position-indexed tables)
-	mask   laneMask
-	trace  *chunkTrace
-	vstk   [][]int64
-}
-
-func newVMChunkState(cc *vmChunkCode) *vmChunkState {
-	cs := &vmChunkState{
-		lane: make([][]int64, len(cc.laneSlots)),
-		mask: newLaneMask(cc.size),
-	}
-	for i := range cs.lane {
-		cs.lane[i] = make([]int64, cc.size)
-	}
-	cs.vals = cs.lane[0]
-	cs.trace = newChunkTrace(cc.size, len(cc.events))
-	return cs
-}
-
-// buildChunk compiles the innermost loop's steps into the vector stream
-// and records the lane layout. Requires prog.Vector to be eligible.
-func (a *vmAssembler) buildChunk(size int) {
-	prog := a.vm.prog
-	v := prog.Vector
-	cc := &vmChunkCode{size: size, depth: int32(v.Depth)}
-	for _, slot := range v.LaneSlots {
-		cc.laneSlots = append(cc.laneSlots, int32(slot))
-	}
-	vemit := func(in vins) { cc.ins = append(cc.ins, in) }
-	tabIdx := tabStepIndex(prog, v.Depth)
-	for i, st := range prog.Loops[v.Depth].Steps {
-		if st.TempRefs > 0 {
-			vemit(vins{op: vTempHits, a: int32(st.Depth + 1), b: int32(st.TempRefs)})
-		}
-		if st.Kind == plan.AssignStep {
-			a.emitVecExpr(cc, st.Expr)
-			vemit(vins{op: vStoreLane, a: int32(v.LaneOf[st.Slot])})
-			if st.Temp {
-				vemit(vins{op: vTempEval, a: int32(st.Depth + 1)})
-			}
-			continue
-		}
-		if ti := tabIdx[i]; ti >= 0 {
-			vemit(vins{op: vTabChk, a: int32(ti), b: int32(st.StatsID)})
-			continue
-		}
-		if st.Constraint.Deferred() {
-			vemit(vins{op: vHostChk, a: a.addDeferred(st)})
-			continue
-		}
-		a.emitVecExpr(cc, st.Expr)
-		vemit(vins{op: vCheck, a: int32(st.StatsID)})
-	}
-	// The counting vops above appear in exactly chunkEvents order (temp
-	// hits before the step, temp evals after the store, one check per
-	// constraint), so the rewind trace can align snapshots to events 1:1.
-	cc.events = chunkEvents(prog.Loops[v.Depth].Steps)
-	a.code.chunk = cc
-}
-
-// emitVecExpr compiles e into the jump-free vector stream, leaving its
-// lanes on the vector stack. Constants and tables share the scalar
-// stream's pools.
-func (a *vmAssembler) emitVecExpr(cc *vmChunkCode, e expr.Expr) {
-	vemit := func(in vins) { cc.ins = append(cc.ins, in) }
-	switch n := e.(type) {
-	case *expr.Lit:
-		if n.V.K == expr.Str {
-			a.fail(fmt.Errorf("vm: string literal %s cannot be chunked", n.V))
-			return
-		}
-		vemit(vins{op: vPushC, a: a.constIdx(n.V.I)})
-	case *expr.Ref:
-		if n.Slot < 0 {
-			a.fail(fmt.Errorf("vm: unbound reference %q", n.Name))
-			return
-		}
-		if li := a.vm.prog.Vector.LaneOf[n.Slot]; li >= 0 {
-			vemit(vins{op: vLoadLane, a: int32(li)})
-		} else {
-			vemit(vins{op: vLoadReg, a: int32(n.Slot)})
-		}
-	case *expr.Unary:
-		a.emitVecExpr(cc, n.X)
-		if n.Op == expr.OpNeg {
-			vemit(vins{op: vNeg})
-		} else {
-			vemit(vins{op: vNot})
-		}
-	case *expr.Binary:
-		a.emitVecExpr(cc, n.L)
-		a.emitVecExpr(cc, n.R)
-		var op vop
-		switch n.Op {
-		case expr.OpAdd:
-			op = vAdd
-		case expr.OpSub:
-			op = vSub
-		case expr.OpMul:
-			op = vMul
-		case expr.OpDiv:
-			op = vDiv
-		case expr.OpMod:
-			op = vMod
-		case expr.OpEq:
-			op = vEq
-		case expr.OpNe:
-			op = vNe
-		case expr.OpLt:
-			op = vLt
-		case expr.OpLe:
-			op = vLe
-		case expr.OpGt:
-			op = vGt
-		case expr.OpGe:
-			op = vGe
-		case expr.OpAnd:
-			op = vAnd
-		case expr.OpOr:
-			op = vOr
-		default:
-			a.fail(fmt.Errorf("vm: bad binary op %v", n.Op))
-			return
-		}
-		vemit(vins{op: op})
-	case *expr.Ternary:
-		a.emitVecExpr(cc, n.Cond)
-		a.emitVecExpr(cc, n.Then)
-		a.emitVecExpr(cc, n.Else)
-		vemit(vins{op: vSelect})
-	case *expr.Call:
-		for _, arg := range n.Args {
-			a.emitVecExpr(cc, arg)
-		}
-		switch n.Fn {
-		case "min":
-			vemit(vins{op: vMinN, a: int32(len(n.Args))})
-		case "max":
-			vemit(vins{op: vMaxN, a: int32(len(n.Args))})
-		case "abs":
-			vemit(vins{op: vAbs})
-		default:
-			a.fail(fmt.Errorf("vm: unknown builtin %q", n.Fn))
-		}
-	case *expr.Table2D:
-		a.emitVecExpr(cc, n.Row)
-		a.emitVecExpr(cc, n.Col)
-		a.code.tables = append(a.code.tables, n.Data)
-		vemit(vins{op: vTable, a: int32(len(a.code.tables) - 1), b: int32(n.Default)})
-	default:
-		a.fail(fmt.Errorf("vm: unsupported expression type %T", e))
-	}
-}
-
-// pushChunk buffers one innermost value, flushing full chunks. Returns
-// false when enumeration must stop.
-func (x *vmExec) pushChunk(v int64) bool {
-	cs := x.chunkState
-	cs.vals[cs.n] = v
-	cs.n++
-	cs.pushed++
-	if cs.n == x.code.chunk.size {
-		return x.runChunk()
-	}
-	return true
-}
-
-// runChunk executes the vector stream over the buffered lanes: one
-// dispatch per instruction per chunk. Counter discipline matches scalar
-// stepping — each step is credited once per lane still live when it
-// runs — and survivors are emitted in lane order through the shared
-// survive path. Returns false when enumeration must stop.
-func (x *vmExec) runChunk() bool {
-	cc := x.code.chunk
-	cs := x.chunkState
-	k := cs.n
-	cs.n = 0
-	if k == 0 {
-		return true
-	}
-	if x.ctl.cancelled() {
-		return false
-	}
-	stats := x.stats
-	d := int(cc.depth)
-	stats.LoopVisits[d] += int64(k)
-	stats.ChunksEvaluated++
-	cs.mask.setFirst(k)
-	cs.trace.reset()
-	live := int64(k)
-	vsp := 0
-	push := func() []int64 {
-		if vsp == len(cs.vstk) {
-			cs.vstk = append(cs.vstk, make([]int64, cc.size))
-		}
-		b := cs.vstk[vsp][:k]
-		vsp++
-		return b
-	}
-	for i := range cc.ins {
-		in := &cc.ins[i]
+func (v *vmLanes) evalStep(i, k int) []int64 {
+	stk := v.stk[:0]
+	for _, in := range v.code.lanes[i] {
+		n := len(stk)
 		switch in.op {
-		case vPushC:
-			out := push()
-			v := x.code.consts[in.a]
-			for j := range out {
-				out[j] = v
+		case opPushC:
+			stk = append(stk, broadcast(v.buf(n, k), v.code.consts[in.a]))
+		case opLoad:
+			stk = append(stk, broadcast(v.buf(n, k), v.reg[in.a]))
+		case opLane:
+			stk = append(stk, v.lane[in.a][:k])
+		case opNeg, opNot:
+			op := expr.OpNeg
+			if in.op == opNot {
+				op = expr.OpNot
 			}
-		case vLoadLane:
-			out := push()
-			copy(out, cs.lane[in.a][:k])
-		case vLoadReg:
-			out := push()
-			v := x.reg[in.a]
-			for j := range out {
-				out[j] = v
+			out := v.buf(n-1, k)
+			vecUnary(op, out, stk[n-1])
+			stk[n-1] = out
+		case opAbs:
+			out := v.buf(n-1, k)
+			vecBuiltin("abs", out, stk[n-1])
+			stk[n-1] = out
+		case opMinN, opMaxN:
+			fn, base := "min", n-int(in.a)
+			if in.op == opMaxN {
+				fn = "max"
 			}
-		case vStoreLane:
-			vsp--
-			copy(cs.lane[in.a][:k], cs.vstk[vsp][:k])
-		case vAdd:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] += r[j]
+			out := v.buf(base, k)
+			copy(out, stk[base])
+			for _, x := range stk[base+1:] {
+				vecBuiltin(fn, out, x)
 			}
-		case vSub:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] -= r[j]
-			}
-		case vMul:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] *= r[j]
-			}
-		case vDiv:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] = expr.FloorDiv(l[j], r[j])
-			}
-		case vMod:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] = expr.FloorMod(l[j], r[j])
-			}
-		case vNeg:
-			l := cs.vstk[vsp-1][:k]
-			for j := range l {
-				l[j] = -l[j]
-			}
-		case vEq:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] = b2i(l[j] == r[j])
-			}
-		case vNe:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] = b2i(l[j] != r[j])
-			}
-		case vLt:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] = b2i(l[j] < r[j])
-			}
-		case vLe:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] = b2i(l[j] <= r[j])
-			}
-		case vGt:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] = b2i(l[j] > r[j])
-			}
-		case vGe:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				l[j] = b2i(l[j] >= r[j])
-			}
-		case vNot:
-			l := cs.vstk[vsp-1][:k]
-			for j := range l {
-				l[j] = b2i(l[j] == 0)
-			}
-		case vAnd:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				if l[j] != 0 {
-					l[j] = r[j]
-				}
-			}
-		case vOr:
-			l, r := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			for j := range l {
-				if l[j] == 0 {
-					l[j] = r[j]
-				}
-			}
-		case vSelect:
-			c, t, e := cs.vstk[vsp-3][:k], cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp -= 2
-			for j := range c {
-				if c[j] != 0 {
-					c[j] = t[j]
-				} else {
-					c[j] = e[j]
-				}
-			}
-		case vMinN:
-			n := int(in.a)
-			out := cs.vstk[vsp-n][:k]
-			for _, arg := range cs.vstk[vsp-n+1 : vsp] {
-				av := arg[:k]
-				for j := range out {
-					if av[j] < out[j] {
-						out[j] = av[j]
-					}
-				}
-			}
-			vsp -= n - 1
-		case vMaxN:
-			n := int(in.a)
-			out := cs.vstk[vsp-n][:k]
-			for _, arg := range cs.vstk[vsp-n+1 : vsp] {
-				av := arg[:k]
-				for j := range out {
-					if av[j] > out[j] {
-						out[j] = av[j]
-					}
-				}
-			}
-			vsp -= n - 1
-		case vAbs:
-			l := cs.vstk[vsp-1][:k]
-			for j := range l {
-				if l[j] < 0 {
-					l[j] = -l[j]
-				}
-			}
-		case vTable:
-			row, col := cs.vstk[vsp-2][:k], cs.vstk[vsp-1][:k]
-			vsp--
-			data := x.code.tables[in.a]
-			def := int64(in.b)
-			for j := range row {
-				v := def
-				if row[j] >= 0 && row[j] < int64(len(data)) {
-					r := data[row[j]]
-					if col[j] >= 0 && col[j] < int64(len(r)) {
-						v = r[col[j]]
-					}
-				}
-				row[j] = v
-			}
-		case vCheck:
-			vsp--
-			res := cs.vstk[vsp][:k]
-			cs.trace.snap(cs.mask)
-			stats.Checks[in.a] += live
-			var kills int64
-			cs.mask.forEach(func(lane int) bool {
-				if res[lane] != 0 {
-					cs.mask.clear(lane)
-					kills++
-				}
-				return true
-			})
-			if kills > 0 {
-				stats.Kills[in.a] += kills
-				stats.LanesMasked += kills
-				live -= kills
-				if live == 0 {
-					return true
-				}
-			}
-		case vTabChk:
-			cs.trace.snap(cs.mask)
-			stats.Checks[in.b] += live
-			stats.TabulatedChecks += live
-			var outer int64
-			if t := x.tabx.tab.Tables[in.a]; t.Kind == plan.BinaryTable {
-				outer = x.reg[t.OuterSlot]
-			}
-			row := x.tabx.row(int(in.a), outer, stats)
-			kills := andMaskRow(cs.mask, k, row, x.tabx.basePos(cs.vals[0], cs.pushed, k))
-			if kills > 0 {
-				stats.Kills[in.b] += kills
-				stats.LanesMasked += kills
-				live -= kills
-				if live == 0 {
-					return true
-				}
-			}
-		case vHostChk:
-			id := x.code.deferIDs[in.a]
-			fn := x.code.deferred[in.a]
-			cs.trace.snap(cs.mask)
-			if id >= 0 {
-				stats.Checks[id] += live
-			}
-			var kills int64
-			cs.mask.forEach(func(lane int) bool {
-				for li, slot := range cc.laneSlots {
-					x.reg[slot] = cs.lane[li][lane]
-				}
-				if fn(x.reg) {
-					cs.mask.clear(lane)
-					kills++
-				}
-				return true
-			})
-			if kills > 0 {
-				if id >= 0 {
-					stats.Kills[id] += kills
-				}
-				stats.LanesMasked += kills
-				live -= kills
-				if live == 0 {
-					return true
-				}
-			}
-		case vTempEval:
-			cs.trace.snap(cs.mask)
-			stats.TempEvals[in.a] += live
-		case vTempHits:
-			cs.trace.snap(cs.mask)
-			stats.TempHits[in.a] += int64(in.b) * live
+			stk = stk[:base+1]
+			stk[base] = out
+		case opSelect:
+			out := v.buf(n-3, k)
+			vecSelect(out, stk[n-3], stk[n-2], stk[n-1])
+			stk = stk[:n-2]
+			stk[n-3] = out
+		case opTable:
+			out := v.buf(n-2, k)
+			vecTable(out, stk[n-2], stk[n-1], v.code.tables[in.a], int64(in.b))
+			stk = stk[:n-1]
+			stk[n-2] = out
+		case opAdd, opSub, opMul, opDiv, opMod, opEq, opNe, opLt, opLe, opGt, opGe, opAnd, opOr:
+			out := v.buf(n-2, k)
+			vecBinary(binOps[in.op], out, stk[n-2], stk[n-1])
+			stk = stk[:n-1]
+			stk[n-2] = out
 		default:
-			panic(fmt.Sprintf("vm: bad vector opcode %d", in.op))
+			panic(fmt.Sprintf("vm: opcode %d in a lane program", in.op))
 		}
 	}
-	cs.trace.snap(cs.mask)
-	stop := -1
-	cs.mask.forEach(func(lane int) bool {
-		for li, slot := range cc.laneSlots {
-			x.reg[slot] = cs.lane[li][lane]
-		}
-		if x.survive() {
-			return true
-		}
-		stop = lane
-		return false
-	})
-	if stop < 0 {
-		return true
+	v.stk = stk
+	return stk[0]
+}
+
+// attachLanes gives ch the executor's lane evaluator and host checks.
+func (x *vmExec) attachLanes(ch *chunker) {
+	prog := x.vm.prog
+	ch.ev = &vmLanes{
+		regLanes: newRegLanes(prog, ch, x.reg, prog.SettingBySlot()),
+		code:     x.code,
+		size:     ch.size,
 	}
-	// Early stop inside the chunk: rewind the counters of the lanes past
-	// the stop point, so the Stopped run's Stats match a scalar run
-	// stopping at the same survivor.
-	rewindChunk(stats, d, k, stop, cc.events, cs.trace)
-	return false
+	x.chunk = ch
 }

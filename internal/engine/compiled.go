@@ -140,14 +140,7 @@ type hostDom struct {
 }
 
 func (d *hostDom) iterate(r []int64, yield func(int64) bool) bool {
-	args := make([]expr.Value, len(d.argSlots))
-	for i, s := range d.argSlots {
-		if v, ok := d.settings[s]; ok && v.K == expr.Str {
-			args[i] = v
-		} else {
-			args[i] = expr.IntVal(r[s])
-		}
-	}
+	args := hostArgs(r, d.argSlots, d.settings)
 	switch d.iter.Kind {
 	case space.DeferredIter:
 		dom := d.iter.Deferred(args)
@@ -167,6 +160,27 @@ func (d *hostDom) iterate(r []int64, yield func(int64) bool) bool {
 		return done
 	}
 	panic(fmt.Sprintf("engine: hostDom on %v iterator", d.iter.Kind))
+}
+
+// hostArgs boxes the register values of slots for a host callback;
+// string settings, which have no register value, pass through as set.
+func hostArgs(r []int64, slots []int, settings map[int]expr.Value) []expr.Value {
+	args := make([]expr.Value, len(slots))
+	for i, s := range slots {
+		if v, ok := settings[s]; ok && v.K == expr.Str {
+			args[i] = v
+		} else {
+			args[i] = expr.IntVal(r[s])
+		}
+	}
+	return args
+}
+
+// deferredCheck returns a deferred check step's predicate over the
+// register file.
+func deferredCheck(st *plan.Step, settings map[int]expr.Value) func(r []int64) bool {
+	cn, slots := st.Constraint, st.ArgSlots
+	return func(r []int64) bool { return cn.Fn(hostArgs(r, slots, settings)) }
 }
 
 type compiledLoop struct {
@@ -210,7 +224,7 @@ func NewCompiled(prog *plan.Program) (*Compiled, error) {
 			if rd, ok := dom.(*rangeDom); ok {
 				cl.rng = rd
 				if lp.Bounds != nil {
-					cl.bounds, err = compileLoopBounds(lp.Bounds, lp.Slot)
+					cl.bounds, err = lowerLoopBounds(lp.Bounds, lp.Slot, compileBound)
 					if err != nil {
 						return nil, fmt.Errorf("engine: loop %s bounds: %w", lp.Iter.Name, err)
 					}
@@ -230,7 +244,8 @@ func NewCompiled(prog *plan.Program) (*Compiled, error) {
 
 func (c *Compiled) compileSteps(steps []plan.Step) ([]compiledStep, error) {
 	out := make([]compiledStep, 0, len(steps))
-	for _, st := range steps {
+	for i := range steps {
+		st := &steps[i]
 		cs := compiledStep{
 			check: st.Kind == plan.CheckStep, slot: st.Slot, statsID: st.StatsID,
 			temp: st.Temp, level: st.Depth + 1, tempRefs: int64(st.TempRefs),
@@ -245,20 +260,7 @@ func (c *Compiled) compileSteps(steps []plan.Step) ([]compiledStep, error) {
 			}
 		}
 		if cs.check && st.Constraint.Deferred() {
-			cn := st.Constraint
-			slots := st.ArgSlots
-			settings := c.settings
-			cs.deferredFn = func(r []int64) bool {
-				args := make([]expr.Value, len(slots))
-				for i, s := range slots {
-					if v, ok := settings[s]; ok && v.K == expr.Str {
-						args[i] = v
-					} else {
-						args[i] = expr.IntVal(r[s])
-					}
-				}
-				return cn.Fn(args)
-			}
+			cs.deferredFn = deferredCheck(st, c.settings)
 		} else {
 			fn, err := CompileExpr(st.Expr)
 			if err != nil {
@@ -458,12 +460,6 @@ func CompileExpr(e expr.Expr) (intFn, error) {
 }
 
 func compileBinary(op expr.Op, l, r intFn) (intFn, error) {
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	switch op {
 	case expr.OpAdd:
 		return func(reg []int64) int64 { return l(reg) + r(reg) }, nil
@@ -520,39 +516,31 @@ func (c *Compiled) RunContext(ctx context.Context, opts Options) (*Stats, error)
 }
 
 type compiledState struct {
-	c          *Compiled
-	reg        []int64
-	stats      *Stats
-	opts       Options
-	ctl        *runCtl
-	tuple      []int64
-	tupleSlots []int          // emission registers, source declaration order
-	chunk      *compiledChunk // non-nil when the innermost loop runs chunked
-	tabx       *tabExec       // non-nil when the plan tabulated constraints
+	c     *Compiled
+	reg   []int64
+	stats *Stats
+	ctl   *runCtl
+	out   sink
+	chunk *chunker // non-nil when the innermost loop runs chunked
+	tabx  *tabExec // non-nil when the plan tabulated constraints
 }
 
 func (c *Compiled) newState(opts Options, ctl *runCtl) *compiledState {
 	state := &compiledState{
-		c:          c,
-		reg:        make([]int64, c.prog.NumSlots()),
-		stats:      NewStats(c.prog),
-		opts:       opts,
-		ctl:        ctl,
-		tuple:      make([]int64, len(c.prog.Loops)),
-		tupleSlots: c.prog.TupleSlots(),
+		c:     c,
+		reg:   make([]int64, c.prog.NumSlots()),
+		stats: NewStats(c.prog),
+		ctl:   ctl,
 	}
 	for _, in := range c.initInts {
 		state.reg[in.slot] = in.v
 	}
-	if size := normChunk(opts.ChunkSize); size > 1 {
-		// Build errors only mean "not chunkable" (the scalar compile of
-		// the same expressions already succeeded); fall back silently.
-		if ch, err := c.newChunk(size); err == nil {
-			state.chunk = ch
-		}
-	}
+	state.out = newSink(c.prog, opts, ctl, state.stats, state.reg, nil)
 	if c.prog.Tab != nil {
 		state.tabx = newTabExec(c.prog.Tab)
+	}
+	if ch := newChunker(c.prog, opts, &state.out, state.tabx); ch != nil {
+		state.attachLanes(ch)
 	}
 	return state
 }
@@ -565,7 +553,7 @@ func (c *Compiled) runFull(opts Options, ctl *runCtl) (st *Stats, err error) {
 		return state.stats, nil
 	}
 	if len(c.loops) == 0 {
-		state.survivor()
+		state.out.survive()
 		return state.stats, nil
 	}
 	state.loop(0)
@@ -608,7 +596,7 @@ func (w *compiledWorker) runTile(prefix []int64) (err error) {
 		}
 	}
 	if w.depth == len(s.c.loops) {
-		s.survivor()
+		s.out.survive()
 		return nil
 	}
 	s.loop(w.depth)
@@ -652,28 +640,6 @@ func (s *compiledState) steps(steps []compiledStep) (ok, rejected bool) {
 	return true, false
 }
 
-func (s *compiledState) survivor() bool {
-	ok, last := s.ctl.claim()
-	if !ok {
-		return false
-	}
-	s.stats.Survivors++
-	if s.opts.OnTuple != nil {
-		for i, slot := range s.tupleSlots {
-			s.tuple[i] = s.reg[slot]
-		}
-		if !s.opts.OnTuple(s.tuple) {
-			s.ctl.stop()
-			return false
-		}
-	}
-	if last {
-		s.ctl.stop()
-		return false
-	}
-	return true
-}
-
 func (s *compiledState) body(d int, v int64) bool {
 	if s.ctl.cancelled() {
 		return false
@@ -689,22 +655,28 @@ func (s *compiledState) body(d int, v int64) bool {
 		return true
 	}
 	if d == len(s.c.loops)-1 {
-		return s.survivor()
+		return s.out.survive()
 	}
 	return s.loop(d + 1)
 }
 
 func (s *compiledState) loop(d int) bool {
-	if s.chunk != nil && d == s.chunk.depth {
-		return s.loopChunk(d)
-	}
 	lp := &s.c.loops[d]
+	ch := s.chunk
+	if ch != nil && d == ch.depth {
+		ch.begin()
+	} else {
+		ch = nil
+	}
 	if lp.rng != nil {
 		start, stop, step := lp.rng.span(s.reg)
+		if step > 0 && lp.bounds != nil {
+			start, stop = narrowRange(lp.bounds, s.reg, start, stop, step, s.stats, d)
+		}
+		if ch != nil {
+			return ch.pushRange(start, stop, step) && ch.flush()
+		}
 		if step > 0 {
-			if lp.bounds != nil {
-				start, stop = narrowRangeRegs(lp.bounds, s.reg, start, stop, step, s.stats, d)
-			}
 			for v := start; v < stop; v += step {
 				if !s.body(d, v) {
 					return false
@@ -718,6 +690,9 @@ func (s *compiledState) loop(d int) bool {
 			}
 		}
 		return true
+	}
+	if ch != nil {
+		return lp.domain.iterate(s.reg, ch.yield) && ch.flush()
 	}
 	return lp.domain.iterate(s.reg, func(v int64) bool { return s.body(d, v) })
 }

@@ -265,15 +265,23 @@ type interpState struct {
 	stats  *Stats
 	opts   Options
 	ctl    *runCtl
-	tuple  []int64
-	names  []string     // tuple emission names, source declaration order
-	chunk  *interpChunk // non-nil when the innermost loop may run chunked
+	out    sink
+	chunk  *chunker     // non-nil when the innermost loop may run chunked
+	lanes  *interpLanes // chunk's evaluator
 	tabx   *tabExec     // non-nil when the plan tabulated constraints
 	tabIdx [][]int      // per-depth step → table index (-1 expression path)
 
-	// Reused scratch, so the hot loop stops allocating: deferred-call
-	// argument values, per-depth ProtoRange value lists, per-depth
-	// iterator-argument buffers, and per-depth ProtoWhile control trees.
+	// Per-depth narrowing bounds, lowered once to closures over env, and
+	// the register file their probes read trial values from; both nil
+	// when no loop narrows.
+	bounds []*compiledBounds
+	breg   []int64
+
+	// Reused scratch, so the hot loop stops allocating: per-depth body
+	// callbacks, deferred-call argument values, per-depth ProtoRange
+	// value lists, per-depth iterator-argument buffers, and per-depth
+	// ProtoWhile control trees.
+	bodies     []func(int64) bool
 	argBuf     []expr.Value
 	rangeBuf   [][]int64
 	iterArgBuf [][]expr.Value
@@ -289,31 +297,45 @@ type whileControl struct {
 }
 
 func (in *Interp) newState(opts Options, ctl *runCtl) *interpState {
-	env := make(ienv, in.prog.NumSlots()+8)
-	for _, s := range in.prog.Settings {
+	prog := in.prog
+	n := len(prog.Loops)
+	env := make(ienv, prog.NumSlots()+8)
+	for _, s := range prog.Settings {
 		env[s.Name] = s.V
 	}
 	st := &interpState{
 		in:         in,
 		env:        env,
-		stats:      NewStats(in.prog),
+		stats:      NewStats(prog),
 		opts:       opts,
 		ctl:        ctl,
-		tuple:      make([]int64, len(in.prog.Loops)),
-		names:      in.prog.TupleNames(),
-		rangeBuf:   make([][]int64, len(in.prog.Loops)),
-		iterArgBuf: make([][]expr.Value, len(in.prog.Loops)),
-		whileCtl:   make([]whileControl, len(in.prog.Loops)),
+		bodies:     make([]func(int64) bool, n),
+		rangeBuf:   make([][]int64, n),
+		iterArgBuf: make([][]expr.Value, n),
+		whileCtl:   make([]whileControl, n),
 	}
-	if size := normChunk(opts.ChunkSize); size > 1 {
-		st.chunk = in.newChunk(size)
-	}
-	if in.prog.Tab != nil {
-		st.tabx = newTabExec(in.prog.Tab)
-		st.tabIdx = make([][]int, len(in.prog.Loops))
-		for d := range in.prog.Loops {
-			st.tabIdx[d] = tabStepIndex(in.prog, d)
+	st.out = newSink(prog, opts, ctl, st.stats, nil, env)
+	for d, lp := range prog.Loops {
+		st.bodies[d] = func(v int64) bool { return st.body(d, v) }
+		if lp.Bounds != nil {
+			if st.bounds == nil {
+				st.bounds, st.breg = make([]*compiledBounds, n), make([]int64, prog.NumSlots())
+			}
+			eval := func(e expr.Expr) expr.Value { return evalMap(e, env) }
+			name := lp.Iter.Name
+			bind := func(v int64) { env[name] = expr.IntVal(v) }
+			st.bounds[d], _ = lowerLoopBounds(lp.Bounds, lp.Slot, boxedBounds(eval, bind, lp.Slot)) // boxed lowering never fails
 		}
+	}
+	if prog.Tab != nil {
+		st.tabx = newTabExec(prog.Tab)
+		st.tabIdx = make([][]int, n)
+		for d := range prog.Loops {
+			st.tabIdx[d] = tabStepIndex(prog, d)
+		}
+	}
+	if ch := newChunker(prog, opts, &st.out, st.tabx); ch != nil {
+		st.attachLanes(ch)
 	}
 	return st
 }
@@ -354,7 +376,7 @@ func (in *Interp) runFull(opts Options, ctl *runCtl) (st *Stats, err error) {
 		return state.stats, nil
 	}
 	if len(in.prog.Loops) == 0 {
-		state.survivor()
+		state.out.survive()
 		return state.stats, nil
 	}
 	state.loop(0)
@@ -398,7 +420,7 @@ func (w *interpWorker) runTile(prefix []int64) (err error) {
 		}
 	}
 	if w.depth == len(prog.Loops) {
-		s.survivor()
+		s.out.survive()
 		return nil
 	}
 	s.loop(w.depth)
@@ -448,29 +470,6 @@ func (s *interpState) steps(steps []plan.Step, tabIdx []int) (ok, rejected bool)
 	return true, false
 }
 
-// survivor records a passing tuple; it reports whether to continue.
-func (s *interpState) survivor() bool {
-	ok, last := s.ctl.claim()
-	if !ok {
-		return false
-	}
-	s.stats.Survivors++
-	if s.opts.OnTuple != nil {
-		for i, name := range s.names {
-			s.tuple[i] = s.env[name].I
-		}
-		if !s.opts.OnTuple(s.tuple) {
-			s.ctl.stop()
-			return false
-		}
-	}
-	if last {
-		s.ctl.stop()
-		return false
-	}
-	return true
-}
-
 // body binds value v at depth d, runs the hoisted steps, and recurses.
 // It reports whether to continue iterating at depth d.
 func (s *interpState) body(d int, v int64) bool {
@@ -492,83 +491,84 @@ func (s *interpState) body(d int, v int64) bool {
 		return true // pruned: next value at this depth
 	}
 	if d == len(s.in.prog.Loops)-1 {
-		return s.survivor()
+		return s.out.survive()
 	}
 	return s.loop(d + 1)
 }
 
-// loop enumerates depth d; it reports whether to continue.
+// loop enumerates depth d; it reports whether to continue. A chunked
+// innermost loop ignores the protocol, as in every backend: the
+// protocols model per-iteration control that chunking replaces, and
+// they are property-tested to leave every counter unchanged.
 func (s *interpState) loop(d int) bool {
-	if s.chunk != nil && d == s.chunk.depth && s.chunkReady() {
-		return s.loopChunk(d)
+	if ch := s.chunk; ch != nil && d == ch.depth && s.lanes.ready() {
+		ch.begin()
+		return s.each(d, ch.yield) && ch.flush()
 	}
-	lp := s.in.prog.Loops[d]
-	if lp.Iter.Kind != space.ExprIter {
-		args := s.iterArgs(d, lp)
-		switch lp.Iter.Kind {
-		case space.DeferredIter:
-			dom := lp.Iter.Deferred(args)
-			if dom == nil {
-				return true
-			}
-			return dom.Iterate(&expr.Env{}, func(v int64) bool { return s.body(d, v) })
-		default: // ClosureIter
-			done := true
-			lp.Iter.Generator(args, func(v int64) bool {
-				if !s.body(d, v) {
-					done = false
-					return false
-				}
-				return true
-			})
-			return done
-		}
-	}
-	if r, isRange := lp.Domain.(*space.RangeDomain); isRange {
+	if r, isRange := s.in.prog.Loops[d].Domain.(*space.RangeDomain); isRange {
 		switch s.opts.Protocol {
 		case ProtoWhile:
 			return s.loopWhile(d, r)
 		case ProtoRange:
 			return s.loopRange(d, r)
-		default: // ProtoXRange and ProtoDefault stream the bounds.
-			return s.loopXRange(d, r)
 		}
 	}
-	return iterateMap(lp.Domain, s.env, func(v int64) bool { return s.body(d, v) })
+	return s.each(d, s.bodies[d])
 }
 
-// interpBoundEval adapts the associative environment to the narrowing
-// helper: bound expressions are loop-variable-free, probes bind the loop
-// name to the trial value first.
-type interpBoundEval struct {
-	s    *interpState
-	name string
-}
-
-func (b *interpBoundEval) boundInt(e expr.Expr) int64 {
-	v, ok := evalMap(e, b.s.env).AsInt()
-	if !ok {
-		panic(&expr.TypeError{Op: "bound", A: evalMap(e, b.s.env)})
-	}
-	return v
-}
-
-func (b *interpBoundEval) probeRejects(p *plan.Probe, v int64) bool {
-	b.s.env[b.name] = expr.IntVal(v)
-	return evalMap(p.Pred, b.s.env).Truthy()
-}
-
-// narrow tightens an ascending range through the loop's compiled bounds
-// before any protocol machinery runs. Descending and dynamic-step loops
-// are never narrowed (the plan only attaches Bounds to provably ascending
-// ranges, but the runtime re-checks the sign it actually evaluated).
-func (s *interpState) narrow(d int, start, stop, step int64) (int64, int64) {
+// each enumerates depth d's domain into yield: a host iterator, a range
+// evaluated and narrowed once, then streamed (Figure 17's `xrange`
+// variant, where loop control lives inside the interpreter runtime but
+// the body still pays associative access), or any other domain.
+func (s *interpState) each(d int, yield func(int64) bool) bool {
 	lp := s.in.prog.Loops[d]
-	if lp.Bounds == nil || step <= 0 {
-		return start, stop
+	switch lp.Iter.Kind {
+	case space.DeferredIter:
+		dom := lp.Iter.Deferred(s.iterArgs(d, lp))
+		return dom == nil || dom.Iterate(&expr.Env{}, yield)
+	case space.ClosureIter:
+		done := true
+		lp.Iter.Generator(s.iterArgs(d, lp), func(v int64) bool {
+			done = yield(v)
+			return done
+		})
+		return done
 	}
-	be := &interpBoundEval{s: s, name: lp.Iter.Name}
-	return narrowRangeAST(lp.Bounds, be, start, stop, step, s.stats, d)
+	r, isRange := lp.Domain.(*space.RangeDomain)
+	if !isRange {
+		return iterateMap(lp.Domain, s.env, yield)
+	}
+	start, stop, step, ok := s.span(d, r)
+	if !ok {
+		return true
+	}
+	if step > 0 {
+		for v := start; v < stop; v += step {
+			if !yield(v) {
+				return false
+			}
+		}
+	} else {
+		for v := start; v > stop; v += step {
+			if !yield(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// span evaluates range loop d's bounds and tightens an ascending range
+// through the loop's compiled bounds before any protocol machinery runs.
+// Descending and dynamic-step loops are never narrowed (the plan only
+// attaches Bounds to provably ascending ranges, but the runtime re-checks
+// the sign it actually evaluated).
+func (s *interpState) span(d int, r *space.RangeDomain) (start, stop, step int64, ok bool) {
+	start, stop, step, ok = spanMap(r, s.env)
+	if ok && step > 0 && s.bounds != nil && s.bounds[d] != nil {
+		start, stop = narrowRange(s.bounds[d], s.breg, start, stop, step, s.stats, d)
+	}
+	return start, stop, step, ok
 }
 
 // loopWhile evaluates the loop condition and increment as expression trees
@@ -576,11 +576,10 @@ func (s *interpState) narrow(d int, start, stop, step int64) (int64, int64) {
 // because all loop control (compare, add, both name lookups) goes through
 // the interpreted environment.
 func (s *interpState) loopWhile(d int, r *space.RangeDomain) bool {
-	start, stop, step, ok := spanMap(r, s.env)
+	start, stop, step, ok := s.span(d, r)
 	if !ok {
 		return true
 	}
-	start, stop = s.narrow(d, start, stop, step)
 	name := s.in.prog.Loops[d].Iter.Name
 	ctl := &s.whileCtl[d]
 	if ctl.incr == nil {
@@ -612,11 +611,10 @@ func (s *interpState) loopWhile(d int, r *space.RangeDomain) bool {
 // loopRange materializes the full value list first — Figure 17's `range`
 // variant, which pays an allocation proportional to the iteration count.
 func (s *interpState) loopRange(d int, r *space.RangeDomain) bool {
-	start, stop, step, ok := spanMap(r, s.env)
+	start, stop, step, ok := s.span(d, r)
 	if !ok {
 		return true
 	}
-	start, stop = s.narrow(d, start, stop, step)
 	vals := s.rangeBuf[d][:0]
 	if step > 0 {
 		for v := start; v < stop; v += step {
@@ -631,31 +629,6 @@ func (s *interpState) loopRange(d int, r *space.RangeDomain) bool {
 	for _, v := range vals {
 		if !s.body(d, v) {
 			return false
-		}
-	}
-	return true
-}
-
-// loopXRange streams the range with per-value name binding — Figure 17's
-// `xrange` variant, where loop control lives inside the interpreter runtime
-// but the body still pays associative access.
-func (s *interpState) loopXRange(d int, r *space.RangeDomain) bool {
-	start, stop, step, ok := spanMap(r, s.env)
-	if !ok {
-		return true
-	}
-	start, stop = s.narrow(d, start, stop, step)
-	if step > 0 {
-		for v := start; v < stop; v += step {
-			if !s.body(d, v) {
-				return false
-			}
-		}
-	} else {
-		for v := start; v > stop; v += step {
-			if !s.body(d, v) {
-				return false
-			}
 		}
 	}
 	return true

@@ -87,6 +87,72 @@ func (c *runCtl) claim() (ok, last bool) {
 	return true, n == 0
 }
 
+// sink is the one survivor path of every backend, scalar and chunked:
+// claim a slot under the run's limit, count, deliver the tuple to
+// OnTuple, stop. The tuple is read from the backend's bindings: the
+// register file (reg, slots) or the interpreter's environment (env,
+// names).
+type sink struct {
+	ctl     *runCtl
+	stats   *Stats
+	onTuple func([]int64) bool
+	tuple   []int64
+	reg     []int64
+	slots   []int
+	env     ienv
+	names   []string
+}
+
+func newSink(prog *plan.Program, opts Options, ctl *runCtl, stats *Stats, reg []int64, env ienv) sink {
+	s := sink{ctl: ctl, stats: stats, onTuple: opts.OnTuple, tuple: make([]int64, len(prog.Loops)), reg: reg, env: env}
+	if env != nil {
+		s.names = prog.TupleNames()
+	} else {
+		s.slots = prog.TupleSlots()
+	}
+	return s
+}
+
+// fill copies the current loop-variable bindings into the tuple.
+func (s *sink) fill() {
+	if s.env != nil {
+		for i, name := range s.names {
+			s.tuple[i] = s.env[name].I
+		}
+		return
+	}
+	for i, slot := range s.slots {
+		s.tuple[i] = s.reg[slot]
+	}
+}
+
+// survive records the survivor at the current bindings. It reports
+// whether enumeration continues.
+func (s *sink) survive() bool {
+	if s.onTuple != nil {
+		s.fill()
+	}
+	return s.deliver()
+}
+
+// deliver records a survivor whose tuple is already current.
+func (s *sink) deliver() bool {
+	ok, last := s.ctl.claim()
+	if !ok {
+		return false
+	}
+	s.stats.Survivors++
+	if s.onTuple != nil && !s.onTuple(s.tuple) {
+		s.ctl.stop()
+		return false
+	}
+	if last {
+		s.ctl.stop()
+		return false
+	}
+	return true
+}
+
 // backend is the per-backend execution surface the shared driver schedules.
 type backend interface {
 	// runFull enumerates the whole space on the calling goroutine.
@@ -487,7 +553,8 @@ func genTiles(prog *plan.Program, opts Options, workers int, ctl *runCtl) (st *S
 	if auto {
 		goalK = plan.ChooseSplitDepth(prog, target)
 	}
-	tiles = &tileSet{n: 1} // the single empty prefix
+	tiles = &tileSet{n: 1}                // the single empty prefix
+	reg := make([]int64, prog.NumSlots()) // narrowing probes' trial values
 	for d := 0; d < n; d++ {
 		if auto {
 			if tiles.n >= target {
@@ -499,7 +566,7 @@ func genTiles(prog *plan.Program, opts Options, workers int, ctl *runCtl) (st *S
 		} else if d >= goalK {
 			break
 		}
-		tiles = expandTiles(prog, env, tiles, d, st, ctl)
+		tiles = expandTiles(prog, env, reg, tiles, d, st, ctl)
 		if tiles.n == 0 || (ctl != nil && ctl.cancelled()) {
 			break
 		}
@@ -511,9 +578,15 @@ func genTiles(prog *plan.Program, opts Options, workers int, ctl *runCtl) (st *S
 // the prefix, replays its assignments, enumerates the level-d domain, and
 // applies the steps hoisted to depth d. Counters land in st exactly as the
 // sequential enumerators would count them.
-func expandTiles(prog *plan.Program, env *expr.Env, in *tileSet, d int, st *Stats, ctl *runCtl) *tileSet {
+func expandTiles(prog *plan.Program, env *expr.Env, reg []int64, in *tileSet, d int, st *Stats, ctl *runCtl) *tileSet {
 	lp := prog.Loops[d]
 	out := &tileSet{depth: d + 1}
+	var cb *compiledBounds
+	if lp.Bounds != nil {
+		eval := func(e expr.Expr) expr.Value { return e.Eval(env) }
+		bind := func(v int64) { env.Slots[lp.Slot] = expr.IntVal(v) }
+		cb, _ = lowerLoopBounds(lp.Bounds, lp.Slot, boxedBounds(eval, bind, lp.Slot)) // boxed lowering never fails
+	}
 	var buf []int64
 	for t := 0; t < in.n; t++ {
 		if ctl != nil && ctl.cancelled() {
@@ -529,7 +602,7 @@ func expandTiles(prog *plan.Program, env *expr.Env, in *tileSet, d int, st *Stat
 		buf = buf[:0]
 		collect := func(v int64) bool { buf = append(buf, v); return true }
 		if lp.Iter.Kind == space.ExprIter {
-			if !collectNarrowed(lp, env, st, d, collect) {
+			if !collectNarrowed(lp, cb, env, reg, st, d, collect) {
 				lp.Domain.Iterate(env, collect)
 			}
 		} else {

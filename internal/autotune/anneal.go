@@ -90,7 +90,7 @@ func (t *Tuner) RunAnnealContext(ctx context.Context, opts AnnealOptions) (*Repo
 		}
 		cur := append([]int64(nil), seeds.Best[r].Tuple...)
 		curScore := score(cur)
-		best.offer(Result{Tuple: append([]int64(nil), cur...), Score: curScore}, base.TopK)
+		best.offer(cur, curScore, base.TopK)
 		temp := opts.InitialTemp
 		for step := 0; step < base.Steps; step++ {
 			// d is a loop depth; ti is the tuple position of that loop's
@@ -126,7 +126,7 @@ func (t *Tuner) RunAnnealContext(ctx context.Context, opts AnnealOptions) (*Repo
 			s := score(cand)
 			if s >= curScore || rng.Float64() < math.Exp((s-curScore)/math.Max(temp, 1e-12)) {
 				cur, curScore = cand, s
-				best.offer(Result{Tuple: append([]int64(nil), cand...), Score: s}, base.TopK)
+				best.offer(cand, s, base.TopK)
 			}
 			temp *= opts.Cooling
 		}

@@ -250,13 +250,18 @@ func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
 func (h *resultHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-func (h *resultHeap) offer(r Result, k int) {
+// offer admits a scored tuple if it ranks among the best k. The heap owns
+// its tuples and copies only an admitted one, into the evicted root's
+// storage once the heap is full, so callers may pass a borrowed slice and
+// a run allocates k tuples whatever order the scores arrive in.
+func (h *resultHeap) offer(tuple []int64, score float64, k int) {
 	if h.Len() < k {
-		heap.Push(h, r)
+		heap.Push(h, Result{Tuple: append([]int64(nil), tuple...), Score: score})
 		return
 	}
-	if r.Score > (*h)[0].Score {
-		(*h)[0] = r
+	if root := &(*h)[0]; score > root.Score {
+		root.Tuple = append(root.Tuple[:0], tuple...)
+		root.Score = score
 		heap.Fix(h, 0)
 	}
 }
@@ -292,12 +297,10 @@ func (t *Tuner) runExhaustive(ctx context.Context, opts Options) (*Report, error
 		ChunkSize:  opts.ChunkSize,
 		OnTuple: func(tuple []int64) bool {
 			score := t.Objective(tuple)
-			cp := make([]int64, len(tuple))
-			copy(cp, tuple)
 			mu.Lock()
+			defer mu.Unlock()
 			evals++
-			best.offer(Result{Tuple: cp, Score: score}, opts.TopK)
-			mu.Unlock()
+			best.offer(tuple, score, opts.TopK)
 			return true
 		},
 	}
@@ -316,13 +319,15 @@ func (t *Tuner) runExhaustive(ctx context.Context, opts Options) (*Report, error
 				}
 				evals = ex.Evaluated
 				for _, r := range ex.Best {
-					best.offer(r, opts.TopK)
+					best.offer(r.Tuple, r.Score, opts.TopK)
 				}
 			}
 		}
 		if opts.CheckpointPath != "" {
-			// The snapshot callback runs outside tuple delivery, so taking
-			// mu here cannot deadlock against OnTuple above.
+			// The engine takes a snapshot only once every in-flight
+			// delivery has committed, so best and evals then cover exactly
+			// the snapshot's tiles; taking mu cannot deadlock against
+			// OnTuple, which never waits on a snapshot.
 			eopts.Checkpoint = checkpoint.NewWriter(opts.CheckpointPath, fp, opts.CheckpointEvery,
 				func() (json.RawMessage, error) {
 					mu.Lock()
@@ -374,7 +379,7 @@ func (t *Tuner) runRandomSample(ctx context.Context, opts Options) (*Report, err
 	}
 	var best resultHeap
 	for _, tuple := range reservoir {
-		best.offer(Result{Tuple: tuple, Score: t.Objective(tuple)}, opts.TopK)
+		best.offer(tuple, t.Objective(tuple), opts.TopK)
 	}
 	return &Report{
 		Best: best.sorted(), Stats: st,
@@ -553,7 +558,7 @@ func (t *Tuner) runHillClimb(ctx context.Context, opts Options) (*Report, error)
 		}
 		cur := append([]int64(nil), seed.Tuple...)
 		curScore := score(cur)
-		best.offer(Result{Tuple: append([]int64(nil), cur...), Score: curScore}, opts.TopK)
+		best.offer(cur, curScore, opts.TopK)
 		for step := 0; step < opts.Steps; step++ {
 			improved := false
 			// Propose moves in each dimension: neighbouring domain values.
@@ -582,7 +587,7 @@ func (t *Tuner) runHillClimb(ctx context.Context, opts Options) (*Report, error)
 					s := score(cand)
 					if s > curScore {
 						cur, curScore = cand, s
-						best.offer(Result{Tuple: append([]int64(nil), cand...), Score: s}, opts.TopK)
+						best.offer(cand, s, opts.TopK)
 						improved = true
 						break
 					}

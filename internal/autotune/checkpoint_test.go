@@ -3,12 +3,26 @@ package autotune
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// scores returns a ranking's score vector. Ties at the top-K cutoff may
+// keep different (equally good) tuples depending on arrival order, so
+// rankings are compared by score.
+func scores(rs []Result) []float64 {
+	out := make([]float64, len(rs))
+	for i, r := range rs {
+		out[i] = r.Score
+	}
+	return out
+}
 
 // TestExhaustiveCheckpointResume is the tuner-level resume contract: an
 // exhaustive run cancelled mid-sweep with -checkpoint semantics, resumed
@@ -69,20 +83,87 @@ func TestExhaustiveCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed Evaluated = %d, clean = %d (overlap %d): configurations scored twice or lost",
 			rep.Evaluated, clean.Evaluated, got)
 	}
-	// Ties at the cutoff may pick different (equally good) tuples depending
-	// on arrival order, so compare the deterministic score vector.
-	scores := func(rs []Result) []float64 {
-		out := make([]float64, len(rs))
-		for i, r := range rs {
-			out[i] = r.Score
-		}
-		return out
-	}
 	if !reflect.DeepEqual(scores(rep.Best), scores(clean.Best)) {
 		t.Fatalf("resumed top-K scores diverge:\ngot  %+v\nwant %+v", rep.Best, clean.Best)
 	}
 	if !reflect.DeepEqual(rep.Best[0].Tuple, want) {
 		t.Fatalf("resumed winner %v, want %v", rep.Best[0].Tuple, want)
+	}
+}
+
+// TestExhaustiveCheckpointCrashResume resumes every checkpoint version an
+// exhaustive run writes, as if the process were killed right after that
+// write. Each resume must land on exactly the clean run's survivor count,
+// objective-call count and top-K scores: a snapshot that recorded the
+// objective calls or heap entries of a tile it does not mark done would
+// make the resume score that tile twice.
+func TestExhaustiveCheckpointCrashResume(t *testing.T) {
+	s, obj, _ := quadSpace(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tune.ckpt")
+	opts := Options{Strategy: Exhaustive, TopK: 3, Workers: 4}
+
+	cleanTuner, err := New(s, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := cleanTuner.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The objective keeps every distinct version of the checkpoint file it
+	// sees; the slow calls keep other workers' deliveries in flight while
+	// a snapshot is written.
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	var versions [][]byte
+	slowTuner, err := New(s, func(tuple []int64) float64 {
+		time.Sleep(50 * time.Microsecond)
+		if b, err := os.ReadFile(path); err == nil {
+			mu.Lock()
+			if !seen[string(b)] {
+				seen[string(b)] = true
+				versions = append(versions, b)
+			}
+			mu.Unlock()
+		}
+		return obj(tuple)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := opts
+	ckpt.CheckpointPath, ckpt.CheckpointEvery = path, 1
+	if _, err := slowTuner.Run(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if len(versions) < 10 {
+		t.Fatalf("only %d checkpoint versions observed", len(versions))
+	}
+
+	for i, v := range versions {
+		vp := filepath.Join(dir, fmt.Sprintf("v%d.ckpt", i))
+		if err := os.WriteFile(vp, v, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tuner, err := New(s, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume := opts
+		resume.ResumePath = vp
+		rep, err := tuner.Run(resume)
+		if err != nil {
+			t.Fatalf("version %d: resume: %v", i, err)
+		}
+		if rep.Survivors != clean.Survivors || rep.Evaluated != clean.Evaluated {
+			t.Errorf("version %d of %d: resumed survivors %d evaluated %d, clean %d and %d",
+				i, len(versions), rep.Survivors, rep.Evaluated, clean.Survivors, clean.Evaluated)
+		} else if !reflect.DeepEqual(scores(rep.Best), scores(clean.Best)) {
+			t.Errorf("version %d of %d: resumed top-K scores %v, clean %v",
+				i, len(versions), scores(rep.Best), scores(clean.Best))
+		}
 	}
 }
 

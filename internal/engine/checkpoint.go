@@ -14,10 +14,15 @@ import (
 // tiles.
 //
 // In checkpoint mode Options.OnTuple delivery is transactional: a tile's
-// surviving tuples are buffered while the tile runs and delivered only
+// surviving tuples are logged while the tile runs and delivered only
 // when it commits, so the set of delivered tuples is exactly the union of
 // committed tiles — an interrupted run plus its resume delivers each
-// survivor exactly once.
+// survivor exactly once. Every snapshot holds the same invariant: it is
+// taken only while no worker is between starting a tile's delivery and
+// committing that tile, so the tuples delivered when OnSnapshot runs are
+// exactly those of the snapshot's committed tiles.
+//
+// Checkpointing rejects Options.Limit; see there.
 type CheckpointConfig struct {
 	// EveryTiles is the snapshot cadence in committed tiles; <= 0 means 1
 	// (snapshot after every tile).
@@ -25,6 +30,12 @@ type CheckpointConfig struct {
 	// OnSnapshot receives each snapshot. The snapshot and its slices are
 	// owned by the driver and valid only for the duration of the call —
 	// persist (or copy) before returning. A returned error aborts the run.
+	//
+	// A due snapshot waits for every in-flight tile delivery to commit,
+	// and deliveries wait while OnSnapshot runs, so state that OnTuple
+	// updates is quiescent during the call. OnTuple must therefore never
+	// wait on a snapshot (for example on a signal OnSnapshot sends):
+	// the snapshot waits for that OnTuple to return, so the run deadlocks.
 	OnSnapshot func(s *Snapshot) error
 }
 

@@ -85,7 +85,10 @@ type Options struct {
 	// Limit, if positive, stops enumeration after this many survivors.
 	// The countdown is shared across workers, so a parallel run reports
 	// exactly min(Limit, survivors) — never Workers x Limit. Which tuples
-	// fill the quota is scheduling-dependent when Workers > 1.
+	// fill the quota is scheduling-dependent when Workers > 1. A run with
+	// Checkpoint or Resume rejects a positive Limit: checkpointed runs
+	// commit whole tiles, and the tile that reaches the limit is cut
+	// short, so per-tile commits cannot honour an exact limit.
 	Limit int64
 
 	// ChunkSize > 1 batches the innermost loop: the deepest variable is

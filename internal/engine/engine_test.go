@@ -220,6 +220,18 @@ func TestLimitAndStop(t *testing.T) {
 		if st.Survivors != 3 || !st.Stopped {
 			t.Errorf("%s: callback-stop got survivors=%d stopped=%v", e.Name(), st.Survivors, st.Stopped)
 		}
+		// Checkpointed runs commit whole tiles, so they cannot stop at an
+		// exact survivor count and must refuse a Limit, resumed or not.
+		var last *Snapshot
+		ckpt := &CheckpointConfig{OnSnapshot: func(s *Snapshot) error { last = snapshotCopy(s); return nil }}
+		runStats(t, e, Options{Checkpoint: ckpt})
+		res := &ResumeState{SplitDepth: last.SplitDepth, Tiles: last.Tiles, Done: last.Done, TileStats: last.TileStats}
+		for _, opts := range []Options{{Limit: 5, Checkpoint: ckpt}, {Limit: 5, Resume: res}} {
+			if st, err := e.Run(opts); err == nil || st != nil {
+				t.Errorf("%s: limit with checkpoint=%v resume=%v ran: st=%v err=%v",
+					e.Name(), opts.Checkpoint != nil, opts.Resume != nil, st, err)
+			}
+		}
 	}
 }
 

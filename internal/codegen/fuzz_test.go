@@ -89,6 +89,17 @@ func randomTranslatableSpace(rng *rand.Rand) *space.Space {
 	return s
 }
 
+// fuzzSpaces returns the 40 random translatable spaces the codegen fuzz
+// grids and the C emission digest share.
+func fuzzSpaces() []*space.Space {
+	rng := rand.New(rand.NewSource(1545)) // the paper's first page number
+	out := make([]*space.Space, 40)
+	for i := range out {
+		out[i] = randomTranslatableSpace(rng)
+	}
+	return out
+}
+
 // TestFuzzGeneratedCAgainstEngine compiles random translatable spaces to C,
 // builds them with the host compiler, runs them, and checks survivors,
 // visits, and per-constraint kills against the native engine — the same
@@ -99,10 +110,7 @@ func TestFuzzGeneratedCAgainstEngine(t *testing.T) {
 		t.Skip("C fuzz skipped in -short mode")
 	}
 	haveCC(t)
-	rng := rand.New(rand.NewSource(1545)) // the paper's first page number
-	trials := 40
-	for trial := 0; trial < trials; trial++ {
-		s := randomTranslatableSpace(rng)
+	for trial, s := range fuzzSpaces() {
 		prog, err := plan.Compile(s, plan.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -193,10 +193,35 @@ func TestGeneratedCGEMM(t *testing.T) {
 	}
 }
 
-func TestGeneratedGoMatchesEngine(t *testing.T) {
+// runGeneratedGo builds the main package made of files (name -> source)
+// with one go run and returns its output.
+func runGeneratedGo(t *testing.T, files map[string]string) string {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable")
 	}
+	dir := t.TempDir()
+	files["go.mod"] = "module gensweep\n\ngo 1.23\n"
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmd := exec.Command("go", "run", ".")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		var srcs strings.Builder
+		for name, src := range files {
+			fmt.Fprintf(&srcs, "--- %s ---\n%s\n", name, numberLines(src))
+		}
+		t.Fatalf("go run failed: %v\n%s\n%s", err, out, srcs.String())
+	}
+	return string(out)
+}
+
+func TestGeneratedGoMatchesEngine(t *testing.T) {
 	prog := compileProg(t, featureSpace(t))
 	want := engineStats(t, prog)
 	for _, chunk := range []int{0, 64} {
@@ -205,8 +230,10 @@ func TestGeneratedGoMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Go requires imports before other decls; splice fmt in.
-			mainSrc := strings.Replace(src, "package main\n", "package main\n\nimport \"fmt\"\n", 1) + `
+			out := runGeneratedGo(t, map[string]string{"sweep.go": src, "main.go": `package main
+
+import "fmt"
+
 func main() {
 	st := enumerate(nil)
 	var visits int64
@@ -216,23 +243,9 @@ func main() {
 	fmt.Println("survivors", st.Survivors)
 	fmt.Println("visits", visits)
 }
-`
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module gensweep\n\ngo 1.23\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(mainSrc), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			cmd := exec.Command("go", "run", ".")
-			cmd.Dir = dir
-			cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
-			out, err := cmd.CombinedOutput()
-			if err != nil {
-				t.Fatalf("go run failed: %v\n%s\n--- source ---\n%s", err, out, numberLines(mainSrc))
-			}
+`})
 			var survivors, visits int64
-			for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 				f := strings.Fields(line)
 				if len(f) == 2 && f[0] == "survivors" {
 					survivors, _ = strconv.ParseInt(f[1], 10, 64)
@@ -259,6 +272,9 @@ func TestNotTranslatable(t *testing.T) {
 	if _, err := C(prog, COptions{}); err == nil {
 		t.Error("expected NotTranslatableError for deferred constraint")
 	}
+	if _, err := Go(prog, GoOptions{}); err == nil {
+		t.Error("Go: expected NotTranslatableError for deferred constraint")
+	}
 
 	// Deferred iterators depending on other iterators cannot freeze.
 	s2 := space.New()
@@ -269,6 +285,9 @@ func TestNotTranslatable(t *testing.T) {
 	prog2 := compileProg(t, s2)
 	if _, err := C(prog2, COptions{}); err == nil {
 		t.Error("expected NotTranslatableError for open deferred iterator")
+	}
+	if _, err := Go(prog2, GoOptions{}); err == nil {
+		t.Error("Go: expected NotTranslatableError for open deferred iterator")
 	}
 
 	// Closed closure iterators freeze to a literal list.
@@ -296,6 +315,9 @@ func TestNotTranslatable(t *testing.T) {
 	}
 	if !strings.Contains(src, "2, 3, 5, 7, 11, 13, 17, 19") {
 		t.Error("frozen prime list missing from generated C")
+	}
+	if _, err := Go(prog3, GoOptions{}); err != nil {
+		t.Errorf("Go: closed closure iterator should translate: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -140,6 +141,58 @@ func TestFuzzGeneratedCAgainstEngine(t *testing.T) {
 				t.Fatalf("trial %d (chunk=%d): C kills[%s] = %d, engine = %d\nnest:\n%s",
 					trial, chunk, c.Name, kills[c.Name], want.Kills[i], prog.Describe())
 			}
+		}
+	}
+}
+
+// TestFuzzGeneratedGoAgainstEngine emits the fuzz grid's random spaces as
+// Go at chunk 0, 8 and 64 into one package, builds it with a single go
+// run, and checks survivors, per-loop visits and per-constraint kills of
+// every generated sweep against the compiled engine.
+func TestFuzzGeneratedGoAgainstEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Go fuzz skipped in -short mode")
+	}
+	files := make(map[string]string)
+	want := make(map[string]string)
+	var main strings.Builder
+	main.WriteString("package main\n\nimport \"fmt\"\n\nfunc main() {\n")
+	for trial, s := range fuzzSpaces() {
+		prog, err := plan.Compile(s, plan.Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		comp, err := engine.NewCompiled(prog)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		st, err := comp.Run(engine.Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, chunk := range []int{0, 8, 64} {
+			fn := fmt.Sprintf("sweep%dChunk%d", trial, chunk)
+			src, err := Go(prog, GoOptions{Package: "main", FuncName: fn, StatsType: fn + "Stats",
+				ChunkSize: chunk, OmitShared: len(files) > 0})
+			if err != nil {
+				t.Fatalf("trial %d (chunk=%d): Go generation: %v\n%s", trial, chunk, err, prog.Describe())
+			}
+			files[fn+".go"] = src
+			fmt.Fprintf(&main, "\t{\n\t\tst := %s(nil)\n\t\tfmt.Println(%q, st.Survivors, st.Visits[:%d], st.Kills[:%d])\n\t}\n",
+				fn, fn, len(prog.Loops), len(prog.Constraints))
+			want[fn] = fmt.Sprint(fn, " ", st.Survivors, " ", st.LoopVisits, " ", st.Kills)
+		}
+	}
+	main.WriteString("}\n")
+	files["main.go"] = main.String()
+	out := runGeneratedGo(t, files)
+	got := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		got[strings.Fields(line)[0]] = line
+	}
+	for fn, line := range want {
+		if got[fn] != line {
+			t.Errorf("generated Go %q, engine %q", got[fn], line)
 		}
 	}
 }

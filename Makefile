@@ -82,13 +82,20 @@ lint-specs:
 	exit $$status
 
 # Compile the generated C sweep under ASan+UBSan and run it: memory and
-# undefined-behaviour smoke over the codegen backend.
+# undefined-behaviour smoke over the codegen backend. UBSan stops at its
+# first report, so undefined behaviour fails the target. Four variants:
+# chunked and scalar innermost loops, each sequential and on 4 pthreads.
 asan-smoke:
 	@command -v gcc >/dev/null 2>&1 || { echo "gcc not installed; skipping"; exit 0; }
-	$(GO) run ./cmd/spacegen -gemm dgemm_nn -scale 16 -lang c -c-main -o /tmp/beast_asan_sweep.c
-	gcc -O1 -g -fsanitize=address,undefined -fno-omit-frame-pointer \
-		-o /tmp/beast_asan_sweep /tmp/beast_asan_sweep.c
-	/tmp/beast_asan_sweep
+	$(GO) build -o /tmp/beast-spacegen ./cmd/spacegen
+	@set -e; for chunk in 64 1; do for threads in 1 4; do \
+		flags="-chunk $$chunk"; test $$threads = 1 || flags="$$flags -c-threads"; \
+		echo "asan-smoke: chunk=$$chunk threads=$$threads"; \
+		/tmp/beast-spacegen -gemm dgemm_nn -scale 16 -lang c -c-main $$flags -o /tmp/beast_asan_sweep.c; \
+		gcc -O1 -g -fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer \
+			-o /tmp/beast_asan_sweep /tmp/beast_asan_sweep.c -lpthread; \
+		/tmp/beast_asan_sweep $$threads; \
+	done; done
 
 fmt:
 	gofmt -w .

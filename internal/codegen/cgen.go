@@ -1,28 +1,10 @@
-// Package codegen translates a planned search-space program into standard C
-// (the paper's §X translation system: "conversion to a standard C code for
-// fast and multithreaded, as necessary, evaluation") and into Go source for
-// ahead-of-time compilation into this repository's own benchmarks.
-//
-// The emitted C is self-contained C99: no dependencies beyond libc (and
-// pthreads for the multithreaded variant). Loops follow the planner's nest
-// order; derived variables and constraints appear at their hoisted depths;
-// settings are burned in as constants, exactly as the paper's translator
-// specializes per precision and transpose case.
-//
-// Translatable programs are the declarative subset: expression iterators
-// and expression constraints. Deferred/closure iterators are translatable
-// only when closed over settings (their value lists are frozen at
-// generation time); deferred constraints are rejected with an error, since
-// their logic lives in host code the generator cannot see.
 package codegen
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/space"
 )
 
 // COptions control C emission.
@@ -50,41 +32,21 @@ func C(prog *plan.Program, opts COptions) (string, error) {
 	if opts.FuncName == "" {
 		opts.FuncName = "beast_enumerate"
 	}
-	g := &cgen{prog: prog, opts: opts, chunk: genChunkSize(opts.ChunkSize, prog)}
-	if err := g.generate(); err != nil {
+	e := newEmitter(prog, cDialect{}, opts.ChunkSize)
+	e.cPreamble(opts.Threads)
+	if err := e.cEnumerate(opts.FuncName, false); err != nil {
 		return "", err
 	}
-	return g.b.String(), nil
+	if opts.Threads {
+		if err := e.cThreaded(opts.FuncName); err != nil {
+			return "", err
+		}
+	}
+	if opts.Main {
+		e.cMain(opts)
+	}
+	return e.b.String(), nil
 }
-
-// NotTranslatableError reports a program feature the C generator cannot
-// express (host-code constraints, open deferred iterators).
-type NotTranslatableError struct{ Reason string }
-
-func (e *NotTranslatableError) Error() string {
-	return "codegen: not translatable to C: " + e.Reason
-}
-
-type cgen struct {
-	prog   *plan.Program
-	opts   COptions
-	b      strings.Builder
-	indent int
-	tables []*expr.Table2D
-	// chunk is the resolved innermost chunk size (0 = scalar emission);
-	// laneSub rewrites lane-resident references to beast_v_*[beast_i]
-	// while a chunked step body is being emitted.
-	chunk   int
-	laneSub map[string]string
-}
-
-func (g *cgen) w(format string, args ...any) {
-	g.b.WriteString(strings.Repeat("    ", g.indent))
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
-}
-
-func (g *cgen) blank() { g.b.WriteByte('\n') }
 
 var cKeywords = map[string]bool{
 	"auto": true, "break": true, "case": true, "char": true, "const": true,
@@ -97,1012 +59,252 @@ var cKeywords = map[string]bool{
 	"volatile": true, "while": true, "main": true,
 }
 
-// cname maps a space name to a C identifier. Optimizer temps ("$t0",
-// "$t1", ...) carry a '$' that keeps them out of the speclang identifier
-// space; it maps to a reserved beast_ prefix here.
-func cname(name string) string {
-	if strings.HasPrefix(name, "$t") {
-		return "beast_" + name[1:]
+// cDialect is C99 syntax.
+type cDialect struct{}
+
+func (cDialect) keywords() map[string]bool { return cKeywords }
+
+func (cDialect) decl(typ string, nv ...string) string {
+	inits := make([]string, 0, len(nv)/2)
+	for i := 0; i < len(nv); i += 2 {
+		inits = append(inits, nv[i]+" = "+nv[i+1])
 	}
-	if cKeywords[name] {
-		return name + "_"
-	}
-	return name
+	return typ + " " + strings.Join(inits, ", ")
 }
 
-func (g *cgen) generate() error {
-	prog := g.prog
-	g.w("/* Generated by the BEAST search-space translator (Go reproduction).")
-	g.w(" * Loop nest order: %s", strings.Join(prog.IterNames(), ", "))
-	g.w(" * Tuple emission order: %s", strings.Join(prog.TupleNames(), ", "))
-	g.w(" * %d constraints, %d folded constants. Do not edit. */", len(prog.Constraints), len(prog.Folded))
-	g.w("#include <stdint.h>")
-	g.w("#include <stdio.h>")
-	g.w("#include <stdlib.h>")
-	g.w("#include <string.h>")
-	if g.opts.Threads {
-		g.w("#include <pthread.h>")
+func (cDialect) array(name string, n int, elems string) string {
+	if elems == "" {
+		return fmt.Sprintf("i64 %s[%d]", name, n)
 	}
-	g.blank()
-	g.w("typedef int64_t i64;")
-	g.blank()
-	g.w("/* Python floor division and modulo, total on zero divisors. */")
-	g.w("static i64 beast_div(i64 a, i64 b) {")
-	g.w("    if (b == 0) return 0;")
-	g.w("    i64 q = a / b;")
-	g.w("    if ((a %% b != 0) && ((a < 0) != (b < 0))) q--;")
-	g.w("    return q;")
-	g.w("}")
-	g.w("static i64 beast_mod(i64 a, i64 b) {")
-	g.w("    if (b == 0) return 0;")
-	g.w("    i64 r = a %% b;")
-	g.w("    if (r != 0 && ((r < 0) != (b < 0))) r += b;")
-	g.w("    return r;")
-	g.w("}")
-	g.w("static i64 beast_min(i64 a, i64 b) { return a < b ? a : b; }")
-	g.w("static i64 beast_max(i64 a, i64 b) { return a > b ? a : b; }")
-	g.w("static i64 beast_abs(i64 a) { return a < 0 ? -a : a; }")
-	if g.chunk > 1 {
-		g.blank()
-		g.w("/* Set-bit count (SWAR) for the chunked inner loop's survivor mask. */")
-		g.w("static i64 beast_popcount(uint64_t x) {")
-		g.w("    x -= (x >> 1) & 0x5555555555555555ULL;")
-		g.w("    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);")
-		g.w("    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;")
-		g.w("    return (i64)((x * 0x0101010101010101ULL) >> 56);")
-		g.w("}")
-	}
-	g.blank()
+	return fmt.Sprintf("const i64 %s[] = {%s}", name, elems)
+}
 
-	// Collect Table2D nodes used anywhere, emit as static arrays.
-	g.collectTables()
-	for ti, t := range g.tables {
-		rows, cols := len(t.Data), 0
-		for _, r := range t.Data {
-			if len(r) > cols {
-				cols = len(r)
-			}
+func (cDialect) keep(name string) string { return "(void)" + name }
+
+func (cDialect) loop(init, cond, post string) string {
+	if init == "" && post == "" {
+		return "while (" + cond + ")"
+	}
+	return fmt.Sprintf("for (%s; %s; %s)", init, cond, post)
+}
+
+func (cDialect) ifc(cond string) string              { return "if (" + cond + ")" }
+func (cDialect) one(stmt string) string              { return " " + stmt + ";" }
+func (cDialect) truth(x string) string               { return x }
+func (cDialect) falsy(x string) string               { return "!" + x }
+func (cDialect) boolInt(cond string) string          { return cond }
+func (cDialect) ternary(_, cond, t, f string) string { return cond + " ? " + t + " : " + f }
+func (cDialect) u64(x string) string                 { return "(uint64_t)" + x }
+func (cDialect) complement(x string) string          { return "~" + x }
+func (cDialect) stat(field string) string            { return "st->" + field }
+func (cDialect) prefix() string                      { return "" }
+func (cDialect) ret() string                         { return "return" }
+
+func (cDialect) tabWindow(ti, words int, binary bool) string {
+	if binary {
+		return fmt.Sprintf("beast_tab_window(beast_tab%d + beast_row * %d, %d, beast_base)", ti, words, words)
+	}
+	return fmt.Sprintf("beast_tab_window(beast_tab%d, %d, beast_base)", ti, words)
+}
+
+func (cDialect) deliver(names []string) string {
+	return fmt.Sprintf("if (on_tuple) { const i64 beast_tuple[] = {%s}; on_tuple(beast_tuple, %d, ctx); }",
+		strings.Join(names, ", "), len(names))
+}
+
+const cHelpers = `typedef int64_t i64;
+
+/* Python floor division and modulo, total on zero divisors. */
+static i64 beast_div(i64 a, i64 b) {
+    if (b == 0) return 0;
+    i64 q = a / b;
+    if ((a % b != 0) && ((a < 0) != (b < 0))) q--;
+    return q;
+}
+static i64 beast_mod(i64 a, i64 b) {
+    if (b == 0) return 0;
+    i64 r = a % b;
+    if (r != 0 && ((r < 0) != (b < 0))) r += b;
+    return r;
+}
+static i64 beast_min(i64 a, i64 b) { return a < b ? a : b; }
+static i64 beast_max(i64 a, i64 b) { return a > b ? a : b; }
+static i64 beast_abs(i64 a) { return a < 0 ? -a : a; }
+`
+
+const cPopcount = `
+/* Set-bit count (SWAR) for the chunked inner loop's survivor mask. */
+static i64 beast_popcount(uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (i64)((x * 0x0101010101010101ULL) >> 56);
+}
+`
+
+const cTabWindow = `/* 64-bit window of a pass bitset at bit offset off; bits beyond the
+ * row read as zero and map only to dead lanes. */
+static uint64_t beast_tab_window(const uint64_t *row, int nwords, i64 off) {
+    const i64 beast_wi = off >> 6;
+    const unsigned beast_sh = (unsigned)(off & 63);
+    uint64_t w = 0;
+    if (beast_wi >= 0 && beast_wi < nwords) w = row[beast_wi] >> beast_sh;
+    if (beast_sh != 0 && beast_wi + 1 >= 0 && beast_wi + 1 < nwords) w |= row[beast_wi + 1] << (64 - beast_sh);
+    return w;
+}
+
+`
+
+// cPreamble writes everything before the enumeration function: the
+// header, helpers, table data and the stats and callback types.
+func (e *emitter) cPreamble(threads bool) {
+	prog := e.prog
+	e.w("/* Generated by the BEAST search-space translator (Go reproduction).")
+	e.w(" * Loop nest order: %s", strings.Join(prog.IterNames(), ", "))
+	e.w(" * Tuple emission order: %s", strings.Join(prog.TupleNames(), ", "))
+	e.w(" * %d constraints, %d folded constants. Do not edit. */", len(prog.Constraints), len(prog.Folded))
+	e.w("#include <stdint.h>")
+	e.w("#include <stdio.h>")
+	e.w("#include <stdlib.h>")
+	e.w("#include <string.h>")
+	if threads {
+		e.w("#include <pthread.h>")
+	}
+	e.blank()
+	e.b.WriteString(cHelpers)
+	if e.chunk > 1 {
+		e.b.WriteString(cPopcount)
+	}
+	e.blank()
+	for ti, t := range e.tables {
+		rows, cols := tableRows(t)
+		e.w("static const i64 beast_table%d[%d][%d] = {", ti, len(rows), cols)
+		for _, r := range rows {
+			e.w("    {%s},", r)
 		}
-		g.w("static const i64 beast_table%d[%d][%d] = {", ti, rows, cols)
-		for _, r := range t.Data {
-			vals := make([]string, cols)
-			for i := range vals {
-				if i < len(r) {
-					vals[i] = fmt.Sprintf("%d", r[i])
-				} else {
-					vals[i] = fmt.Sprintf("%d", t.Default)
+		e.w("};")
+		e.w("static i64 beast_table%d_at(i64 r, i64 c) {", ti)
+		e.w("    if (r < 0 || r >= %d || c < 0 || c >= %d) return %d;", len(rows), cols, t.Default)
+		e.w("    return beast_table%d[r][c];", ti)
+		e.w("}")
+	}
+	e.blank()
+	if idx := emittableTabs(prog, e.chunk); len(idx) > 0 {
+		tab := prog.Tab
+		e.w("/* Plan-tabulated constraint checks: bit i of a row is 1 when inner")
+		e.w(" * value %d + i*%d passes the check. */", tab.Base, tab.Step)
+		for _, ti := range idx {
+			t := tab.Tables[ti]
+			rows := tabRows(tab, ti, "ULL")
+			if t.Kind == plan.UnaryTable {
+				e.w("/* %s: unary over %s */", t.Name, tab.InnerName)
+				e.w("static const uint64_t beast_tab%d[%d] = {", ti, len(t.Bits))
+				e.w("    %s", rows[0])
+			} else {
+				e.w("/* %s: %s x %s, %d rows of %d words */", t.Name, t.OuterName, tab.InnerName, t.OuterN, t.RowWords)
+				e.w("static const uint64_t beast_tab%d[%d] = {", ti, t.OuterN*t.RowWords)
+				for _, row := range rows {
+					e.w("    %s,", row)
 				}
 			}
-			g.w("    {%s},", strings.Join(vals, ", "))
+			e.w("};")
 		}
-		g.w("};")
-		g.w("static i64 beast_table%d_at(i64 r, i64 c) {", ti)
-		g.w("    if (r < 0 || r >= %d || c < 0 || c >= %d) return %d;", rows, cols, t.Default)
-		g.w("    return beast_table%d[r][c];", ti)
-		g.w("}")
+		e.b.WriteString(cTabWindow)
 	}
-	g.blank()
-
-	g.emitTabTables()
-
-	g.w("typedef struct {")
-	g.w("    i64 visits[%d];", maxI(len(prog.Loops), 1))
-	g.w("    i64 checks[%d];", maxI(len(prog.Constraints), 1))
-	g.w("    i64 kills[%d];", maxI(len(prog.Constraints), 1))
-	g.w("    i64 survivors;")
-	g.w("} beast_stats;")
-	g.blank()
-	g.w("typedef void (*beast_on_tuple)(const i64 *vals, int n, void *ctx);")
-	g.blank()
-
-	if err := g.emitEnumerate(g.opts.FuncName, false); err != nil {
-		return err
-	}
-	if g.opts.Threads {
-		if err := g.emitThreaded(); err != nil {
-			return err
-		}
-	}
-	if g.opts.Main {
-		g.emitMain()
-	}
-	return nil
+	e.w("typedef struct {")
+	e.w("    i64 visits[%d];", max(len(prog.Loops), 1))
+	e.w("    i64 checks[%d];", max(len(prog.Constraints), 1))
+	e.w("    i64 kills[%d];", max(len(prog.Constraints), 1))
+	e.w("    i64 survivors;")
+	e.w("} beast_stats;")
+	e.blank()
+	e.w("typedef void (*beast_on_tuple)(const i64 *vals, int n, void *ctx);")
+	e.blank()
 }
 
-// emitEnumerate writes the sequential enumeration function. When striped is
-// true the outermost loop iterates only values with index % nthreads == tid
-// (the pthreads work division).
-func (g *cgen) emitEnumerate(name string, striped bool) error {
-	prog := g.prog
+// cEnumerate writes the sequential enumeration function, or with striped
+// the pthreads worker that takes every nthreads-th outermost value.
+func (e *emitter) cEnumerate(name string, striped bool) error {
 	if striped {
-		g.w("static void %s(beast_stats *st, beast_on_tuple on_tuple, void *ctx, int tid, int nthreads) {", name)
+		e.w("static void %s(beast_stats *st, beast_on_tuple on_tuple, void *ctx, int tid, int nthreads) {", name)
 	} else {
-		g.w("void %s(beast_stats *st, beast_on_tuple on_tuple, void *ctx) {", name)
+		e.w("void %s(beast_stats *st, beast_on_tuple on_tuple, void *ctx) {", name)
 	}
-	g.indent++
-	g.w("(void)on_tuple; (void)ctx;")
-
-	// Settings as constants (string settings fold away; emit ints only).
-	for _, s := range prog.Settings {
-		if s.V.K == expr.Str {
-			continue
-		}
-		g.w("const i64 %s = %d;", cname(s.Name), s.V.I)
-	}
-	// Folded derived constants that expressions may still reference were
-	// already substituted into the ASTs, so nothing to emit for them.
-	g.blank()
-	for _, st := range prog.Prelude {
-		if err := g.emitStep(st, "return"); err != nil {
-			return err
-		}
-	}
-	if len(prog.Loops) == 0 {
-		g.w("st->survivors++;")
-		g.indent--
-		g.w("}")
-		g.blank()
-		return nil
-	}
-	if err := g.emitLoop(0, striped); err != nil {
+	e.indent++
+	e.w("(void)on_tuple; (void)ctx;")
+	if err := e.body(striped); err != nil {
 		return err
 	}
-	g.indent--
-	g.w("}")
-	g.blank()
+	e.indent--
+	e.w("}")
+	e.blank()
 	return nil
 }
 
-func (g *cgen) emitLoop(d int, striped bool) error {
-	prog := g.prog
-	lp := prog.Loops[d]
-	v := cname(lp.Iter.Name)
-
-	body := func() error {
-		g.w("st->visits[%d]++;", d)
-		for _, st := range lp.Steps {
-			if err := g.emitStep(st, "continue"); err != nil {
-				return err
-			}
-		}
-		if d == len(prog.Loops)-1 {
-			g.w("st->survivors++;")
-			// Tuple values are emitted in source declaration order, so
-			// decoders stay valid under plan-time loop reordering.
-			tupleNames := prog.TupleNames()
-			names := make([]string, len(tupleNames))
-			for i, n := range tupleNames {
-				names[i] = cname(n)
-			}
-			g.w("if (on_tuple) { const i64 beast_tuple[] = {%s}; on_tuple(beast_tuple, %d, ctx); }",
-				strings.Join(names, ", "), len(names))
-			return nil
-		}
-		return g.emitLoop(d+1, false)
-	}
-
-	stripeGuard := ""
-	if striped && d == 0 {
-		g.w("i64 beast_outer_idx = -1;")
-		stripeGuard = "beast_outer_idx++; if (beast_outer_idx % nthreads != tid) continue;"
-	}
-
-	dom, err := g.normalizeDomain(lp)
-	if err != nil {
-		return fmt.Errorf("iterator %s: %w", lp.Iter.Name, err)
-	}
-	// Chunked innermost loop — except when the tid-striped outermost loop
-	// is itself the innermost one: the stripe guard needs per-iteration
-	// control there, so that worker shape stays scalar.
-	if g.chunk > 1 && d == len(prog.Loops)-1 && !(striped && d == 0) {
-		return g.emitChunkLoop(d, dom)
-	}
-	switch n := dom.(type) {
-	case *space.RangeDomain:
-		start, err := g.cexpr(n.Start)
-		if err != nil {
-			return err
-		}
-		stop, err := g.cexpr(n.Stop)
-		if err != nil {
-			return err
-		}
-		lit, isLit := n.Step.(*expr.Lit)
-		isLit = isLit && lit.V.I != 0
-		var step string
-		if isLit {
-			step = fmt.Sprintf("%d", lit.V.I)
-		} else if step, err = g.cexpr(n.Step); err != nil {
-			return err
-		}
-		switch {
-		case lp.Bounds != nil:
-			// Narrowed loop (plan bounds pass): evaluate the absorbed
-			// constraint groups once at loop entry, then iterate the
-			// tightened [lo, hi).
-			g.w("{")
-			g.indent++
-			g.w("const i64 beast_step_%d = %s;", d, step)
-			g.w("i64 beast_lo_%d = %s, beast_hi_%d = (%s);", d, start, d, stop)
-			if err := g.emitNarrow(d, lp, !isLit, striped && d == 0); err != nil {
-				return err
-			}
-			if isLit {
-				g.w("for (i64 %s = beast_lo_%d; %s < beast_hi_%d; %s += beast_step_%d) {", v, d, v, d, v, d)
-			} else {
-				g.w("for (i64 %s = beast_lo_%d; beast_step_%d > 0 ? %s < beast_hi_%d : (beast_step_%d < 0 && %s > beast_hi_%d); %s += beast_step_%d) {",
-					v, d, d, v, d, d, v, d, v, d)
-			}
-		case isLit:
-			// Literal step: direct for loop.
-			cmp := "<"
-			if lit.V.I < 0 {
-				cmp = ">"
-			}
-			g.w("for (i64 %s = %s; %s %s (%s); %s += %d) {", v, start, v, cmp, stop, v, lit.V.I)
-		default:
-			g.w("{")
-			g.indent++
-			g.w("const i64 beast_stop_%d = %s, beast_step_%d = %s;", d, stop, d, step)
-			g.w("for (i64 %s = %s; beast_step_%d > 0 ? %s < beast_stop_%d : (beast_step_%d < 0 && %s > beast_stop_%d); %s += beast_step_%d) {",
-				v, start, d, v, d, d, v, d, v, d)
-		}
-		g.indent++
-		if stripeGuard != "" {
-			g.w("%s", stripeGuard)
-		}
-		if err := body(); err != nil {
-			return err
-		}
-		g.indent--
-		g.w("}")
-		if lp.Bounds != nil || !isLit {
-			g.indent--
-			g.w("}")
-		}
-		return nil
-	case *space.ListDomain:
-		g.w("{")
-		g.indent++
-		elems := make([]string, len(n.Elems))
-		for i, e := range n.Elems {
-			ce, err := g.cexpr(e)
-			if err != nil {
-				return err
-			}
-			elems[i] = ce
-		}
-		g.w("const i64 beast_list_%d[] = {%s};", d, strings.Join(elems, ", "))
-		g.w("for (int beast_i_%d = 0; beast_i_%d < %d; beast_i_%d++) {", d, d, len(n.Elems), d)
-		g.indent++
-		g.w("const i64 %s = beast_list_%d[beast_i_%d];", v, d, d)
-		if stripeGuard != "" {
-			g.w("%s", stripeGuard)
-		}
-		if err := body(); err != nil {
-			return err
-		}
-		g.indent--
-		g.w("}")
-		g.indent--
-		g.w("}")
-		return nil
-	default:
-		return &NotTranslatableError{Reason: fmt.Sprintf("domain %T of iterator %s", dom, lp.Iter.Name)}
-	}
-}
-
-// emitChunkLoop writes the innermost loop in chunked form: lane values
-// fill fixed-size beast_v_* arrays in blocks of g.chunk, every residual
-// step evaluates over the whole block (a per-lane loop the compiler can
-// auto-vectorize), and a uint64_t survivor mask short-circuits killed
-// lanes. Counters follow the engines' chunk discipline — each step is
-// credited once per lane still live when it runs — so visits, checks,
-// kills, and survivors are bit-identical to scalar emission.
-func (g *cgen) emitChunkLoop(d int, dom space.DomainExpr) error {
-	prog := g.prog
-	lp := prog.Loops[d]
-	v := cname(lp.Iter.Name)
-	size := g.chunk
-
-	laneDecls := func() {
-		g.w("i64 %s[%d];", lanename(v), size)
-		seen := map[string]bool{lanename(v): true}
-		for _, st := range lp.Steps {
-			if st.Kind != plan.AssignStep {
-				continue
-			}
-			arr := lanename(cname(st.Name))
-			if !seen[arr] {
-				seen[arr] = true
-				g.w("i64 %s[%d];", arr, size)
-			}
-		}
-	}
-
-	switch n := dom.(type) {
-	case *space.RangeDomain:
-		start, err := g.cexpr(n.Start)
-		if err != nil {
-			return err
-		}
-		stop, err := g.cexpr(n.Stop)
-		if err != nil {
-			return err
-		}
-		lit, isLit := n.Step.(*expr.Lit)
-		isLit = isLit && lit.V.I != 0
-		var step string
-		if isLit {
-			step = fmt.Sprintf("%d", lit.V.I)
-		} else if step, err = g.cexpr(n.Step); err != nil {
-			return err
-		}
-		g.w("{ /* chunked innermost loop (chunk=%d) */", size)
-		g.indent++
-		g.w("const i64 beast_step_%d = %s;", d, step)
-		g.w("i64 beast_lo_%d = %s, beast_hi_%d = (%s);", d, start, d, stop)
-		if lp.Bounds != nil {
-			if err := g.emitNarrow(d, lp, !isLit, false); err != nil {
-				return err
-			}
-		}
-		var cond string
-		switch {
-		case isLit && lit.V.I > 0:
-			cond = fmt.Sprintf("beast_cur_%d < beast_hi_%d", d, d)
-		case isLit:
-			cond = fmt.Sprintf("beast_cur_%d > beast_hi_%d", d, d)
-		default:
-			cond = fmt.Sprintf("beast_step_%d > 0 ? beast_cur_%d < beast_hi_%d : (beast_step_%d < 0 && beast_cur_%d > beast_hi_%d)",
-				d, d, d, d, d, d)
-		}
-		laneDecls()
-		g.w("i64 beast_cur_%d = beast_lo_%d;", d, d)
-		g.w("while (%s) {", cond)
-		g.indent++
-		g.w("int beast_k = 0;")
-		g.w("for (; beast_k < %d && (%s); beast_k++) { %s[beast_k] = beast_cur_%d; beast_cur_%d += beast_step_%d; }",
-			size, cond, lanename(v), d, d, d)
-		if err := g.emitChunkBody(d); err != nil {
-			return err
-		}
-		g.indent--
-		g.w("}")
-		g.indent--
-		g.w("}")
-		return nil
-	case *space.ListDomain:
-		elems := make([]string, len(n.Elems))
-		for i, e := range n.Elems {
-			ce, err := g.cexpr(e)
-			if err != nil {
-				return err
-			}
-			elems[i] = ce
-		}
-		g.w("{ /* chunked innermost loop (chunk=%d) */", size)
-		g.indent++
-		g.w("const i64 beast_list_%d[] = {%s};", d, strings.Join(elems, ", "))
-		laneDecls()
-		g.w("int beast_pos_%d = 0;", d)
-		g.w("while (beast_pos_%d < %d) {", d, len(n.Elems))
-		g.indent++
-		g.w("int beast_k = 0;")
-		g.w("for (; beast_k < %d && beast_pos_%d < %d; beast_k++) { %s[beast_k] = beast_list_%d[beast_pos_%d]; beast_pos_%d++; }",
-			size, d, len(n.Elems), lanename(v), d, d, d)
-		if err := g.emitChunkBody(d); err != nil {
-			return err
-		}
-		g.indent--
-		g.w("}")
-		g.indent--
-		g.w("}")
-		return nil
-	default:
-		return &NotTranslatableError{Reason: fmt.Sprintf("domain %T of iterator %s", dom, lp.Iter.Name)}
-	}
-}
-
-// emitChunkBody writes one block's evaluation: visit crediting, mask
-// initialization, the vectorized steps, and the survivor sweep. Runs
-// with beast_k lanes filled; lane-resident references are substituted
-// only inside this body — narrowing probes outside it keep the scalar
-// loop variable.
-func (g *cgen) emitChunkBody(d int) error {
-	prog := g.prog
-	lp := prog.Loops[d]
-	tabs := tabByStats(prog, g.chunk)
-	g.laneSub = map[string]string{lp.Iter.Name: lanename(cname(lp.Iter.Name)) + "[beast_i]"}
-	for _, st := range lp.Steps {
-		if st.Kind == plan.AssignStep {
-			g.laneSub[st.Name] = lanename(cname(st.Name)) + "[beast_i]"
-		}
-	}
-	defer func() { g.laneSub = nil }()
-	g.w("st->visits[%d] += beast_k;", d)
-	g.w("uint64_t beast_mask = beast_k == 64 ? ~(uint64_t)0 : (((uint64_t)1 << beast_k) - 1);")
-	g.w("i64 beast_live = beast_k;")
-	g.w("(void)beast_live;")
-	for _, st := range lp.Steps {
-		if st.Kind == plan.AssignStep {
-			ce, err := g.cexpr(st.Expr)
-			if err != nil {
-				return err
-			}
-			g.w("for (int beast_i = 0; beast_i < beast_k; beast_i++) %s = %s;", g.laneSub[st.Name], ce)
-			continue
-		}
-		if st.Constraint.Deferred() {
-			return &NotTranslatableError{Reason: fmt.Sprintf("deferred constraint %q is host code", st.Name)}
-		}
-		if ti, tabbed := tabs[st.StatsID]; tabbed {
-			// Tabulated check: one window of the pass bitset replaces the
-			// per-lane kill loop; the tail below is shared, so counters
-			// stay bit-identical to expression emission.
-			t := prog.Tab.Tables[ti]
-			g.w("st->checks[%d] += beast_live; /* %s (%s): tabulated */", st.StatsID, st.Name, st.Constraint.Class)
-			g.w("{")
-			g.indent++
-			g.w("const i64 beast_base = (%s[0] - (%d)) / (%d);", lanename(cname(prog.Tab.InnerName)), prog.Tab.Base, prog.Tab.Step)
-			if t.Kind == plan.BinaryTable {
-				g.w("const i64 beast_row = (%s - (%d)) / (%d);", cname(t.OuterName), t.OuterBase, t.OuterStep)
-				g.w("uint64_t beast_kill = beast_mask & ~beast_tab_window(beast_tab%d + beast_row * %d, %d, beast_base);",
-					ti, t.RowWords, t.RowWords)
-			} else {
-				g.w("uint64_t beast_kill = beast_mask & ~beast_tab_window(beast_tab%d, %d, beast_base);", ti, t.RowWords)
-			}
-			g.w("if (beast_kill) {")
-		} else {
-			ce, err := g.cexpr(st.Expr)
-			if err != nil {
-				return err
-			}
-			g.w("st->checks[%d] += beast_live; /* %s (%s) */", st.StatsID, st.Name, st.Constraint.Class)
-			g.w("{")
-			g.indent++
-			g.w("uint64_t beast_kill = 0;")
-			g.w("for (int beast_i = 0; beast_i < beast_k; beast_i++) {")
-			g.w("    if (%s) beast_kill |= (uint64_t)1 << beast_i;", ce)
-			g.w("}")
-			g.w("beast_kill &= beast_mask;")
-			g.w("if (beast_kill) {")
-		}
-		g.indent++
-		g.w("const i64 beast_kc = beast_popcount(beast_kill);")
-		g.w("st->kills[%d] += beast_kc;", st.StatsID)
-		g.w("beast_mask &= ~beast_kill;")
-		g.w("beast_live -= beast_kc;")
-		g.w("if (beast_live == 0) continue; /* whole block killed: next chunk */")
-		g.indent--
-		g.w("}")
-		g.indent--
-		g.w("}")
-	}
-	tupleNames := prog.TupleNames()
-	names := make([]string, len(tupleNames))
-	for i, n := range tupleNames {
-		if sub, ok := g.laneSub[n]; ok {
-			names[i] = sub
-		} else {
-			names[i] = cname(n)
-		}
-	}
-	g.w("for (int beast_i = 0; beast_i < beast_k; beast_i++) {")
-	g.indent++
-	g.w("if (!((beast_mask >> beast_i) & 1)) continue;")
-	g.w("st->survivors++;")
-	g.w("if (on_tuple) { const i64 beast_tuple[] = {%s}; on_tuple(beast_tuple, %d, ctx); }",
-		strings.Join(names, ", "), len(names))
-	g.indent--
-	g.w("}")
-	return nil
-}
-
-// emitNarrow writes the loop-entry narrowing block of a bounded loop: the
-// C mirror of the engines' range narrowing. Each absorbed constraint
-// group tightens [beast_lo_d, beast_hi_d) — symbolic Lo bounds align up
-// to the step grid, Hi bounds clamp, monotone probes binary-search the
-// feasible boundary — and the values a group skips are credited to its
-// constraint's checks/kills counters, so the funnel matches a
-// non-narrowed sweep. dynStep guards the whole block on a positive
-// runtime step; tid0 restricts the crediting to thread 0 in the striped
-// variant, where every thread narrows the outer loop but the skips must
-// be counted once.
-func (g *cgen) emitNarrow(d int, lp *plan.Loop, dynStep, tid0 bool) error {
-	count := fmt.Sprintf("(beast_hi_%d > beast_lo_%d ? (beast_hi_%d - beast_lo_%d + beast_step_%d - 1) / beast_step_%d : 0)",
-		d, d, d, d, d, d)
-	if dynStep {
-		g.w("if (beast_step_%d > 0) {", d)
-		g.indent++
-	}
-	v := cname(lp.Iter.Name)
-	for gi := range lp.Bounds.Groups {
-		grp := &lp.Bounds.Groups[gi]
-		g.w("{ /* narrow: %s (%s) */", grp.Name, g.prog.Constraints[grp.StatsID].Class)
-		g.indent++
-		g.w("const i64 beast_before_%d = %s;", d, count)
-		for _, e := range grp.Lo {
-			ce, err := g.cexpr(e)
-			if err != nil {
-				return err
-			}
-			g.w("{ const i64 beast_b_%d = %s; if (beast_b_%d > beast_lo_%d) beast_lo_%d += ((beast_b_%d - beast_lo_%d + beast_step_%d - 1) / beast_step_%d) * beast_step_%d; }",
-				d, ce, d, d, d, d, d, d, d, d)
-		}
-		for _, e := range grp.Hi {
-			ce, err := g.cexpr(e)
-			if err != nil {
-				return err
-			}
-			g.w("{ const i64 beast_b_%d = %s; if (beast_b_%d < beast_hi_%d) beast_hi_%d = beast_b_%d; }",
-				d, ce, d, d, d, d)
-		}
-		for pi := range grp.Probes {
-			p := &grp.Probes[pi]
-			pred, err := g.cexpr(p.Pred)
-			if err != nil {
-				return err
-			}
-			g.w("{")
-			g.indent++
-			g.w("i64 beast_sl_%d = 0, beast_sh_%d = %s;", d, d, count)
-			g.w("while (beast_sl_%d < beast_sh_%d) {", d, d)
-			g.indent++
-			g.w("const i64 beast_mid_%d = beast_sl_%d + (beast_sh_%d - beast_sl_%d) / 2;", d, d, d, d)
-			g.w("const i64 %s = beast_lo_%d + beast_mid_%d * beast_step_%d;", v, d, d, d)
-			if p.SuffixFeasible {
-				g.w("if (!(%s)) beast_sh_%d = beast_mid_%d; else beast_sl_%d = beast_mid_%d + 1;", pred, d, d, d, d)
-			} else {
-				g.w("if (%s) beast_sh_%d = beast_mid_%d; else beast_sl_%d = beast_mid_%d + 1;", pred, d, d, d, d)
-			}
-			g.indent--
-			g.w("}")
-			if p.SuffixFeasible {
-				g.w("beast_lo_%d += beast_sl_%d * beast_step_%d;", d, d, d)
-			} else {
-				g.w("beast_hi_%d = beast_lo_%d + beast_sl_%d * beast_step_%d;", d, d, d, d)
-			}
-			g.indent--
-			g.w("}")
-		}
-		g.w("const i64 beast_skip_%d = beast_before_%d - %s;", d, d, count)
-		credit := fmt.Sprintf("beast_skip_%d > 0", d)
-		if tid0 {
-			credit += " && tid == 0"
-		}
-		g.w("if (%s) { st->checks[%d] += beast_skip_%d; st->kills[%d] += beast_skip_%d; }",
-			credit, grp.StatsID, d, grp.StatsID, d)
-		g.indent--
-		g.w("}")
-	}
-	if dynStep {
-		g.indent--
-		g.w("}")
-	}
-	return nil
-}
-
-// normalizeDomain reduces a loop's domain to a Range or List:
-//   - Cond(Range, Range) with identical literal steps merges into a Range
-//     with ternary bounds;
-//   - Cond(List, List) of equal length merges element-wise with ternaries;
-//   - closed deferred/closure iterators (dependencies are settings only)
-//     freeze to the literal value list they produce;
-//   - algebra over closed operands freezes to its value list.
-func (g *cgen) normalizeDomain(lp *plan.Loop) (space.DomainExpr, error) {
-	if lp.Iter.Kind != space.ExprIter {
-		if len(lp.ArgSlots) != 0 && !g.argsAreSettings(lp.ArgSlots) {
-			return nil, &NotTranslatableError{Reason: fmt.Sprintf(
-				"%s iterator %q depends on other iterators; host logic cannot be frozen",
-				lp.Iter.Kind, lp.Iter.Name)}
-		}
-		env := g.prog.NewEnv()
-		var vals []int64
-		lp.Iter.Iterate(env, lp.ArgSlots, func(v int64) bool {
-			vals = append(vals, v)
-			return true
-		})
-		return space.NewIntList(vals...), nil
-	}
-	return normalizeExprDomain(lp.Domain)
-}
-
-func (g *cgen) argsAreSettings(slots []int) bool {
-	bySlot := g.prog.SettingBySlot()
-	for _, s := range slots {
-		if _, ok := bySlot[s]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func normalizeExprDomain(d space.DomainExpr) (space.DomainExpr, error) {
-	switch n := d.(type) {
-	case *space.RangeDomain, *space.ListDomain:
-		return n, nil
-	case *space.CondDomain:
-		thenD, err := normalizeExprDomain(n.Then)
-		if err != nil {
-			return nil, err
-		}
-		elseD, err := normalizeExprDomain(n.Else)
-		if err != nil {
-			return nil, err
-		}
-		tr, trOK := asRange(thenD)
-		er, erOK := asRange(elseD)
-		if trOK && erOK {
-			return &space.RangeDomain{
-				Start: expr.If(n.Cond, tr.Start, er.Start),
-				Stop:  expr.If(n.Cond, tr.Stop, er.Stop),
-				Step:  expr.If(n.Cond, tr.Step, er.Step),
-			}, nil
-		}
-		tl, tok := thenD.(*space.ListDomain)
-		el, eok := elseD.(*space.ListDomain)
-		if tok && eok && len(tl.Elems) == len(el.Elems) {
-			elems := make([]expr.Expr, len(tl.Elems))
-			for i := range elems {
-				elems[i] = expr.If(n.Cond, tl.Elems[i], el.Elems[i])
-			}
-			return space.NewList(elems...), nil
-		}
-		// Mixed shapes: translatable only when the condition is constant
-		// (the planner folds those before we get here).
-		return nil, &NotTranslatableError{Reason: "conditional domain with branches of different shapes; " +
-			"specialize the settings so the condition folds"}
-	case *space.AlgebraDomain:
-		if deps := space.DomainDeps(n); len(deps) > 0 {
-			return nil, &NotTranslatableError{Reason: "iterator-algebra domain depending on " + strings.Join(deps, ", ")}
-		}
-		return space.NewIntList(space.Materialize(n, &expr.Env{})...), nil
-	default:
-		return nil, &NotTranslatableError{Reason: fmt.Sprintf("domain type %T", d)}
-	}
-}
-
-// asRange views a domain as a range when possible: ranges directly, and
-// literal lists forming an arithmetic progression (Figure 11's vec_mul
-// mixes the scalar `0` with range(0, 2); the scalar is range(0, 1)).
-func asRange(d space.DomainExpr) (*space.RangeDomain, bool) {
-	if r, ok := d.(*space.RangeDomain); ok {
-		return r, true
-	}
-	l, ok := d.(*space.ListDomain)
-	if !ok || len(l.Elems) == 0 {
-		return nil, false
-	}
-	vals := make([]int64, len(l.Elems))
-	for i, e := range l.Elems {
-		lit, ok := e.(*expr.Lit)
-		if !ok || lit.V.K == expr.Str {
-			return nil, false
-		}
-		vals[i] = lit.V.I
-	}
-	step := int64(1)
-	if len(vals) > 1 {
-		step = vals[1] - vals[0]
-		if step == 0 {
-			return nil, false
-		}
-		for i := 2; i < len(vals); i++ {
-			if vals[i]-vals[i-1] != step {
-				return nil, false
-			}
-		}
-	}
-	return &space.RangeDomain{
-		Start: expr.IntLit(vals[0]),
-		Stop:  expr.IntLit(vals[len(vals)-1] + step),
-		Step:  expr.IntLit(step),
-	}, true
-}
-
-func (g *cgen) emitStep(st plan.Step, killStmt string) error {
-	switch st.Kind {
-	case plan.AssignStep:
-		ce, err := g.cexpr(st.Expr)
-		if err != nil {
-			return err
-		}
-		g.w("const i64 %s = %s;", cname(st.Name), ce)
-		return nil
-	default:
-		if st.Constraint.Deferred() {
-			return &NotTranslatableError{Reason: fmt.Sprintf("deferred constraint %q is host code", st.Name)}
-		}
-		ce, err := g.cexpr(st.Expr)
-		if err != nil {
-			return err
-		}
-		g.w("st->checks[%d]++; /* %s (%s) */", st.StatsID, st.Name, st.Constraint.Class)
-		g.w("if (%s) { st->kills[%d]++; %s; }", ce, st.StatsID, killStmt)
-		return nil
-	}
-}
-
-// cexpr renders a bound expression as C. Comparisons and boolean operators
-// produce 0/1 ints, matching the engines' semantics.
-func (g *cgen) cexpr(e expr.Expr) (string, error) {
-	switch n := e.(type) {
-	case *expr.Lit:
-		if n.V.K == expr.Str {
-			return "", &NotTranslatableError{Reason: fmt.Sprintf("string literal %s survived folding", n.V)}
-		}
-		if n.V.I < 0 {
-			return fmt.Sprintf("(%d)", n.V.I), nil
-		}
-		return fmt.Sprintf("%d", n.V.I), nil
-	case *expr.Ref:
-		if sub, ok := g.laneSub[n.Name]; ok {
-			return sub, nil
-		}
-		return cname(n.Name), nil
-	case *expr.Unary:
-		x, err := g.cexpr(n.X)
-		if err != nil {
-			return "", err
-		}
-		if n.Op == expr.OpNeg {
-			return fmt.Sprintf("(-%s)", x), nil
-		}
-		return fmt.Sprintf("(!%s)", x), nil
-	case *expr.Binary:
-		l, err := g.cexpr(n.L)
-		if err != nil {
-			return "", err
-		}
-		r, err := g.cexpr(n.R)
-		if err != nil {
-			return "", err
-		}
-		switch n.Op {
-		case expr.OpDiv:
-			return fmt.Sprintf("beast_div(%s, %s)", l, r), nil
-		case expr.OpMod:
-			return fmt.Sprintf("beast_mod(%s, %s)", l, r), nil
-		case expr.OpAnd:
-			return fmt.Sprintf("(%s && %s)", l, r), nil
-		case expr.OpOr:
-			return fmt.Sprintf("(%s || %s)", l, r), nil
-		}
-		op := map[expr.Op]string{
-			expr.OpAdd: "+", expr.OpSub: "-", expr.OpMul: "*",
-			expr.OpEq: "==", expr.OpNe: "!=", expr.OpLt: "<",
-			expr.OpLe: "<=", expr.OpGt: ">", expr.OpGe: ">=",
-		}[n.Op]
-		if op == "" {
-			return "", fmt.Errorf("codegen: bad binary op %v", n.Op)
-		}
-		return fmt.Sprintf("(%s %s %s)", l, op, r), nil
-	case *expr.Ternary:
-		c, err := g.cexpr(n.Cond)
-		if err != nil {
-			return "", err
-		}
-		t, err := g.cexpr(n.Then)
-		if err != nil {
-			return "", err
-		}
-		f, err := g.cexpr(n.Else)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("(%s ? %s : %s)", c, t, f), nil
-	case *expr.Call:
-		args := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			ca, err := g.cexpr(a)
-			if err != nil {
-				return "", err
-			}
-			args[i] = ca
-		}
-		switch n.Fn {
-		case "abs":
-			return fmt.Sprintf("beast_abs(%s)", args[0]), nil
-		case "min", "max":
-			out := args[0]
-			for _, a := range args[1:] {
-				out = fmt.Sprintf("beast_%s(%s, %s)", n.Fn, out, a)
-			}
-			return out, nil
-		}
-		return "", fmt.Errorf("codegen: unknown builtin %q", n.Fn)
-	case *expr.Table2D:
-		idx := g.tableIndex(n)
-		r, err := g.cexpr(n.Row)
-		if err != nil {
-			return "", err
-		}
-		c, err := g.cexpr(n.Col)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("beast_table%d_at(%s, %s)", idx, r, c), nil
-	default:
-		return "", fmt.Errorf("codegen: unsupported expression type %T", e)
-	}
-}
-
-// collectTables walks every expression in the program registering Table2D
-// nodes so they emit exactly once.
-func (g *cgen) collectTables() {
-	var walkE func(e expr.Expr)
-	walkE = func(e expr.Expr) {
-		switch n := e.(type) {
-		case *expr.Unary:
-			walkE(n.X)
-		case *expr.Binary:
-			walkE(n.L)
-			walkE(n.R)
-		case *expr.Ternary:
-			walkE(n.Cond)
-			walkE(n.Then)
-			walkE(n.Else)
-		case *expr.Call:
-			for _, a := range n.Args {
-				walkE(a)
-			}
-		case *expr.Table2D:
-			g.tableIndex(n)
-			walkE(n.Row)
-			walkE(n.Col)
-		}
-	}
-	var walkD func(d space.DomainExpr)
-	walkD = func(d space.DomainExpr) {
-		switch n := d.(type) {
-		case *space.RangeDomain:
-			walkE(n.Start)
-			walkE(n.Stop)
-			walkE(n.Step)
-		case *space.ListDomain:
-			for _, e := range n.Elems {
-				walkE(e)
-			}
-		case *space.CondDomain:
-			walkE(n.Cond)
-			walkD(n.Then)
-			walkD(n.Else)
-		case *space.AlgebraDomain:
-			walkD(n.L)
-			walkD(n.R)
-		}
-	}
-	for _, st := range g.prog.Prelude {
-		if st.Expr != nil {
-			walkE(st.Expr)
-		}
-	}
-	for _, lp := range g.prog.Loops {
-		if lp.Domain != nil {
-			walkD(lp.Domain)
-		}
-		for _, st := range lp.Steps {
-			if st.Expr != nil {
-				walkE(st.Expr)
-			}
-		}
-		if lp.Bounds == nil {
-			continue
-		}
-		for _, grp := range lp.Bounds.Groups {
-			for _, e := range grp.Lo {
-				walkE(e)
-			}
-			for _, e := range grp.Hi {
-				walkE(e)
-			}
-			for _, p := range grp.Probes {
-				walkE(p.Pred)
-			}
-		}
-	}
-}
-
-func (g *cgen) tableIndex(t *expr.Table2D) int {
-	for i, have := range g.tables {
-		if have == t || (have.Name == t.Name && sameTable(have.Data, t.Data)) {
-			return i
-		}
-	}
-	g.tables = append(g.tables, t)
-	return len(g.tables) - 1
-}
-
-func sameTable(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (g *cgen) emitThreaded() error {
-	if err := g.emitEnumerate(g.opts.FuncName+"_worker", true); err != nil {
+func (e *emitter) cThreaded(name string) error {
+	if err := e.cEnumerate(name+"_worker", true); err != nil {
 		return err
 	}
-	g.w("typedef struct {")
-	g.w("    beast_stats stats;")
-	g.w("    beast_on_tuple on_tuple;")
-	g.w("    void *ctx;")
-	g.w("    int tid, nthreads;")
-	g.w("} beast_mt_arg;")
-	g.blank()
-	g.w("static void *beast_mt_trampoline(void *p) {")
-	g.w("    beast_mt_arg *a = (beast_mt_arg *)p;")
-	g.w("    %s_worker(&a->stats, a->on_tuple, a->ctx, a->tid, a->nthreads);", g.opts.FuncName)
-	g.w("    return NULL;")
-	g.w("}")
-	g.blank()
-	g.w("void %s_mt(beast_stats *st, beast_on_tuple on_tuple, void *ctx, int nthreads) {", g.opts.FuncName)
-	g.indent++
-	g.w("if (nthreads < 1) nthreads = 1;")
-	g.w("beast_mt_arg *args = (beast_mt_arg *)calloc((size_t)nthreads, sizeof(beast_mt_arg));")
-	g.w("pthread_t *tids = (pthread_t *)calloc((size_t)nthreads, sizeof(pthread_t));")
-	g.w("for (int t = 0; t < nthreads; t++) {")
-	g.w("    args[t].on_tuple = on_tuple; args[t].ctx = ctx;")
-	g.w("    args[t].tid = t; args[t].nthreads = nthreads;")
-	g.w("    pthread_create(&tids[t], NULL, beast_mt_trampoline, &args[t]);")
-	g.w("}")
-	g.w("for (int t = 0; t < nthreads; t++) {")
-	g.w("    pthread_join(tids[t], NULL);")
-	g.w("    for (int i = 0; i < %d; i++) st->visits[i] += args[t].stats.visits[i];", maxI(len(g.prog.Loops), 1))
-	g.w("    for (int i = 0; i < %d; i++) {", maxI(len(g.prog.Constraints), 1))
-	g.w("        st->checks[i] += args[t].stats.checks[i];")
-	g.w("        st->kills[i] += args[t].stats.kills[i];")
-	g.w("    }")
-	g.w("    st->survivors += args[t].stats.survivors;")
-	g.w("}")
-	g.w("free(args); free(tids);")
-	g.indent--
-	g.w("}")
-	g.blank()
+	e.w("typedef struct {")
+	e.w("    beast_stats stats;")
+	e.w("    beast_on_tuple on_tuple;")
+	e.w("    void *ctx;")
+	e.w("    int tid, nthreads;")
+	e.w("} beast_mt_arg;")
+	e.blank()
+	e.w("static void *beast_mt_trampoline(void *p) {")
+	e.w("    beast_mt_arg *a = (beast_mt_arg *)p;")
+	e.w("    %s_worker(&a->stats, a->on_tuple, a->ctx, a->tid, a->nthreads);", name)
+	e.w("    return NULL;")
+	e.w("}")
+	e.blank()
+	e.w("void %s_mt(beast_stats *st, beast_on_tuple on_tuple, void *ctx, int nthreads) {", name)
+	e.indent++
+	e.w("if (nthreads < 1) nthreads = 1;")
+	e.w("beast_mt_arg *args = (beast_mt_arg *)calloc((size_t)nthreads, sizeof(beast_mt_arg));")
+	e.w("pthread_t *tids = (pthread_t *)calloc((size_t)nthreads, sizeof(pthread_t));")
+	e.w("for (int t = 0; t < nthreads; t++) {")
+	e.w("    args[t].on_tuple = on_tuple; args[t].ctx = ctx;")
+	e.w("    args[t].tid = t; args[t].nthreads = nthreads;")
+	e.w("    pthread_create(&tids[t], NULL, beast_mt_trampoline, &args[t]);")
+	e.w("}")
+	e.w("for (int t = 0; t < nthreads; t++) {")
+	e.w("    pthread_join(tids[t], NULL);")
+	e.w("    for (int i = 0; i < %d; i++) st->visits[i] += args[t].stats.visits[i];", max(len(e.prog.Loops), 1))
+	e.w("    for (int i = 0; i < %d; i++) {", max(len(e.prog.Constraints), 1))
+	e.w("        st->checks[i] += args[t].stats.checks[i];")
+	e.w("        st->kills[i] += args[t].stats.kills[i];")
+	e.w("    }")
+	e.w("    st->survivors += args[t].stats.survivors;")
+	e.w("}")
+	e.w("free(args); free(tids);")
+	e.indent--
+	e.w("}")
+	e.blank()
 	return nil
 }
 
-func (g *cgen) emitMain() {
-	prog := g.prog
-	g.w("int main(int argc, char **argv) {")
-	g.indent++
-	g.w("beast_stats st;")
-	g.w("memset(&st, 0, sizeof st);")
-	if g.opts.Threads {
-		g.w("int nthreads = argc > 1 ? atoi(argv[1]) : 1;")
-		g.w("if (nthreads > 1) %s_mt(&st, NULL, NULL, nthreads);", g.opts.FuncName)
-		g.w("else %s(&st, NULL, NULL);", g.opts.FuncName)
+func (e *emitter) cMain(opts COptions) {
+	e.w("int main(int argc, char **argv) {")
+	e.indent++
+	e.w("beast_stats st;")
+	e.w("memset(&st, 0, sizeof st);")
+	if opts.Threads {
+		e.w("int nthreads = argc > 1 ? atoi(argv[1]) : 1;")
+		e.w("if (nthreads > 1) %s_mt(&st, NULL, NULL, nthreads);", opts.FuncName)
+		e.w("else %s(&st, NULL, NULL);", opts.FuncName)
 	} else {
-		g.w("(void)argc; (void)argv;")
-		g.w("%s(&st, NULL, NULL);", g.opts.FuncName)
+		e.w("(void)argc; (void)argv;")
+		e.w("%s(&st, NULL, NULL);", opts.FuncName)
 	}
-	g.w(`printf("survivors %%lld\n", (long long)st.survivors);`)
-	g.w("i64 visits = 0;")
-	g.w("for (int i = 0; i < %d; i++) visits += st.visits[i];", maxI(len(prog.Loops), 1))
-	g.w(`printf("visits %%lld\n", (long long)visits);`)
-	for i, c := range prog.Constraints {
-		g.w(`printf("kill %s %%lld\n", (long long)st.kills[%d]);`, c.Name, i)
+	e.w(`printf("survivors %%lld\n", (long long)st.survivors);`)
+	e.w("i64 visits = 0;")
+	e.w("for (int i = 0; i < %d; i++) visits += st.visits[i];", max(len(e.prog.Loops), 1))
+	e.w(`printf("visits %%lld\n", (long long)visits);`)
+	for i, c := range e.prog.Constraints {
+		e.w(`printf("kill %s %%lld\n", (long long)st.kills[%d]);`, c.Name, i)
 	}
-	g.w("return 0;")
-	g.indent--
-	g.w("}")
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	e.w("return 0;")
+	e.indent--
+	e.w("}")
 }

@@ -5,9 +5,7 @@ import (
 	"go/format"
 	"strings"
 
-	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/space"
 )
 
 // GoOptions control Go emission.
@@ -21,9 +19,9 @@ type GoOptions struct {
 	Comment string
 	// StatsType names the emitted counter struct (default "Stats").
 	StatsType string
-	// OmitShared skips the shared declarations (the stats type and the
-	// beastDiv/beastMod/... helpers) so several generated files can share
-	// one package; exactly one file in the package must emit them.
+	// OmitShared skips the shared helpers (beast_div, beast_mod, ...) so
+	// several generated files can share one package; exactly one file in
+	// the package must emit them.
 	OmitShared bool
 	// ChunkSize > 1 emits the innermost loop in chunked form: lane values
 	// fill fixed-size beast_v_* arrays, each residual step evaluates over
@@ -52,39 +50,51 @@ func Go(prog *plan.Program, opts GoOptions) (string, error) {
 	if opts.StatsType == "" {
 		opts.StatsType = "Stats"
 	}
-	g := &gogen{prog: prog, opts: opts, chunk: genChunkSize(opts.ChunkSize, prog)}
-	if err := g.generate(); err != nil {
+	e := newEmitter(prog, goDialect{opts.FuncName + "_"}, opts.ChunkSize)
+	e.w("// Code generated by the BEAST search-space translator. DO NOT EDIT.")
+	if opts.Comment != "" {
+		e.w("//")
+		for _, line := range strings.Split(opts.Comment, "\n") {
+			e.w("// %s", line)
+		}
+	}
+	e.w("//")
+	e.w("// Loop nest order: %s", strings.Join(prog.IterNames(), ", "))
+	e.w("// Tuple emission order: %s", strings.Join(prog.TupleNames(), ", "))
+	e.blank()
+	e.w("package %s", opts.Package)
+	e.blank()
+	e.w("// %s mirrors engine.Stats for the generated sweep.", opts.StatsType)
+	e.w("type %s struct {", opts.StatsType)
+	e.w("Visits [%d]int64", max(len(prog.Loops), 1))
+	e.w("Checks [%d]int64", max(len(prog.Constraints), 1))
+	e.w("Kills [%d]int64", max(len(prog.Constraints), 1))
+	e.w("Survivors int64")
+	e.w("}")
+	e.blank()
+	if !opts.OmitShared {
+		e.b.WriteString(goHelpers)
+	}
+	e.goTables()
+	e.w("// %s runs the generated sweep. onTuple may be nil; returning false", opts.FuncName)
+	e.w("// stops enumeration early.")
+	e.w("func %s(onTuple func(vals []int64) bool) %s {", opts.FuncName, opts.StatsType)
+	e.indent++
+	e.w("var st %s", opts.StatsType)
+	if err := e.body(false); err != nil {
 		return "", err
 	}
-	src, err := format.Source([]byte(g.b.String()))
+	e.w("return st")
+	e.indent--
+	e.w("}")
+	src, err := format.Source([]byte(e.b.String()))
 	if err != nil {
 		// A formatting failure means the generator emitted invalid Go;
 		// surface the raw text to make that debuggable.
-		return "", fmt.Errorf("codegen: generated Go does not parse: %w\n%s", err, g.b.String())
+		return "", fmt.Errorf("codegen: generated Go does not parse: %w\n%s", err, e.b.String())
 	}
 	return string(src), nil
 }
-
-type gogen struct {
-	prog   *plan.Program
-	opts   GoOptions
-	b      strings.Builder
-	indent int
-	tables []*expr.Table2D
-	// chunk is the resolved innermost chunk size (0 = scalar emission);
-	// laneSub rewrites lane-resident references to beast_v_*[beast_i]
-	// while a chunked step body is being emitted.
-	chunk   int
-	laneSub map[string]string
-}
-
-func (g *gogen) w(format string, args ...any) {
-	g.b.WriteString(strings.Repeat("\t", g.indent))
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
-}
-
-func (g *gogen) blank() { g.b.WriteByte('\n') }
 
 var goKeywords = map[string]bool{
 	"break": true, "default": true, "func": true, "interface": true,
@@ -95,761 +105,192 @@ var goKeywords = map[string]bool{
 	"import": true, "return": true, "var": true,
 }
 
-func goname(name string) string {
-	if strings.HasPrefix(name, "$t") {
-		return "beast_" + name[1:]
+// goTypes maps the emitter's C type names to Go types.
+var goTypes = map[string]string{"const i64": "int64", "i64": "int64", "int": "int64", "uint64_t": "uint64"}
+
+// goDialect is Go syntax; gofmt later drops the C-shaped semicolons and
+// parentheses. Table names carry the enumeration function's name so
+// several generated files can share one package.
+type goDialect struct{ fn string }
+
+func (goDialect) keywords() map[string]bool { return goKeywords }
+
+// decl converts every value to the declared type, so untyped constants
+// become int64. Go rejects unused locals, so constants are also kept.
+func (goDialect) decl(typ string, nv ...string) string {
+	var names, vals, keeps []string
+	for i := 0; i < len(nv); i += 2 {
+		names = append(names, nv[i])
+		vals = append(vals, goTypes[typ]+"("+nv[i+1]+")")
+		keeps = append(keeps, "; _ = "+nv[i])
 	}
-	if goKeywords[name] {
-		return name + "_"
+	s := strings.Join(names, ", ") + " := " + strings.Join(vals, ", ")
+	if typ == "const i64" {
+		s += strings.Join(keeps, "")
 	}
-	return name
+	return s
 }
 
-func (g *gogen) generate() error {
-	prog := g.prog
-	g.w("// Code generated by the BEAST search-space translator. DO NOT EDIT.")
-	if g.opts.Comment != "" {
-		g.w("//")
-		for _, line := range strings.Split(g.opts.Comment, "\n") {
-			g.w("// %s", line)
+func (goDialect) array(name string, n int, elems string) string {
+	if elems == "" {
+		return fmt.Sprintf("var %s [%d]int64", name, n)
+	}
+	return fmt.Sprintf("%s := [...]int64{%s}", name, elems)
+}
+
+func (goDialect) keep(name string) string { return "_ = " + name }
+
+func (goDialect) loop(init, cond, post string) string {
+	if init == "" && post == "" {
+		return "for " + cond
+	}
+	return fmt.Sprintf("for %s; %s; %s", init, cond, post)
+}
+
+func (goDialect) ifc(cond string) string     { return "if " + cond }
+func (goDialect) one(stmt string) string     { return " { " + stmt + " }" }
+func (goDialect) truth(x string) string      { return x + " != 0" }
+func (goDialect) falsy(x string) string      { return x + " == 0" }
+func (goDialect) boolInt(cond string) string { return "beast_bool(" + cond + ")" }
+
+// ternary picks between conditions with && and ||; values need a closure,
+// which the compiler inlines.
+func (goDialect) ternary(typ, cond, t, f string) string {
+	if typ == "bool" {
+		return fmt.Sprintf("(%s && %s) || (!(%s) && %s)", cond, t, cond, f)
+	}
+	return fmt.Sprintf("func() %s { if %s { return %s }; return %s }()", goTypes[typ], cond, t, f)
+}
+
+func (goDialect) u64(x string) string        { return "uint64(" + x + ")" }
+func (goDialect) complement(x string) string { return "^" + x }
+func (goDialect) stat(field string) string   { return "st." + strings.ToUpper(field[:1]) + field[1:] }
+func (g goDialect) prefix() string           { return g.fn }
+func (goDialect) ret() string                { return "return st" }
+
+func (g goDialect) tabWindow(ti, words int, binary bool) string {
+	if binary {
+		return fmt.Sprintf("beast_%stab_window(beast_%stab%d[beast_row*%d:(beast_row+1)*%d], beast_base)", g.fn, g.fn, ti, words, words)
+	}
+	return fmt.Sprintf("beast_%stab_window(beast_%stab%d[:], beast_base)", g.fn, g.fn, ti)
+}
+
+func (goDialect) deliver(names []string) string {
+	return fmt.Sprintf("if onTuple != nil && !onTuple([]int64{%s}) { return st }", strings.Join(names, ", "))
+}
+
+const goHelpers = `// beast_div and beast_mod are Python floor division and modulo, total on
+// zero divisors.
+func beast_div(a, b int64) int64 {
+	if b == 0 {
+		return 0
+	}
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}
+
+func beast_mod(a, b int64) int64 {
+	if b == 0 {
+		return 0
+	}
+	r := a % b
+	if r != 0 && (r < 0) != (b < 0) {
+		r += b
+	}
+	return r
+}
+
+func beast_min(a, b int64) int64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func beast_max(a, b int64) int64 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+func beast_abs(a int64) int64 {
+	if a < 0 {
+		return -a
+	}
+	return a
+}
+
+func beast_bool(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// beast_popcount counts set bits (SWAR), sized for the chunked inner
+// loop's 64-lane survivor mask.
+func beast_popcount(x uint64) int64 {
+	x -= (x >> 1) & 0x5555555555555555
+	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
+	return int64((x * 0x0101010101010101) >> 56)
+}
+
+`
+
+// goTables writes the Table2D arrays and the plan-tabulated pass bitsets
+// with the window reader the chunked body ANDs against the survivor mask.
+func (e *emitter) goTables() {
+	p := e.d.prefix()
+	for ti, t := range e.tables {
+		rows, cols := tableRows(t)
+		e.w("var beast_%stable%d = [%d][%d]int64{", p, ti, len(rows), cols)
+		for _, r := range rows {
+			e.w("{%s},", r)
 		}
+		e.w("}")
+		e.blank()
+		e.w("func beast_%stable%d_at(r, c int64) int64 {", p, ti)
+		e.w("if r < 0 || r >= %d || c < 0 || c >= %d { return %d }", len(rows), cols, t.Default)
+		e.w("return beast_%stable%d[r][c]", p, ti)
+		e.w("}")
+		e.blank()
 	}
-	g.w("//")
-	g.w("// Loop nest order: %s", strings.Join(prog.IterNames(), ", "))
-	g.w("// Tuple emission order: %s", strings.Join(prog.TupleNames(), ", "))
-	g.blank()
-	g.w("package %s", g.opts.Package)
-	g.blank()
-	g.w("// %s mirrors engine.Stats for the generated sweep.", g.opts.StatsType)
-	g.w("type %s struct {", g.opts.StatsType)
-	g.indent++
-	g.w("Visits    [%d]int64", maxI(len(prog.Loops), 1))
-	g.w("Checks    [%d]int64", maxI(len(prog.Constraints), 1))
-	g.w("Kills     [%d]int64", maxI(len(prog.Constraints), 1))
-	g.w("Survivors int64")
-	g.indent--
-	g.w("}")
-	g.blank()
-	if g.opts.OmitShared {
-		g.emitTables()
-		g.emitTabTables()
-		return g.emitFunc()
+	idx := emittableTabs(e.prog, e.chunk)
+	if len(idx) == 0 {
+		return
 	}
-	g.w("func beastDiv(a, b int64) int64 {")
-	g.w("\tif b == 0 {")
-	g.w("\t\treturn 0")
-	g.w("\t}")
-	g.w("\tq := a / b")
-	g.w("\tif a%%b != 0 && (a < 0) != (b < 0) {")
-	g.w("\t\tq--")
-	g.w("\t}")
-	g.w("\treturn q")
-	g.w("}")
-	g.blank()
-	g.w("func beastMod(a, b int64) int64 {")
-	g.w("\tif b == 0 {")
-	g.w("\t\treturn 0")
-	g.w("\t}")
-	g.w("\tr := a %% b")
-	g.w("\tif r != 0 && (r < 0) != (b < 0) {")
-	g.w("\t\tr += b")
-	g.w("\t}")
-	g.w("\treturn r")
-	g.w("}")
-	g.blank()
-	g.w("func beastMin(a, b int64) int64 {")
-	g.w("\tif a < b {")
-	g.w("\t\treturn a")
-	g.w("\t}")
-	g.w("\treturn b")
-	g.w("}")
-	g.blank()
-	g.w("func beastMax(a, b int64) int64 {")
-	g.w("\tif a > b {")
-	g.w("\t\treturn a")
-	g.w("\t}")
-	g.w("\treturn b")
-	g.w("}")
-	g.blank()
-	g.w("func beastAbs(a int64) int64 {")
-	g.w("\tif a < 0 {")
-	g.w("\t\treturn -a")
-	g.w("\t}")
-	g.w("\treturn a")
-	g.w("}")
-	g.blank()
-	g.w("func beastBool(b bool) int64 {")
-	g.w("\tif b {")
-	g.w("\t\treturn 1")
-	g.w("\t}")
-	g.w("\treturn 0")
-	g.w("}")
-	g.blank()
-	g.w("// beastPopcount counts set bits (SWAR), sized for the chunked")
-	g.w("// inner loop's 64-lane survivor mask.")
-	g.w("func beastPopcount(x uint64) int64 {")
-	g.w("\tx -= (x >> 1) & 0x5555555555555555")
-	g.w("\tx = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)")
-	g.w("\tx = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f")
-	g.w("\treturn int64((x * 0x0101010101010101) >> 56)")
-	g.w("}")
-	g.blank()
-	g.w("// beastNarrowCount is the size of the ascending progression lo,")
-	g.w("// lo+step, ... below hi; loop-entry range narrowing uses it to")
-	g.w("// credit skipped iterations.")
-	g.w("func beastNarrowCount(lo, hi, step int64) int64 {")
-	g.w("\tif hi <= lo {")
-	g.w("\t\treturn 0")
-	g.w("\t}")
-	g.w("\treturn (hi - lo + step - 1) / step")
-	g.w("}")
-	g.blank()
-
-	g.emitTables()
-	g.emitTabTables()
-	return g.emitFunc()
-}
-
-// emitTables writes the Table2D constants, names prefixed by the function
-// name so multiple generated files can share one package.
-func (g *gogen) emitTables() {
-	g.collectTables()
-	p := g.opts.FuncName
-	for ti, t := range g.tables {
-		g.w("var beast%sTable%d = [][]int64{", p, ti)
-		for _, r := range t.Data {
-			vals := make([]string, len(r))
-			for i, v := range r {
-				vals[i] = fmt.Sprintf("%d", v)
-			}
-			g.w("\t{%s},", strings.Join(vals, ", "))
-		}
-		g.w("}")
-		g.blank()
-		g.w("func beast%sTable%dAt(r, c int64) int64 {", p, ti)
-		g.w("\tif r < 0 || r >= int64(len(beast%sTable%d)) {", p, ti)
-		g.w("\t\treturn %d", t.Default)
-		g.w("\t}")
-		g.w("\trow := beast%sTable%d[r]", p, ti)
-		g.w("\tif c < 0 || c >= int64(len(row)) {")
-		g.w("\t\treturn %d", t.Default)
-		g.w("\t}")
-		g.w("\treturn row[c]")
-		g.w("}")
-		g.blank()
-	}
-}
-
-// emitFunc writes the enumeration function.
-func (g *gogen) emitFunc() error {
-	prog := g.prog
-	g.w("// %s runs the generated sweep. onTuple may be nil; returning false", g.opts.FuncName)
-	g.w("// stops enumeration early.")
-	g.w("func %s(onTuple func(vals []int64) bool) %s {", g.opts.FuncName, g.opts.StatsType)
-	g.indent++
-	g.w("var st %s", g.opts.StatsType)
-	for _, s := range prog.Settings {
-		if s.V.K == expr.Str {
+	tab := e.prog.Tab
+	e.w("// Plan-tabulated constraint checks: bit i of a row is 1 when inner")
+	e.w("// value %d + i*%d passes the check.", tab.Base, tab.Step)
+	for _, ti := range idx {
+		t := tab.Tables[ti]
+		if t.Kind == plan.UnaryTable {
+			e.w("// %s: unary over %s", t.Name, tab.InnerName)
+			e.w("var beast_%stab%d = [%d]uint64{%s}", p, ti, len(t.Bits), tabRows(tab, ti, "")[0])
 			continue
 		}
-		// Only emit settings that are actually referenced post-folding;
-		// Go rejects unused variables, so emit as constants with blank
-		// assignment guards. Simpler: emit and reference via _ sink.
-		g.w("const %s = int64(%d)", goname(s.Name), s.V.I)
-		g.w("_ = %s", goname(s.Name))
+		e.w("// %s: %s x %s, %d rows of %d words", t.Name, t.OuterName, tab.InnerName, t.OuterN, t.RowWords)
+		e.w("var beast_%stab%d = [%d]uint64{", p, ti, t.OuterN*t.RowWords)
+		for _, row := range tabRows(tab, ti, "") {
+			e.w("%s,", row)
+		}
+		e.w("}")
 	}
-	for _, st := range prog.Prelude {
-		if err := g.emitStep(st, "return st"); err != nil {
-			return err
-		}
-	}
-	if len(prog.Loops) == 0 {
-		g.w("st.Survivors++")
-		g.indent--
-		g.w("}")
-		return nil
-	}
-	if err := g.emitLoop(0); err != nil {
-		return err
-	}
-	g.w("return st")
-	g.indent--
-	g.w("}")
-	return nil
-}
-
-func (g *gogen) emitLoop(d int) error {
-	prog := g.prog
-	lp := prog.Loops[d]
-	v := goname(lp.Iter.Name)
-
-	body := func() error {
-		g.w("st.Visits[%d]++", d)
-		for _, st := range lp.Steps {
-			if err := g.emitStep(st, "continue"); err != nil {
-				return err
-			}
-		}
-		if d == len(prog.Loops)-1 {
-			g.w("st.Survivors++")
-			// Tuple values are emitted in source declaration order, so
-			// decoders stay valid under plan-time loop reordering.
-			tupleNames := prog.TupleNames()
-			names := make([]string, len(tupleNames))
-			for i, n := range tupleNames {
-				names[i] = goname(n)
-			}
-			g.w("if onTuple != nil && !onTuple([]int64{%s}) {", strings.Join(names, ", "))
-			g.w("\treturn st")
-			g.w("}")
-			return nil
-		}
-		return g.emitLoop(d + 1)
-	}
-
-	dom, err := (&cgen{prog: g.prog}).normalizeDomain(lp)
-	if err != nil {
-		return fmt.Errorf("iterator %s: %w", lp.Iter.Name, err)
-	}
-	if g.chunk > 1 && d == len(prog.Loops)-1 {
-		return g.emitChunkLoop(d, dom)
-	}
-	switch n := dom.(type) {
-	case *space.RangeDomain:
-		start, err := g.gexpr(n.Start)
-		if err != nil {
-			return err
-		}
-		stop, err := g.gexpr(n.Stop)
-		if err != nil {
-			return err
-		}
-		lit, isLit := n.Step.(*expr.Lit)
-		isLit = isLit && lit.V.I != 0
-		switch {
-		case lp.Bounds != nil:
-			// Narrowed loop (plan bounds pass): tighten [lo, hi) once at
-			// loop entry, then iterate the shrunken range.
-			step := ""
-			if isLit {
-				step = fmt.Sprintf("%d", lit.V.I)
-			} else if step, err = g.gexpr(n.Step); err != nil {
-				return err
-			}
-			g.w("{")
-			g.indent++
-			g.w("lo%d, hi%d, step%d := int64(%s), int64(%s), int64(%s)", d, d, d, start, stop, step)
-			if err := g.emitNarrow(d, lp, !isLit); err != nil {
-				return err
-			}
-			if isLit {
-				g.w("for %s := lo%d; %s < hi%d; %s += step%d {", v, d, v, d, v, d)
-			} else {
-				g.w("for %s := lo%d; (step%d > 0 && %s < hi%d) || (step%d < 0 && %s > hi%d); %s += step%d {",
-					v, d, d, v, d, d, v, d, v, d)
-			}
-		case isLit:
-			cmp := "<"
-			if lit.V.I < 0 {
-				cmp = ">"
-			}
-			incr := fmt.Sprintf("%s += %d", v, lit.V.I)
-			if lit.V.I == 1 {
-				incr = v + "++"
-			}
-			g.w("for %s := int64(%s); %s %s (%s); %s {", v, start, v, cmp, stop, incr)
-		default:
-			step, err := g.gexpr(n.Step)
-			if err != nil {
-				return err
-			}
-			g.w("{")
-			g.indent++
-			g.w("stop%d, step%d := int64(%s), int64(%s)", d, d, stop, step)
-			g.w("for %s := int64(%s); (step%d > 0 && %s < stop%d) || (step%d < 0 && %s > stop%d); %s += step%d {",
-				v, start, d, v, d, d, v, d, v, d)
-		}
-		g.indent++
-		if err := body(); err != nil {
-			return err
-		}
-		g.indent--
-		g.w("}")
-		if lp.Bounds != nil || !isLit {
-			g.indent--
-			g.w("}")
-		}
-		return nil
-	case *space.ListDomain:
-		elems := make([]string, len(n.Elems))
-		for i, e := range n.Elems {
-			ge, err := g.gexpr(e)
-			if err != nil {
-				return err
-			}
-			elems[i] = ge
-		}
-		g.w("for _, %s := range []int64{%s} {", v, strings.Join(elems, ", "))
-		g.indent++
-		if err := body(); err != nil {
-			return err
-		}
-		g.indent--
-		g.w("}")
-		return nil
-	default:
-		return &NotTranslatableError{Reason: fmt.Sprintf("domain %T of iterator %s", dom, lp.Iter.Name)}
-	}
-}
-
-// emitChunkLoop writes the innermost loop in chunked form: lane values
-// fill fixed-size beast_v_* arrays in blocks of g.chunk, every residual
-// step evaluates over the whole block (a per-lane loop the compiler can
-// auto-vectorize), and a uint64 survivor mask short-circuits killed
-// lanes. Counters follow the engines' chunk discipline — each step is
-// credited once per lane still live when it runs — so Visits, Checks,
-// Kills, and Survivors are bit-identical to scalar emission.
-func (g *gogen) emitChunkLoop(d int, dom space.DomainExpr) error {
-	prog := g.prog
-	lp := prog.Loops[d]
-	v := goname(lp.Iter.Name)
-	size := g.chunk
-
-	laneDecls := func() {
-		g.w("var %s [%d]int64", lanename(v), size)
-		seen := map[string]bool{lanename(v): true}
-		for _, st := range lp.Steps {
-			if st.Kind != plan.AssignStep {
-				continue
-			}
-			arr := lanename(goname(st.Name))
-			if !seen[arr] {
-				seen[arr] = true
-				g.w("var %s [%d]int64", arr, size)
-			}
-		}
-	}
-	switch n := dom.(type) {
-	case *space.RangeDomain:
-		start, err := g.gexpr(n.Start)
-		if err != nil {
-			return err
-		}
-		stop, err := g.gexpr(n.Stop)
-		if err != nil {
-			return err
-		}
-		lit, isLit := n.Step.(*expr.Lit)
-		isLit = isLit && lit.V.I != 0
-		step := ""
-		if isLit {
-			step = fmt.Sprintf("%d", lit.V.I)
-		} else if step, err = g.gexpr(n.Step); err != nil {
-			return err
-		}
-		g.w("{ // chunked innermost loop (chunk=%d)", size)
-		g.indent++
-		g.w("lo%d, hi%d, step%d := int64(%s), int64(%s), int64(%s)", d, d, d, start, stop, step)
-		if lp.Bounds != nil {
-			if err := g.emitNarrow(d, lp, !isLit); err != nil {
-				return err
-			}
-		}
-		var cond string
-		switch {
-		case isLit && lit.V.I > 0:
-			cond = fmt.Sprintf("beast_cur < hi%d", d)
-		case isLit:
-			cond = fmt.Sprintf("beast_cur > hi%d", d)
-		default:
-			cond = fmt.Sprintf("(step%d > 0 && beast_cur < hi%d) || (step%d < 0 && beast_cur > hi%d)", d, d, d, d)
-		}
-		laneDecls()
-		g.w("for beast_cur := lo%d; %s; {", d, cond)
-		g.indent++
-		g.w("beast_k := 0")
-		g.w("for ; beast_k < %d && (%s); beast_k++ {", size, cond)
-		g.w("\t%s[beast_k] = beast_cur", lanename(v))
-		g.w("\tbeast_cur += step%d", d)
-		g.w("}")
-		if err := g.emitChunkBody(d); err != nil {
-			return err
-		}
-		g.indent--
-		g.w("}")
-		g.indent--
-		g.w("}")
-		return nil
-	case *space.ListDomain:
-		elems := make([]string, len(n.Elems))
-		for i, e := range n.Elems {
-			ge, err := g.gexpr(e)
-			if err != nil {
-				return err
-			}
-			elems[i] = ge
-		}
-		g.w("{ // chunked innermost loop (chunk=%d)", size)
-		g.indent++
-		g.w("beast_list := []int64{%s}", strings.Join(elems, ", "))
-		laneDecls()
-		g.w("beast_pos := 0")
-		g.w("for beast_pos < len(beast_list) {")
-		g.indent++
-		g.w("beast_k := 0")
-		g.w("for ; beast_k < %d && beast_pos < len(beast_list); beast_k++ {", size)
-		g.w("\t%s[beast_k] = beast_list[beast_pos]", lanename(v))
-		g.w("\tbeast_pos++")
-		g.w("}")
-		if err := g.emitChunkBody(d); err != nil {
-			return err
-		}
-		g.indent--
-		g.w("}")
-		g.indent--
-		g.w("}")
-		return nil
-	default:
-		return &NotTranslatableError{Reason: fmt.Sprintf("domain %T of iterator %s", dom, lp.Iter.Name)}
-	}
-}
-
-// emitChunkBody writes one block's evaluation: visit crediting, mask
-// initialization, the vectorized steps, and the survivor sweep. Runs
-// with beast_k lanes filled; lane-resident references are substituted
-// only inside this body — narrowing probes outside it keep the scalar
-// loop variable.
-func (g *gogen) emitChunkBody(d int) error {
-	prog := g.prog
-	lp := prog.Loops[d]
-	tabs := tabByStats(prog, g.chunk)
-	g.laneSub = map[string]string{lp.Iter.Name: lanename(goname(lp.Iter.Name)) + "[beast_i]"}
-	for _, st := range lp.Steps {
-		if st.Kind == plan.AssignStep {
-			g.laneSub[st.Name] = lanename(goname(st.Name)) + "[beast_i]"
-		}
-	}
-	defer func() { g.laneSub = nil }()
-	g.w("st.Visits[%d] += int64(beast_k)", d)
-	g.w("beast_mask := uint64(1)<<uint(beast_k) - 1 // beast_k == 64 wraps to all ones")
-	g.w("beast_live := int64(beast_k)")
-	g.w("_ = beast_live")
-	for _, st := range lp.Steps {
-		if st.Kind == plan.AssignStep {
-			ge, err := g.gexpr(st.Expr)
-			if err != nil {
-				return err
-			}
-			g.w("for beast_i := 0; beast_i < beast_k; beast_i++ {")
-			g.w("\t%s = %s", g.laneSub[st.Name], ge)
-			g.w("}")
-			continue
-		}
-		if st.Constraint.Deferred() {
-			return &NotTranslatableError{Reason: fmt.Sprintf("deferred constraint %q is host code", st.Name)}
-		}
-		if ti, tabbed := tabs[st.StatsID]; tabbed {
-			// Tabulated check: one window of the pass bitset replaces the
-			// per-lane kill loop; the tail below is shared, so counters
-			// stay bit-identical to expression emission.
-			t := prog.Tab.Tables[ti]
-			p := g.opts.FuncName
-			lane := lanename(goname(prog.Tab.InnerName))
-			g.w("st.Checks[%d] += beast_live // %s (%s): tabulated", st.StatsID, st.Name, st.Constraint.Class)
-			g.w("{")
-			g.indent++
-			g.w("beast_base := (%s[0] - (%d)) / (%d)", lane, prog.Tab.Base, prog.Tab.Step)
-			if t.Kind == plan.BinaryTable {
-				g.w("beast_row := (%s - (%d)) / (%d)", goname(t.OuterName), t.OuterBase, t.OuterStep)
-				g.w("beast_kill := beast_mask &^ beast%sTabWindow(beast%sTab%d[beast_row*%d:(beast_row+1)*%d], beast_base)",
-					p, p, ti, t.RowWords, t.RowWords)
-			} else {
-				g.w("beast_kill := beast_mask &^ beast%sTabWindow(beast%sTab%d[:], beast_base)", p, p, ti)
-			}
-			g.w("if beast_kill != 0 {")
-		} else {
-			ge, err := g.gexpr(st.Expr)
-			if err != nil {
-				return err
-			}
-			g.w("st.Checks[%d] += beast_live // %s (%s)", st.StatsID, st.Name, st.Constraint.Class)
-			g.w("{")
-			g.indent++
-			g.w("beast_kill := uint64(0)")
-			g.w("for beast_i := 0; beast_i < beast_k; beast_i++ {")
-			g.w("\tif (%s) != 0 {", ge)
-			g.w("\t\tbeast_kill |= uint64(1) << uint(beast_i)")
-			g.w("\t}")
-			g.w("}")
-			g.w("if beast_kill &= beast_mask; beast_kill != 0 {")
-		}
-		g.indent++
-		g.w("beast_kc := beastPopcount(beast_kill)")
-		g.w("st.Kills[%d] += beast_kc", st.StatsID)
-		g.w("beast_mask &^= beast_kill")
-		g.w("beast_live -= beast_kc")
-		g.w("if beast_live == 0 {")
-		g.w("\tcontinue // whole block killed: next chunk")
-		g.w("}")
-		g.indent--
-		g.w("}")
-		g.indent--
-		g.w("}")
-	}
-	tupleNames := prog.TupleNames()
-	names := make([]string, len(tupleNames))
-	for i, n := range tupleNames {
-		if sub, ok := g.laneSub[n]; ok {
-			names[i] = sub
-		} else {
-			names[i] = goname(n)
-		}
-	}
-	g.w("for beast_i := 0; beast_i < beast_k; beast_i++ {")
-	g.indent++
-	g.w("if beast_mask&(uint64(1)<<uint(beast_i)) == 0 {")
-	g.w("\tcontinue")
-	g.w("}")
-	g.w("st.Survivors++")
-	g.w("if onTuple != nil && !onTuple([]int64{%s}) {", strings.Join(names, ", "))
-	g.w("\treturn st")
-	g.w("}")
-	g.indent--
-	g.w("}")
-	return nil
-}
-
-// emitNarrow writes the loop-entry narrowing block of a bounded loop; it
-// mirrors the C generator's emitNarrow (and the engines' range
-// narrowing): absorbed groups tighten [lo_d, hi_d) and credit the values
-// they skip to their constraint's Checks/Kills counters. dynStep guards
-// the block on a positive runtime step.
-func (g *gogen) emitNarrow(d int, lp *plan.Loop, dynStep bool) error {
-	count := fmt.Sprintf("beastNarrowCount(lo%d, hi%d, step%d)", d, d, d)
-	if dynStep {
-		g.w("if step%d > 0 {", d)
-		g.indent++
-	}
-	v := goname(lp.Iter.Name)
-	for gi := range lp.Bounds.Groups {
-		grp := &lp.Bounds.Groups[gi]
-		g.w("{ // narrow: %s (%s)", grp.Name, g.prog.Constraints[grp.StatsID].Class)
-		g.indent++
-		g.w("before%d := %s", d, count)
-		for _, e := range grp.Lo {
-			ge, err := g.gexpr(e)
-			if err != nil {
-				return err
-			}
-			g.w("if b := int64(%s); b > lo%d {", ge, d)
-			g.w("\tlo%d += ((b - lo%d + step%d - 1) / step%d) * step%d", d, d, d, d, d)
-			g.w("}")
-		}
-		for _, e := range grp.Hi {
-			ge, err := g.gexpr(e)
-			if err != nil {
-				return err
-			}
-			g.w("if b := int64(%s); b < hi%d {", ge, d)
-			g.w("\thi%d = b", d)
-			g.w("}")
-		}
-		for pi := range grp.Probes {
-			p := &grp.Probes[pi]
-			pred, err := g.gexpr(p.Pred)
-			if err != nil {
-				return err
-			}
-			g.w("{")
-			g.indent++
-			g.w("sl%d, sh%d := int64(0), %s", d, d, count)
-			g.w("for sl%d < sh%d {", d, d)
-			g.indent++
-			g.w("mid%d := sl%d + (sh%d-sl%d)/2", d, d, d, d)
-			g.w("%s := lo%d + mid%d*step%d", v, d, d, d)
-			if p.SuffixFeasible {
-				g.w("if (%s) == 0 {", pred)
-			} else {
-				g.w("if (%s) != 0 {", pred)
-			}
-			g.w("\tsh%d = mid%d", d, d)
-			g.w("} else {")
-			g.w("\tsl%d = mid%d + 1", d, d)
-			g.w("}")
-			g.indent--
-			g.w("}")
-			if p.SuffixFeasible {
-				g.w("lo%d += sl%d * step%d", d, d, d)
-			} else {
-				g.w("hi%d = lo%d + sl%d*step%d", d, d, d, d)
-			}
-			g.indent--
-			g.w("}")
-		}
-		g.w("if skip := before%d - %s; skip > 0 {", d, count)
-		g.w("\tst.Checks[%d] += skip", grp.StatsID)
-		g.w("\tst.Kills[%d] += skip", grp.StatsID)
-		g.w("}")
-		g.indent--
-		g.w("}")
-	}
-	if dynStep {
-		g.indent--
-		g.w("}")
-	}
-	return nil
-}
-
-func (g *gogen) emitStep(st plan.Step, killStmt string) error {
-	switch st.Kind {
-	case plan.AssignStep:
-		ge, err := g.gexpr(st.Expr)
-		if err != nil {
-			return err
-		}
-		g.w("%s := %s", goname(st.Name), ge)
-		g.w("_ = %s", goname(st.Name))
-		return nil
-	default:
-		if st.Constraint.Deferred() {
-			return &NotTranslatableError{Reason: fmt.Sprintf("deferred constraint %q is host code", st.Name)}
-		}
-		ge, err := g.gexpr(st.Expr)
-		if err != nil {
-			return err
-		}
-		g.w("st.Checks[%d]++ // %s (%s)", st.StatsID, st.Name, st.Constraint.Class)
-		g.w("if (%s) != 0 {", ge)
-		g.w("\tst.Kills[%d]++", st.StatsID)
-		g.w("\t%s", killStmt)
-		g.w("}")
-		return nil
-	}
-}
-
-// gexpr renders a bound expression as Go producing int64 (booleans as 0/1
-// via beastBool).
-func (g *gogen) gexpr(e expr.Expr) (string, error) {
-	switch n := e.(type) {
-	case *expr.Lit:
-		if n.V.K == expr.Str {
-			return "", &NotTranslatableError{Reason: fmt.Sprintf("string literal %s survived folding", n.V)}
-		}
-		if n.V.I < 0 {
-			return fmt.Sprintf("int64(%d)", n.V.I), nil
-		}
-		return fmt.Sprintf("%d", n.V.I), nil
-	case *expr.Ref:
-		if sub, ok := g.laneSub[n.Name]; ok {
-			return sub, nil
-		}
-		return goname(n.Name), nil
-	case *expr.Unary:
-		x, err := g.gexpr(n.X)
-		if err != nil {
-			return "", err
-		}
-		if n.Op == expr.OpNeg {
-			return fmt.Sprintf("(-(%s))", x), nil
-		}
-		return fmt.Sprintf("beastBool((%s) == 0)", x), nil
-	case *expr.Binary:
-		l, err := g.gexpr(n.L)
-		if err != nil {
-			return "", err
-		}
-		r, err := g.gexpr(n.R)
-		if err != nil {
-			return "", err
-		}
-		switch n.Op {
-		case expr.OpDiv:
-			return fmt.Sprintf("beastDiv(%s, %s)", l, r), nil
-		case expr.OpMod:
-			return fmt.Sprintf("beastMod(%s, %s)", l, r), nil
-		case expr.OpAdd, expr.OpSub, expr.OpMul:
-			op := map[expr.Op]string{expr.OpAdd: "+", expr.OpSub: "-", expr.OpMul: "*"}[n.Op]
-			return fmt.Sprintf("((%s) %s (%s))", l, op, r), nil
-		case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-			op := map[expr.Op]string{
-				expr.OpEq: "==", expr.OpNe: "!=", expr.OpLt: "<",
-				expr.OpLe: "<=", expr.OpGt: ">", expr.OpGe: ">=",
-			}[n.Op]
-			return fmt.Sprintf("beastBool((%s) %s (%s))", l, op, r), nil
-		case expr.OpAnd:
-			return fmt.Sprintf("beastBool((%s) != 0 && (%s) != 0)", l, r), nil
-		case expr.OpOr:
-			return fmt.Sprintf("beastBool((%s) != 0 || (%s) != 0)", l, r), nil
-		}
-		return "", fmt.Errorf("codegen: bad binary op %v", n.Op)
-	case *expr.Ternary:
-		// Go has no ternary; emit an immediately-invoked closure. The
-		// compiler inlines these in practice.
-		c, err := g.gexpr(n.Cond)
-		if err != nil {
-			return "", err
-		}
-		t, err := g.gexpr(n.Then)
-		if err != nil {
-			return "", err
-		}
-		f, err := g.gexpr(n.Else)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("func() int64 { if (%s) != 0 { return %s }; return %s }()", c, t, f), nil
-	case *expr.Call:
-		args := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			ga, err := g.gexpr(a)
-			if err != nil {
-				return "", err
-			}
-			args[i] = ga
-		}
-		switch n.Fn {
-		case "abs":
-			return fmt.Sprintf("beastAbs(%s)", args[0]), nil
-		case "min", "max":
-			fn := "beastMin"
-			if n.Fn == "max" {
-				fn = "beastMax"
-			}
-			out := args[0]
-			for _, a := range args[1:] {
-				out = fmt.Sprintf("%s(%s, %s)", fn, out, a)
-			}
-			return out, nil
-		}
-		return "", fmt.Errorf("codegen: unknown builtin %q", n.Fn)
-	case *expr.Table2D:
-		idx := g.tableIndex(n)
-		r, err := g.gexpr(n.Row)
-		if err != nil {
-			return "", err
-		}
-		c, err := g.gexpr(n.Col)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("beast%sTable%dAt(%s, %s)", g.opts.FuncName, idx, r, c), nil
-	default:
-		return "", fmt.Errorf("codegen: unsupported expression type %T", e)
-	}
-}
-
-func (g *gogen) collectTables() {
-	c := &cgen{prog: g.prog}
-	c.collectTables()
-	g.tables = c.tables
-}
-
-func (g *gogen) tableIndex(t *expr.Table2D) int {
-	for i, have := range g.tables {
-		if have == t || (have.Name == t.Name && sameTable(have.Data, t.Data)) {
-			return i
-		}
-	}
-	g.tables = append(g.tables, t)
-	return len(g.tables) - 1
+	e.blank()
+	e.w("// beast_%stab_window reads a 64-bit window of a pass bitset at bit", p)
+	e.w("// offset off; bits beyond the row read as zero and map only to dead")
+	e.w("// lanes.")
+	e.w("func beast_%stab_window(row []uint64, off int64) uint64 {", p)
+	e.w("wi, sh := int(off>>6), uint(off&63)")
+	e.w("var w uint64")
+	e.w("if wi >= 0 && wi < len(row) { w = row[wi] >> sh }")
+	e.w("if sh != 0 && wi+1 >= 0 && wi+1 < len(row) { w |= row[wi+1] << (64 - sh) }")
+	e.w("return w")
+	e.w("}")
+	e.blank()
 }

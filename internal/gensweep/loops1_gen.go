@@ -19,11 +19,12 @@ type Loops1Stats struct {
 // stops enumeration early.
 func Loops1(onTuple func(vals []int64) bool) Loops1Stats {
 	var st Loops1Stats
-	const side = int64(10000000)
+	side := int64(10000000)
 	_ = side
-	for i0 := int64(0); i0 < (10000000); i0++ {
+
+	for i0 := int64(0); i0 < (10000000); i0 += 1 {
 		st.Visits[0]++
-		acc := beastMod(i0, 1009)
+		acc := int64(beast_mod(i0, 1009))
 		_ = acc
 		st.Survivors++
 		if onTuple != nil && !onTuple([]int64{i0}) {

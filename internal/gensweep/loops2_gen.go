@@ -19,15 +19,16 @@ type Loops2Stats struct {
 // stops enumeration early.
 func Loops2(onTuple func(vals []int64) bool) Loops2Stats {
 	var st Loops2Stats
-	const side = int64(3163)
+	side := int64(3163)
 	_ = side
-	for i0 := int64(0); i0 < (3163); i0++ {
+
+	for i0 := int64(0); i0 < (3163); i0 += 1 {
 		st.Visits[0]++
-		beast_t0 := (((i0) * (3)) + (7))
+		beast_t0 := int64(((i0 * 3) + 7))
 		_ = beast_t0
-		for i1 := int64(0); i1 < (3163); i1++ {
+		for i1 := int64(0); i1 < (3163); i1 += 1 {
 			st.Visits[1]++
-			acc := beastMod(((beast_t0) + (i1)), 1009)
+			acc := int64(beast_mod((beast_t0 + i1), 1009))
 			_ = acc
 			st.Survivors++
 			if onTuple != nil && !onTuple([]int64{i0, i1}) {

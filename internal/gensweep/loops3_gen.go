@@ -19,19 +19,20 @@ type Loops3Stats struct {
 // stops enumeration early.
 func Loops3(onTuple func(vals []int64) bool) Loops3Stats {
 	var st Loops3Stats
-	const side = int64(216)
+	side := int64(216)
 	_ = side
-	for i0 := int64(0); i0 < (216); i0++ {
+
+	for i0 := int64(0); i0 < (216); i0 += 1 {
 		st.Visits[0]++
-		beast_t1 := (((i0) * (3)) + (7))
+		beast_t1 := int64(((i0 * 3) + 7))
 		_ = beast_t1
-		for i1 := int64(0); i1 < (216); i1++ {
+		for i1 := int64(0); i1 < (216); i1 += 1 {
 			st.Visits[1]++
-			beast_t0 := ((((beast_t1) + (i1)) * (3)) + (7))
+			beast_t0 := int64((((beast_t1 + i1) * 3) + 7))
 			_ = beast_t0
-			for i2 := int64(0); i2 < (216); i2++ {
+			for i2 := int64(0); i2 < (216); i2 += 1 {
 				st.Visits[2]++
-				acc := beastMod(((beast_t0) + (i2)), 1009)
+				acc := int64(beast_mod((beast_t0 + i2), 1009))
 				_ = acc
 				st.Survivors++
 				if onTuple != nil && !onTuple([]int64{i0, i1, i2}) {

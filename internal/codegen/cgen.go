@@ -108,6 +108,10 @@ func (cDialect) tabWindow(ti, words int, binary bool) string {
 }
 
 func (cDialect) deliver(names []string) string {
+	if len(names) == 0 {
+		// C99 has no empty initializer; the empty tuple has no values.
+		return "if (on_tuple) on_tuple(NULL, 0, ctx);"
+	}
 	return fmt.Sprintf("if (on_tuple) { const i64 beast_tuple[] = {%s}; on_tuple(beast_tuple, %d, ctx); }",
 		strings.Join(names, ", "), len(names))
 }

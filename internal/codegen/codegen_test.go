@@ -90,9 +90,9 @@ func haveCC(t *testing.T) string {
 	return ""
 }
 
-// runGeneratedC compiles and runs emitted C, returning survivors, visits,
-// and per-constraint kills parsed from its stdout.
-func runGeneratedC(t *testing.T, src string, args ...string) (survivors, visits int64, kills map[string]int64) {
+// buildRunC compiles emitted C at -O2 with the given extra compiler flags,
+// runs it with args and returns its output.
+func buildRunC(t *testing.T, src string, ccFlags []string, args ...string) string {
 	t.Helper()
 	cc := haveCC(t)
 	dir := t.TempDir()
@@ -101,7 +101,7 @@ func runGeneratedC(t *testing.T, src string, args ...string) (survivors, visits 
 		t.Fatal(err)
 	}
 	bin := filepath.Join(dir, "sweep")
-	cmd := exec.Command(cc, "-O2", "-std=c99", "-o", bin, cpath, "-lpthread")
+	cmd := exec.Command(cc, append([]string{"-O2", "-std=c99", "-o", bin, cpath, "-lpthread"}, ccFlags...)...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("cc failed: %v\n%s\n--- source ---\n%s", err, out, numberLines(src))
 	}
@@ -109,8 +109,16 @@ func runGeneratedC(t *testing.T, src string, args ...string) (survivors, visits 
 	if err != nil {
 		t.Fatalf("generated binary failed: %v\n%s", err, out)
 	}
+	return string(out)
+}
+
+// runGeneratedC compiles and runs emitted C, returning survivors, visits,
+// and per-constraint kills parsed from its stdout.
+func runGeneratedC(t *testing.T, src string, args ...string) (survivors, visits int64, kills map[string]int64) {
+	t.Helper()
+	out := buildRunC(t, src, nil, args...)
 	kills = make(map[string]int64)
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		f := strings.Fields(line)
 		switch {
 		case len(f) == 2 && f[0] == "survivors":
@@ -259,6 +267,75 @@ func main() {
 					survivors, visits, want.Survivors, want.TotalVisits())
 			}
 		})
+	}
+}
+
+// TestLoopFreeProgram runs a settings-only program in both languages,
+// with its prelude check passing and failing: the survivor count and the
+// number of delivered empty tuples match the engine.
+func TestLoopFreeProgram(t *testing.T) {
+	for _, limit := range []int64{5, 1} {
+		s := space.New()
+		s.IntSetting("n", 3)
+		s.Constrain("big", space.Hard, expr.Gt(expr.NewRef("n"), expr.IntLit(limit)))
+		prog := compileProg(t, s)
+		c, err := engine.NewCompiled(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples := 0
+		st, err := c.Run(engine.Options{OnTuple: func(vals []int64) bool {
+			if len(vals) == 0 {
+				tuples++
+			}
+			return true
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("survivors %d tuples %d", st.Survivors, tuples)
+
+		csrc, err := C(prog, COptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := buildRunC(t, csrc+`
+static void count(const i64 *vals, int n, void *ctx) { (void)vals; if (n == 0) ++*(i64 *)ctx; }
+int main(void) {
+    beast_stats st;
+    i64 tuples = 0;
+    memset(&st, 0, sizeof st);
+    beast_enumerate(&st, count, &tuples);
+    printf("survivors %lld tuples %lld\n", (long long)st.survivors, (long long)tuples);
+    return 0;
+}
+`, nil)
+		if strings.TrimSpace(got) != want {
+			t.Errorf("limit %d: C %q, engine %q", limit, strings.TrimSpace(got), want)
+		}
+
+		gosrc, err := Go(prog, GoOptions{Package: "main", FuncName: "enumerate"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = runGeneratedGo(t, map[string]string{"sweep.go": gosrc, "main.go": `package main
+
+import "fmt"
+
+func main() {
+	tuples := 0
+	st := enumerate(func(vals []int64) bool {
+		if len(vals) == 0 {
+			tuples++
+		}
+		return true
+	})
+	fmt.Printf("survivors %d tuples %d\n", st.Survivors, tuples)
+}
+`})
+		if strings.TrimSpace(got) != want {
+			t.Errorf("limit %d: Go %q, engine %q", limit, strings.TrimSpace(got), want)
+		}
 	}
 }
 

@@ -166,7 +166,8 @@ func (e *emitter) body(striped bool) error {
 		}
 	}
 	if len(e.prog.Loops) == 0 {
-		e.w("%s++;", e.d.stat("survivors"))
+		// A loop-free program has one survivor, the empty tuple.
+		e.survive()
 		return nil
 	}
 	return e.emitLoop(0, striped)

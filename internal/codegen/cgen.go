@@ -121,19 +121,20 @@ const cHelpers = `typedef int64_t i64;
 /* Python floor division and modulo, total on zero divisors. */
 static i64 beast_div(i64 a, i64 b) {
     if (b == 0) return 0;
+    if (b == -1) return a == INT64_MIN ? a : -a; /* wraps like Go */
     i64 q = a / b;
     if ((a % b != 0) && ((a < 0) != (b < 0))) q--;
     return q;
 }
 static i64 beast_mod(i64 a, i64 b) {
-    if (b == 0) return 0;
+    if (b == 0 || b == -1) return 0;
     i64 r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
 }
 static i64 beast_min(i64 a, i64 b) { return a < b ? a : b; }
 static i64 beast_max(i64 a, i64 b) { return a > b ? a : b; }
-static i64 beast_abs(i64 a) { return a < 0 ? -a : a; }
+static i64 beast_abs(i64 a) { return a < 0 && a != INT64_MIN ? -a : a; }
 `
 
 const cPopcount = `
@@ -188,7 +189,7 @@ func (e *emitter) cPreamble(threads bool) {
 		}
 		e.w("};")
 		e.w("static i64 beast_table%d_at(i64 r, i64 c) {", ti)
-		e.w("    if (r < 0 || r >= %d || c < 0 || c >= %d) return %d;", len(rows), cols, t.Default)
+		e.w("    if (r < 0 || r >= %d || c < 0 || c >= %d) return %s;", len(rows), cols, intLit(t.Default, false))
 		e.w("    return beast_table%d[r][c];", ti)
 		e.w("}")
 	}

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -116,7 +117,11 @@ func buildRunC(t *testing.T, src string, ccFlags []string, args ...string) strin
 // and per-constraint kills parsed from its stdout.
 func runGeneratedC(t *testing.T, src string, args ...string) (survivors, visits int64, kills map[string]int64) {
 	t.Helper()
-	out := buildRunC(t, src, nil, args...)
+	return parseSweep(buildRunC(t, src, nil, args...))
+}
+
+// parseSweep reads the statistics an emitted C main() prints.
+func parseSweep(out string) (survivors, visits int64, kills map[string]int64) {
 	kills = make(map[string]int64)
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		f := strings.Fields(line)
@@ -267,6 +272,38 @@ func main() {
 					survivors, visits, want.Survivors, want.TotalVisits())
 			}
 		})
+	}
+}
+
+// TestInt64EdgeHelpers divides a MinInt64 setting by an iterator that
+// takes the value -1 and checks /, % and abs of the quotient against the
+// compiled engine, with the emitted C built at -O0 and -O2 and pedantic
+// errors on. Go defines MinInt64 / -1 = MinInt64, MinInt64 % -1 = 0 and
+// -MinInt64 = MinInt64; in C the first two trap and the last is undefined.
+func TestInt64EdgeHelpers(t *testing.T) {
+	s := space.New()
+	s.IntSetting("m", math.MinInt64)
+	s.Range("i", expr.IntLit(-2), expr.IntLit(2))
+	s.Derived("q", expr.Div(expr.NewRef("m"), expr.NewRef("i")))
+	s.Constrain("mod_set", space.Soft, expr.Ne(expr.Mod(expr.NewRef("m"), expr.NewRef("i")), expr.IntLit(0)))
+	s.Constrain("abs_neg", space.Soft, expr.Lt(expr.Abs(expr.NewRef("q")), expr.IntLit(0)))
+	s.Constrain("q_pos", space.Soft, expr.Gt(expr.NewRef("q"), expr.IntLit(0)))
+	prog := compileProg(t, s)
+	want := engineStats(t, prog)
+	src, err := C(prog, COptions{Main: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []string{"-O0", "-O2"} {
+		survivors, visits, kills := parseSweep(buildRunC(t, src, []string{opt, "-pedantic-errors"}))
+		if survivors != want.Survivors || visits != want.TotalVisits() {
+			t.Errorf("%s: C survivors/visits = %d/%d, engine = %d/%d", opt, survivors, visits, want.Survivors, want.TotalVisits())
+		}
+		for i, c := range prog.Constraints {
+			if kills[c.Name] != want.Kills[i] {
+				t.Errorf("%s: C kills[%s] = %d, engine = %d", opt, c.Name, kills[c.Name], want.Kills[i])
+			}
+		}
 	}
 }
 

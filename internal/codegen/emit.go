@@ -24,6 +24,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/expr"
@@ -139,13 +140,18 @@ func genChunkSize(n int, prog *plan.Program) int {
 	return min(n, 64)
 }
 
-// intLit renders an int64 literal; negative values are parenthesized so
-// they nest in any operand position.
-func intLit(v int64) string {
-	if v < 0 {
+// intLit renders an int64 literal, parenthesized when negative and paren
+// is set so it nests in any operand position. MinInt64 is spelt as an
+// expression: C reads -9223372036854775808 as the negation of a constant
+// too large for int64.
+func intLit(v int64, paren bool) string {
+	switch {
+	case v == math.MinInt64:
+		return "(-9223372036854775807 - 1)"
+	case v < 0 && paren:
 		return fmt.Sprintf("(%d)", v)
 	}
-	return fmt.Sprintf("%d", v)
+	return fmt.Sprint(v)
 }
 
 // body writes the enumeration function's body: settings as constants, the
@@ -156,7 +162,7 @@ func (e *emitter) body(striped bool) error {
 	// String settings fold away; only ints are emitted.
 	for _, s := range e.prog.Settings {
 		if s.V.K != expr.Str {
-			e.w("%s;", e.d.decl("const i64", e.ident(s.Name), fmt.Sprint(s.V.I)))
+			e.w("%s;", e.d.decl("const i64", e.ident(s.Name), intLit(s.V.I, false)))
 		}
 	}
 	e.blank()
@@ -199,7 +205,7 @@ func (e *emitter) rangeParts(n *space.RangeDomain) (start, stop, step string, li
 		return
 	}
 	if l, ok := n.Step.(*expr.Lit); ok && l.V.I != 0 {
-		return start, stop, fmt.Sprint(l.V.I), l.V.I, nil
+		return start, stop, intLit(l.V.I, false), l.V.I, nil
 	}
 	step, err = e.expr(n.Step)
 	return
@@ -296,7 +302,7 @@ func (e *emitter) emitLoop(d int, striped bool) error {
 			if lit < 0 {
 				cmp = ">"
 			}
-			e.w("%s {", e.d.loop(e.d.decl("i64", v, start), fmt.Sprintf("%s %s (%s)", v, cmp, stop), fmt.Sprintf("%s += %d", v, lit)))
+			e.w("%s {", e.d.loop(e.d.decl("i64", v, start), fmt.Sprintf("%s %s (%s)", v, cmp, stop), v+" += "+step))
 		default:
 			e.w("{")
 			e.indent++
@@ -622,7 +628,7 @@ func (e *emitter) expr(x expr.Expr) (string, error) {
 		if n.V.K == expr.Str {
 			return "", &NotTranslatableError{Reason: fmt.Sprintf("string literal %s survived folding", n.V)}
 		}
-		return intLit(n.V.I), nil
+		return intLit(n.V.I, true), nil
 	case *expr.Ref:
 		if sub, ok := e.laneSub[n.Name]; ok {
 			return sub, nil
@@ -804,9 +810,9 @@ func tableRows(t *expr.Table2D) (rows []string, cols int) {
 	for _, r := range t.Data {
 		vals := make([]string, cols)
 		for i := range vals {
-			vals[i] = fmt.Sprint(t.Default)
+			vals[i] = intLit(t.Default, false)
 			if i < len(r) {
-				vals[i] = fmt.Sprint(r[i])
+				vals[i] = intLit(r[i], false)
 			}
 		}
 		rows = append(rows, strings.Join(vals, ", "))

@@ -255,7 +255,7 @@ func (e *emitter) goTables() {
 		e.w("}")
 		e.blank()
 		e.w("func beast_%stable%d_at(r, c int64) int64 {", p, ti)
-		e.w("if r < 0 || r >= %d || c < 0 || c >= %d { return %d }", len(rows), cols, t.Default)
+		e.w("if r < 0 || r >= %d || c < 0 || c >= %d { return %s }", len(rows), cols, intLit(t.Default, false))
 		e.w("return beast_%stable%d[r][c]", p, ti)
 		e.w("}")
 		e.blank()

@@ -242,24 +242,6 @@ func (e *emitter) emitLoop(d int, striped bool) error {
 	lp := e.prog.Loops[d]
 	v := e.ident(lp.Iter.Name)
 	last := d == len(e.prog.Loops)-1
-
-	body := func() error {
-		if striped && d == 0 {
-			e.w("beast_outer_idx++; %s%s", e.d.ifc("beast_outer_idx % nthreads != tid"), e.d.one("continue"))
-		}
-		e.w("%s[%d]++;", e.d.stat("visits"), d)
-		for _, st := range lp.Steps {
-			if err := e.emitStep(st, "continue"); err != nil {
-				return err
-			}
-		}
-		if last {
-			e.survive()
-			return nil
-		}
-		return e.emitLoop(d+1, false)
-	}
-
 	if striped && d == 0 {
 		e.w("%s;", e.d.decl("i64", "beast_outer_idx", "-1"))
 	}
@@ -274,6 +256,12 @@ func (e *emitter) emitLoop(d int, striped bool) error {
 		return e.emitChunkLoop(d, dom)
 	}
 	blocks := 1 // braces to close after the body
+	open := func() {
+		e.w("{")
+		e.indent++
+		blocks++
+	}
+	var bind string // binds v to the current list element
 	switch n := dom.(type) {
 	case *space.RangeDomain:
 		start, stop, step, lit, err := e.rangeParts(n)
@@ -285,9 +273,7 @@ func (e *emitter) emitLoop(d int, striped bool) error {
 			// Narrowed loop (plan bounds pass): evaluate the absorbed
 			// constraint groups once at loop entry, then iterate the
 			// tightened [lo, hi).
-			e.w("{")
-			e.indent++
-			blocks++
+			open()
 			e.loHi(d, start, stop, step)
 			if err := e.emitNarrow(d, lp, lit == 0, striped && d == 0); err != nil {
 				return err
@@ -304,29 +290,37 @@ func (e *emitter) emitLoop(d int, striped bool) error {
 			}
 			e.w("%s {", e.d.loop(e.d.decl("i64", v, start), fmt.Sprintf("%s %s (%s)", v, cmp, stop), v+" += "+step))
 		default:
-			e.w("{")
-			e.indent++
-			blocks++
+			open()
 			e.w("%s;", e.d.decl("const i64", fmt.Sprintf("beast_stop_%d", d), stop, fmt.Sprintf("beast_step_%d", d), step))
 			e.w("%s {", e.d.loop(e.d.decl("i64", v, start), e.runs(d, v, fmt.Sprintf("beast_stop_%d", d)), fmt.Sprintf("%s += beast_step_%d", v, d)))
 		}
 	case *space.ListDomain:
-		e.w("{")
-		e.indent++
-		blocks++
+		open()
 		if err := e.list(d, n); err != nil {
 			return err
 		}
 		i := fmt.Sprintf("beast_i_%d", d)
 		e.w("%s {", e.d.loop(e.d.decl("int", i, "0"), fmt.Sprintf("%s < %d", i, len(n.Elems)), i+"++"))
-		e.indent++
-		e.w("%s;", e.d.decl("const i64", v, fmt.Sprintf("beast_list_%d[%s]", d, i)))
-		e.indent--
+		bind = e.d.decl("const i64", v, fmt.Sprintf("beast_list_%d[%s]", d, i))
 	default:
 		return &NotTranslatableError{Reason: fmt.Sprintf("domain %T of iterator %s", dom, lp.Iter.Name)}
 	}
 	e.indent++
-	if err := body(); err != nil {
+	if bind != "" {
+		e.w("%s;", bind)
+	}
+	if striped && d == 0 {
+		e.w("beast_outer_idx++; %s%s", e.d.ifc("beast_outer_idx % nthreads != tid"), e.d.one("continue"))
+	}
+	e.w("%s[%d]++;", e.d.stat("visits"), d)
+	for _, st := range lp.Steps {
+		if err := e.emitStep(st, "continue"); err != nil {
+			return err
+		}
+	}
+	if last {
+		e.survive()
+	} else if err := e.emitLoop(d+1, false); err != nil {
 		return err
 	}
 	for ; blocks > 0; blocks-- {
@@ -345,20 +339,10 @@ func (e *emitter) emitLoop(d int, striped bool) error {
 // kills, and survivors are bit-identical to scalar emission.
 func (e *emitter) emitChunkLoop(d int, dom space.DomainExpr) error {
 	lp := e.prog.Loops[d]
-	lane := lanename(e.ident(lp.Iter.Name))
-	laneDecls := func() {
-		e.w("%s;", e.d.array(lane, e.chunk, ""))
-		seen := map[string]bool{lane: true}
-		for _, st := range lp.Steps {
-			if arr := lanename(e.ident(st.Name)); st.Kind == plan.AssignStep && !seen[arr] {
-				seen[arr] = true
-				e.w("%s;", e.d.array(arr, e.chunk, ""))
-			}
-		}
-	}
-	// more holds while values remain, fill gates the block fill, and next
-	// is the next value followed by the statement that advances past it.
-	var more, fill, next string
+	// cursor declares the position in the domain, more holds while values
+	// remain, fill gates the block fill, and next is the next value
+	// followed by the statement that advances past it.
+	var cursor, more, fill, next string
 	e.w("{ /* chunked innermost loop (chunk=%d) */", e.chunk)
 	e.indent++
 	switch n := dom.(type) {
@@ -382,23 +366,31 @@ func (e *emitter) emitChunkLoop(d int, dom space.DomainExpr) error {
 		default:
 			more = e.runs(d, cur, hi)
 		}
+		cursor = e.d.decl("i64", cur, fmt.Sprintf("beast_lo_%d", d))
 		fill = "(" + more + ")"
 		next = fmt.Sprintf("%s; %s += beast_step_%d", cur, cur, d)
-		laneDecls()
-		e.w("%s;", e.d.decl("i64", cur, fmt.Sprintf("beast_lo_%d", d)))
 	case *space.ListDomain:
 		if err := e.list(d, n); err != nil {
 			return err
 		}
 		pos := fmt.Sprintf("beast_pos_%d", d)
+		cursor = e.d.decl("int", pos, "0")
 		more = fmt.Sprintf("%s < %d", pos, len(n.Elems))
 		fill = more
 		next = fmt.Sprintf("beast_list_%d[%s]; %s++", d, pos, pos)
-		laneDecls()
-		e.w("%s;", e.d.decl("int", pos, "0"))
 	default:
 		return &NotTranslatableError{Reason: fmt.Sprintf("domain %T of iterator %s", dom, lp.Iter.Name)}
 	}
+	lane := lanename(e.ident(lp.Iter.Name))
+	e.w("%s;", e.d.array(lane, e.chunk, ""))
+	seen := map[string]bool{lane: true}
+	for _, st := range lp.Steps {
+		if arr := lanename(e.ident(st.Name)); st.Kind == plan.AssignStep && !seen[arr] {
+			seen[arr] = true
+			e.w("%s;", e.d.array(arr, e.chunk, ""))
+		}
+	}
+	e.w("%s;", cursor)
 	e.w("%s {", e.d.loop("", more, ""))
 	e.indent++
 	e.w("%s;", e.d.decl("int", "beast_k", "0"))

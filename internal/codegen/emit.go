@@ -59,7 +59,8 @@ type dialect interface {
 	ifc(cond string) string
 	one(stmt string) string
 	// truth and falsy test an i64 as a condition; boolInt turns a
-	// condition into 0 or 1; ternary picks t or f of type typ.
+	// condition into 0 or 1; ternary picks t or f of type typ, a C type
+	// or "bool".
 	truth(x string) string
 	falsy(x string) string
 	boolInt(cond string) string

@@ -118,15 +118,14 @@ func (goDialect) keywords() map[string]bool { return goKeywords }
 // decl converts every value to the declared type, so untyped constants
 // become int64. Go rejects unused locals, so constants are also kept.
 func (goDialect) decl(typ string, nv ...string) string {
-	var names, vals, keeps []string
+	var names, vals []string
 	for i := 0; i < len(nv); i += 2 {
 		names = append(names, nv[i])
 		vals = append(vals, goTypes[typ]+"("+nv[i+1]+")")
-		keeps = append(keeps, "; _ = "+nv[i])
 	}
 	s := strings.Join(names, ", ") + " := " + strings.Join(vals, ", ")
 	if typ == "const i64" {
-		s += strings.Join(keeps, "")
+		s += "; _ = " + strings.Join(names, "; _ = ")
 	}
 	return s
 }

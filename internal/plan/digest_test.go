@@ -73,9 +73,11 @@ func writeReorderDigest(h hash.Hash, prog *plan.Program) {
 	fmt.Fprint(h, prog.Describe())
 }
 
-// TestReorderDecisionDigest compiles the corpus with default options and
-// compares the digest of every decision and plan against the pinned value.
-func TestReorderDecisionDigest(t *testing.T) {
+// corpusDigest compiles every corpus space with default options and
+// returns the sha256 of the text write feeds for each compiled program
+// (compile errors are hashed as text).
+func corpusDigest(t *testing.T, write func(h hash.Hash, prog *plan.Program)) string {
+	t.Helper()
 	h := sha256.New()
 	for _, c := range digestCorpus() {
 		fmt.Fprintf(h, "== %s\n", c.name)
@@ -88,9 +90,35 @@ func TestReorderDecisionDigest(t *testing.T) {
 			fmt.Fprintf(h, "error: %v\n", err)
 			continue
 		}
-		writeReorderDigest(h, prog)
+		write(h, prog)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != reorderDigest {
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestReorderDecisionDigest compares the digest of every decision and plan
+// in the corpus against the pinned value.
+func TestReorderDecisionDigest(t *testing.T) {
+	if got := corpusDigest(t, writeReorderDigest); got != reorderDigest {
 		t.Errorf("reorder decision digest = %s, want %s", got, reorderDigest)
+	}
+}
+
+// reorderChoiceDigest pins only which order each corpus space is compiled
+// with: Applied and Chosen. Estimation changes that move selectivities or
+// estimated visits without flipping a decision leave it alone.
+const reorderChoiceDigest = "80fd763ea52cb89bbcf4899c5f3bf9a3d3d78f4d115d22177aa6856c5b2f79da"
+
+// TestReorderChoiceDigest compares the digest of every space's Applied and
+// Chosen against the pinned value.
+func TestReorderChoiceDigest(t *testing.T) {
+	got := corpusDigest(t, func(h hash.Hash, prog *plan.Program) {
+		if ri := prog.Reorder; ri == nil {
+			fmt.Fprintln(h, "reorder: none")
+		} else {
+			fmt.Fprintf(h, "applied=%v chosen=%s\n", ri.Applied, strings.Join(ri.Chosen, ","))
+		}
+	})
+	if got != reorderChoiceDigest {
+		t.Errorf("reorder choice digest = %s, want %s", got, reorderChoiceDigest)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // they produce over a fixed corpus of real spaces. Any change to the
 // sampled selectivities, the cost model, the arbitration or the compiled
 // nest moves it; plan-time speedups must leave it alone.
-const reorderDigest = "37dae46746fb13c7f8536212794a8d6db1576d120a264df751514739c72ebd2e"
+const reorderDigest = "091fbb867b73199a47182e5e3f39a8e6d539faf7d31ef23b1cfc9aae34962f8e"
 
 // digestCorpus lists the spaces the digest covers, by name.
 func digestCorpus() []struct {

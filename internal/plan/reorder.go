@@ -30,9 +30,9 @@ const (
 	// reorderSamples is the Monte Carlo budget per sampled constraint.
 	reorderSamples = 256
 
-	// reorderWalkCap bounds the exact-enumeration walk; a dynamic domain
-	// can exceed its static estimate, and past this point the sample is
-	// large enough anyway.
+	// reorderWalkCap is the most leaves an exact census walks. A dynamic
+	// domain can exceed its static estimate, so each support set is sized
+	// before its walk, and one with more leaves is sampled instead.
 	reorderWalkCap = 4 * reorderExactCap
 
 	// reorderMatCap bounds per-level domain materialization during Monte
@@ -79,7 +79,8 @@ type SelectivityEstimate struct {
 	Samples int
 
 	// Exact reports that every assignment of the support domains was
-	// enumerated (Pass is a census, not an estimate).
+	// enumerated (Pass is a census, not an estimate). A support set with
+	// more than reorderWalkCap assignments is always sampled.
 	Exact bool
 }
 
@@ -252,10 +253,12 @@ func allCheckSteps(p *Program) []Step {
 // The estimate is nil for constraints with no iterator dependencies
 // (prelude checks — order-irrelevant) and for steps with no expression.
 //
-// Constraints small enough for an exact census are grouped by support set
-// and each set is walked once, every member counting its own passes at
-// the leaves (see census). Monte Carlo constraints are sampled one by one,
-// since each draws from an RNG seeded by its own name.
+// Constraints whose support cardinalities multiply to at most
+// reorderExactCap are grouped by support set and each set is walked once,
+// every member counting its own passes at the leaves (see census). Monte
+// Carlo constraints are sampled one by one, since each draws from an RNG
+// seeded by its own name; so is every member of a census that turns out to
+// have more than reorderWalkCap leaves.
 func estimateSelectivities(p *Program, steps []Step, cards map[string]int64) []*SelectivityEstimate {
 	out := make([]*SelectivityEstimate, len(steps))
 	groups := make(map[uint64]*census)
@@ -421,19 +424,22 @@ type censusMember struct {
 	pass int
 }
 
-// run walks the support set once, capped at reorderWalkCap leaves, and
-// fills in every member's estimate.
+// run walks the support set once and fills in every member's estimate.
+// A set with more than reorderWalkCap leaves is not walked: each member is
+// sampled by sampleSelectivity instead.
 func (c *census) run(p *Program) {
 	env := p.NewEnv()
 	runPreludeAssigns(p, env)
 	assigns := feedingAssigns(c.support, c.feeds)
-	exact, total := true, 0
+	if c.leaves(env, assigns) > reorderWalkCap {
+		for _, m := range c.members {
+			sampleSelectivity(p, *m.st, c.support, c.feeds, m.est)
+		}
+		return
+	}
+	total := 0
 	var walk func(lvl int)
 	walk = func(lvl int) {
-		if total >= reorderWalkCap {
-			exact = false
-			return
-		}
 		if lvl == len(c.support) {
 			total++
 			for _, m := range c.members {
@@ -450,15 +456,45 @@ func (c *census) run(p *Program) {
 				env.Slots[lp.Slot] = expr.IntVal(v)
 				runAssigns(assigns[lvl], env)
 				walk(lvl + 1)
-				return total < reorderWalkCap
+				return true
 			})
 		}()
 	}
 	walk(0)
 	for _, m := range c.members {
-		m.est.Exact = exact
+		m.est.Exact = true
 		setPass(m.est, m.pass, total)
 	}
+}
+
+// leaves counts the leaves run's walk would reach from env, stopping as
+// soon as the count passes reorderWalkCap. It walks, on a copy of env,
+// only the levels above the innermost, running their feeding assignments,
+// and sizes the innermost level with domainLen.
+func (c *census) leaves(env *expr.Env, assigns [][]Step) uint64 {
+	env = &expr.Env{Slots: append([]expr.Value(nil), env.Slots...)}
+	last := len(c.support) - 1
+	var total uint64
+	var walk func(lvl int)
+	walk = func(lvl int) {
+		lp := c.support[lvl]
+		if lvl == last {
+			n, _ := domainLen(lp.Domain, env, reorderWalkCap+1-total)
+			total += n
+			return
+		}
+		func() {
+			defer func() { _ = recover() }()
+			iterateLoop(lp, env, func(v int64) bool {
+				env.Slots[lp.Slot] = expr.IntVal(v)
+				runAssigns(assigns[lvl], env)
+				walk(lvl + 1)
+				return total <= reorderWalkCap
+			})
+		}()
+	}
+	walk(0)
+	return total
 }
 
 // sampleSelectivity estimates one constraint's pass rate from
@@ -583,6 +619,33 @@ func rangeLen(start, stop, step int64, limit uint64) (n uint64, wraps bool) {
 		return n, last > math.MaxInt64-step
 	}
 	return n, last < math.MinInt64-step
+}
+
+// domainLen returns how many values d yields in env before a walk capped
+// at limit stops: by arithmetic for a range whose walk does not wrap
+// int64, by walking otherwise. ok is false when evaluating the domain
+// panics; n then counts the values yielded before the panic, as a walk
+// that recovers would see them.
+func domainLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	if rd, isRange := d.(*space.RangeDomain); isRange {
+		start, stop, step, valid := rd.Span(env)
+		if !valid {
+			return 0, true
+		}
+		if m, wraps := rangeLen(start, stop, step, limit); !wraps {
+			return m, true
+		}
+	}
+	d.Iterate(env, func(int64) bool {
+		n++
+		return n < limit
+	})
+	return n, true
 }
 
 // reorderBoundsCtx builds an interval/taint context and a full inlining

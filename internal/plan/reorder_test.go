@@ -361,3 +361,74 @@ func TestPickMatchesMaterialized(t *testing.T) {
 		}
 	}
 }
+
+// TestCensusSizedBeforeWalk: a support set is sized before it is walked.
+// cc = range(bb, n) gets DefaultLoopCard, so every support below looks
+// small enough for a census. One whose walk would reach more than
+// reorderWalkCap leaves is sampled by Monte Carlo instead of walked in its
+// declaration-order corner; one that fits, up to the cap itself, is
+// censused whole.
+func TestCensusSizedBeforeWalk(t *testing.T) {
+	ref, lit := expr.NewRef, expr.IntLit
+	s := space.New()
+	s.IntSetting("n", 1024)
+	s.Range("aa", lit(1), lit(17))
+	s.Range("bb", lit(1), lit(17))
+	s.Range("cc", ref("bb"), ref("n"))                      // 16*1024 - 136 leaves under bb
+	s.Range("dd", ref("bb"), lit(400))                      // 16*400 - 136 = 6,264 leaves under bb
+	s.Range("ee", ref("bb"), expr.Add(ref("bb"), lit(512))) // 16*512 = 8,192 leaves under bb
+	s.Constrain("near_b", space.Soft, expr.Eq(expr.Mod(
+		expr.Add(ref("cc"), expr.Mul(lit(2), ref("bb"))), lit(29)), lit(3)))
+	s.Constrain("near_a", space.Soft, expr.Eq(expr.Mod(
+		expr.Add(ref("cc"), expr.Mul(lit(4), ref("aa"))), lit(31)), lit(17)))
+	s.Constrain("fits", space.Soft, expr.Eq(expr.Mod(
+		expr.Add(ref("dd"), ref("bb")), lit(7)), lit(3)))
+	s.Constrain("at_cap", space.Soft, expr.Eq(expr.Mod(
+		expr.Add(ref("ee"), ref("bb")), lit(5)), lit(1)))
+	prog, err := Compile(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri := prog.Reorder
+	if ri == nil {
+		t.Fatal("no reorder info")
+	}
+	for _, name := range []string{"near_b", "near_a"} {
+		est, ok := ri.SelectivityOf(name)
+		if !ok {
+			t.Fatalf("no estimate for %s", name)
+		}
+		if est.Exact || est.Samples != reorderSamples {
+			t.Errorf("%s: over-cap support should be sampled (Exact false, Samples %d), got %+v",
+				name, reorderSamples, est)
+		}
+	}
+
+	// The censused supports report every leaf and the true pass rate.
+	for _, c := range []struct {
+		name     string
+		stop     func(bb int64) int64
+		mod, hit int64
+	}{
+		{"fits", func(int64) int64 { return 400 }, 7, 3},
+		{"at_cap", func(bb int64) int64 { return bb + 512 }, 5, 1},
+	} {
+		pass, total := 0, 0
+		for bb := int64(1); bb < 17; bb++ {
+			for v := bb; v < c.stop(bb); v++ {
+				total++
+				if (v+bb)%c.mod != c.hit {
+					pass++
+				}
+			}
+		}
+		est, ok := ri.SelectivityOf(c.name)
+		if !ok {
+			t.Fatalf("no estimate for %s", c.name)
+		}
+		want := float64(pass) / float64(total)
+		if !est.Exact || est.Samples != total || est.Pass != want {
+			t.Errorf("%s: want an exact census of %d leaves, pass %g; got %+v", c.name, total, want, est)
+		}
+	}
+}

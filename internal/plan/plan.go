@@ -710,8 +710,8 @@ const DefaultLoopCard = 8
 
 // EstimateLoopCards estimates the domain cardinality of every loop, in
 // nest order. Domains that depend only on settings and prelude-derived
-// values are materialized against the prelude environment and counted
-// exactly; everything else gets DefaultLoopCard. The parallel scheduler
+// values are sized against the prelude environment, exactly up to 1<<22
+// values; everything else gets DefaultLoopCard. The parallel scheduler
 // uses these estimates to pick its prefix split depth (§X.B: the level
 // sets make the nest embarrassingly parallel at L0; the estimates say how
 // many levels are worth tiling).
@@ -720,32 +720,8 @@ func (p *Program) EstimateLoopCards() []int64 {
 	// Prelude assignments depend only on settings; a type error here (an
 	// unfolded string program) just leaves the affected estimates at the
 	// default.
-	safeEval := func(e expr.Expr) (v expr.Value, ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		return e.Eval(env), true
-	}
-	for _, st := range p.Prelude {
-		if st.Kind == AssignStep {
-			if v, ok := safeEval(st.Expr); ok {
-				env.Slots[st.Slot] = v
-			}
-		}
-	}
-	// Names bound inside the nest: loop variables and loop-level derived
-	// values. A domain referencing any of them is dynamic.
-	dynamic := make(map[string]bool)
-	for _, lp := range p.Loops {
-		dynamic[lp.Iter.Name] = true
-		for _, st := range lp.Steps {
-			if st.Kind == AssignStep {
-				dynamic[st.Name] = true
-			}
-		}
-	}
+	runPreludeAssigns(p, env)
+	dynamic := dynamicNames(p)
 	cards := make([]int64, len(p.Loops))
 	for i, lp := range p.Loops {
 		cards[i] = DefaultLoopCard
@@ -762,21 +738,9 @@ func (p *Program) EstimateLoopCards() []int64 {
 		if !static {
 			continue
 		}
-		var n int64
-		counted := func() (ok bool) {
-			defer func() {
-				if recover() != nil {
-					ok = false
-				}
-			}()
-			lp.Domain.Iterate(env, func(int64) bool {
-				n++
-				return n < 1<<22 // cap the walk; beyond this any estimate saturates
-			})
-			return true
-		}()
-		if counted {
-			cards[i] = n
+		// Counting stops at 1<<22; beyond this any estimate saturates.
+		if n, ok := domainLen(lp.Domain, env, 1<<22); ok {
+			cards[i] = int64(n)
 		}
 	}
 	return cards

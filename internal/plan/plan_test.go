@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -301,6 +302,9 @@ func TestEstimateLoopCards(t *testing.T) {
 	s.DeferredIter("d", []string{"a"}, func(args []expr.Value) space.DomainExpr {
 		return space.NewIntList(args[0].I)
 	})
+	s.Range("big", expr.IntLit(0), expr.IntLit(1<<40)) // saturates at 1<<22
+	// Steps past MaxInt64 back to MinInt64+1 and on: the walk never ends.
+	s.RangeStep("wrap", expr.IntLit(math.MaxInt64-10), expr.IntLit(math.MaxInt64), expr.IntLit(4))
 	prog, err := Compile(s, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -320,6 +324,11 @@ func TestEstimateLoopCards(t *testing.T) {
 	}
 	if byName["d"] != DefaultLoopCard {
 		t.Errorf("card(d) = %d, want default %d", byName["d"], DefaultLoopCard)
+	}
+	for _, name := range []string{"big", "wrap"} {
+		if byName[name] != 1<<22 {
+			t.Errorf("card(%s) = %d, want the cap %d", name, byName[name], 1<<22)
+		}
 	}
 }
 

@@ -307,17 +307,19 @@ func TestReorderOutOfScopeSingleLoop(t *testing.T) {
 	}
 }
 
-// TestPickMatchesMaterialized: the arithmetic range pick must return the
-// value the materializing walk picks, after the same RNG draws, for every
-// range shape. Ranges whose walk wraps int64 must fall back to the walk;
-// every other range must not touch the materialization buffer.
-func TestPickMatchesMaterialized(t *testing.T) {
+// rangeShape is one range(start, stop, step) domain; wraps marks a range
+// whose walk steps past an int64 limit and back inside the range.
+type rangeShape struct {
+	name              string
+	start, stop, step expr.Expr
+	wraps             bool
+}
+
+// rangeShapes covers the range forms the arithmetic sizers must agree
+// with a walk on.
+func rangeShapes() []rangeShape {
 	lit := expr.IntLit
-	cases := []struct {
-		name              string
-		start, stop, step expr.Expr
-		fallback          bool
-	}{
+	return []rangeShape{
 		{"ascending", lit(0), lit(10), lit(1), false},
 		{"ascending, step does not divide span", lit(3), lit(100), lit(7), false},
 		{"descending", lit(10), lit(0), lit(-1), false},
@@ -337,7 +339,14 @@ func TestPickMatchesMaterialized(t *testing.T) {
 		{"Span panics on a string operand", expr.Add(expr.StrLit("x"), lit(1)), lit(10), lit(1), false},
 		{"string bound", lit(0), expr.StrLit("x"), lit(1), false},
 	}
-	for _, c := range cases {
+}
+
+// TestPickMatchesMaterialized: the arithmetic range pick must return the
+// value the materializing walk picks, after the same RNG draws, for every
+// range shape. Ranges whose walk wraps int64 must fall back to the walk;
+// every other range must not touch the materialization buffer.
+func TestPickMatchesMaterialized(t *testing.T) {
+	for _, c := range rangeShapes() {
 		lp := &Loop{
 			Iter:   &space.Iterator{Name: "x", Kind: space.ExprIter},
 			Domain: &space.RangeDomain{Start: c.start, Stop: c.stop, Step: c.step},
@@ -356,8 +365,40 @@ func TestPickMatchesMaterialized(t *testing.T) {
 				t.Fatalf("%s, draw %d: RNG draw counts differ", c.name, i)
 			}
 		}
-		if used := cap(fast.vals) > 0; used != c.fallback {
-			t.Errorf("%s: materialized = %v, want %v", c.name, used, c.fallback)
+		if used := cap(fast.vals) > 0; used != c.wraps {
+			t.Errorf("%s: materialized = %v, want %v", c.name, used, c.wraps)
+		}
+	}
+}
+
+// TestDomainLenMatchesWalk: domainLen must count what a capped walk that
+// recovers from panics counts, and report the panic, for every range shape
+// and for a list whose third element fails to evaluate.
+func TestDomainLenMatchesWalk(t *testing.T) {
+	doms := map[string]space.DomainExpr{
+		"list, third element panics": &space.ListDomain{Elems: []expr.Expr{
+			expr.IntLit(1), expr.IntLit(2), expr.Add(expr.StrLit("x"), expr.IntLit(1)), expr.IntLit(4)}},
+	}
+	for _, c := range rangeShapes() {
+		doms[c.name] = &space.RangeDomain{Start: c.start, Stop: c.stop, Step: c.step}
+	}
+	env := expr.NewEnv(1)
+	for name, d := range doms {
+		for _, limit := range []uint64{1, 2, 7, reorderMatCap} {
+			var walked uint64
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				d.Iterate(env, func(int64) bool {
+					walked++
+					return walked < limit
+				})
+				return false
+			}()
+			n, ok := domainLen(d, env, limit)
+			if n != walked || ok == panicked {
+				t.Errorf("%s, limit %d: domainLen = (%d, %v), walk counts %d (panicked %v)",
+					name, limit, n, ok, walked, panicked)
+			}
 		}
 	}
 }

@@ -190,27 +190,33 @@ func dynamicNames(prog *Program) map[string]bool {
 	return dynamic
 }
 
-// staticVals enumerates a domain against the prelude environment when
-// none of its dependencies are nest-bound, up to maxTabVals values. ok
-// is false for dynamic, oversized, or panicking domains.
-func staticVals(d space.DomainExpr, dynamic map[string]bool, env *expr.Env) (vals []int64, ok bool) {
+// staticLen sizes a domain against the prelude environment when none of
+// its dependencies are nest-bound. ok is false for dynamic, panicking, or
+// oversized (more than maxTabVals values) domains.
+func staticLen(d space.DomainExpr, dynamic map[string]bool, env *expr.Env) (n int, ok bool) {
 	for _, dep := range space.DomainDeps(d) {
 		if dynamic[dep] {
-			return nil, false
+			return 0, false
 		}
 	}
-	defer func() {
-		if recover() != nil {
-			vals, ok = nil, false
-		}
-	}()
-	complete := d.Iterate(env, func(v int64) bool {
-		vals = append(vals, v)
-		return len(vals) <= maxTabVals
-	})
-	if !complete || len(vals) > maxTabVals {
+	m, ok := domainLen(d, env, maxTabVals+1)
+	if !ok || m > maxTabVals {
+		return 0, false
+	}
+	return int(m), true
+}
+
+// staticVals enumerates a domain that staticLen sizes.
+func staticVals(d space.DomainExpr, dynamic map[string]bool, env *expr.Env) (vals []int64, ok bool) {
+	n, ok := staticLen(d, dynamic, env)
+	if !ok {
 		return nil, false
 	}
+	vals = make([]int64, 0, n)
+	d.Iterate(env, func(v int64) bool {
+		vals = append(vals, v)
+		return true
+	})
 	return vals, true
 }
 
@@ -438,10 +444,10 @@ func tabulate(prog *Program, budget int64) {
 			od := prog.Loops[iterDepth[t.OuterName]]
 			if od.Iter.Kind == space.ExprIter {
 				if r, isRange := od.Domain.(*space.RangeDomain); isRange {
-					if ovals, ook := staticVals(r, dynamic, env); ook && len(ovals) > 0 {
+					if on, ook := staticLen(r, dynamic, env); ook && on > 0 {
 						if start, _, step, sok := r.Span(env); sok {
 							t.OuterBase, t.OuterStep = start, step
-							t.OuterN = len(ovals)
+							t.OuterN = on
 							if int64(t.OuterN) <= rows {
 								rows = int64(t.OuterN)
 								t.Full = true

@@ -15,6 +15,10 @@ func TestValueBasics(t *testing.T) {
 	if BoolVal(true).String() != "True" || BoolVal(false).String() != "False" {
 		t.Error("bool renderings wrong")
 	}
+	// Only the spec lexer's four escapes; every other byte raw.
+	if got, want := StrVal("q\"b\\n\nt\t\xff\r\x00é").String(), `"q\"b\\n\nt\t`+"\xff\r\x00é\""; got != want {
+		t.Errorf("string rendering = %q, want %q", got, want)
+	}
 	if !IntVal(1).Equal(BoolVal(true)) {
 		t.Error("Python equality: 1 == True")
 	}

@@ -134,10 +134,31 @@ func (v Value) String() string {
 		}
 		return "False"
 	case Str:
-		return strconv.Quote(v.S)
+		return quoteSpec(v.S)
 	default:
 		return strconv.FormatInt(v.I, 10)
 	}
+}
+
+// quoteSpec renders s as a double-quoted spec string literal. It uses only
+// the escapes the spec lexer reads (\\, \", \n and \t) and writes every
+// other byte raw, so the literal lexes back to s even when s is not UTF-8.
+func quoteSpec(s string) string {
+	b := make([]byte, 0, len(s)+2)
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\\', '"':
+			b = append(b, '\\', c)
+		case '\n':
+			b = append(b, '\\', 'n')
+		case '\t':
+			b = append(b, '\\', 't')
+		default:
+			b = append(b, c)
+		}
+	}
+	return string(append(b, '"'))
 }
 
 // FloorDiv implements Python's integer floor division. Division by zero is

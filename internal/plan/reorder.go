@@ -438,29 +438,15 @@ func (c *census) run(p *Program) {
 		return
 	}
 	total := 0
-	var walk func(lvl int)
-	walk = func(lvl int) {
-		if lvl == len(c.support) {
-			total++
-			for _, m := range c.members {
-				if !rejects(m.st, env) {
-					m.pass++
-				}
+	c.walk(env, assigns, len(c.support), func() bool {
+		total++
+		for _, m := range c.members {
+			if !rejects(m.st, env) {
+				m.pass++
 			}
-			return
 		}
-		lp := c.support[lvl]
-		func() {
-			defer func() { _ = recover() }()
-			iterateLoop(lp, env, func(v int64) bool {
-				env.Slots[lp.Slot] = expr.IntVal(v)
-				runAssigns(assigns[lvl], env)
-				walk(lvl + 1)
-				return true
-			})
-		}()
-	}
-	walk(0)
+		return true
+	})
 	for _, m := range c.members {
 		m.est.Exact = true
 		setPass(m.est, m.pass, total)
@@ -468,33 +454,44 @@ func (c *census) run(p *Program) {
 }
 
 // leaves counts the leaves run's walk would reach from env, stopping as
-// soon as the count passes reorderWalkCap. It walks, on a copy of env,
-// only the levels above the innermost, running their feeding assignments,
-// and sizes the innermost level with domainLen.
+// soon as the count passes reorderWalkCap. It walks only the levels above
+// the innermost, on a copy of env, and sizes the innermost with domainLen.
 func (c *census) leaves(env *expr.Env, assigns [][]Step) uint64 {
 	env = &expr.Env{Slots: append([]expr.Value(nil), env.Slots...)}
 	last := len(c.support) - 1
 	var total uint64
-	var walk func(lvl int)
-	walk = func(lvl int) {
-		lp := c.support[lvl]
-		if lvl == last {
-			n, _ := domainLen(lp.Domain, env, reorderWalkCap+1-total)
-			total += n
-			return
+	c.walk(env, assigns, last, func() bool {
+		n, _ := domainLen(c.support[last].Domain, env, reorderWalkCap+1-total)
+		total += n
+		return total <= reorderWalkCap
+	})
+	return total
+}
+
+// walk binds the first depth support levels to every combination of their
+// values, in nest order, running each level's feeding assignments, and
+// calls visit at each combination until visit returns false. A level
+// whose domain fails to evaluate contributes the values it yielded first.
+func (c *census) walk(env *expr.Env, assigns [][]Step, depth int, visit func() bool) {
+	var rec func(lvl int) bool
+	rec = func(lvl int) bool {
+		if lvl == depth {
+			return visit()
 		}
+		lp := c.support[lvl]
+		more := true
 		func() {
 			defer func() { _ = recover() }()
 			iterateLoop(lp, env, func(v int64) bool {
 				env.Slots[lp.Slot] = expr.IntVal(v)
 				runAssigns(assigns[lvl], env)
-				walk(lvl + 1)
-				return total <= reorderWalkCap
+				more = rec(lvl + 1)
+				return more
 			})
 		}()
+		return more
 	}
-	walk(0)
-	return total
+	rec(0)
 }
 
 // sampleSelectivity estimates one constraint's pass rate from

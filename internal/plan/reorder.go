@@ -473,25 +473,34 @@ func (c *census) leaves(env *expr.Env, assigns [][]Step) uint64 {
 // calls visit at each combination until visit returns false. A level
 // whose domain fails to evaluate contributes the values it yielded first.
 func (c *census) walk(env *expr.Env, assigns [][]Step, depth int, visit func() bool) {
-	var rec func(lvl int) bool
-	rec = func(lvl int) bool {
-		if lvl == depth {
-			return visit()
-		}
-		lp := c.support[lvl]
-		more := true
-		func() {
-			defer func() { _ = recover() }()
-			iterateLoop(lp, env, func(v int64) bool {
-				env.Slots[lp.Slot] = expr.IntVal(v)
-				runAssigns(assigns[lvl], env)
-				more = rec(lvl + 1)
-				return more
-			})
-		}()
-		return more
+	w := &supportWalk{support: c.support, assigns: assigns, env: env, depth: depth, visit: visit}
+	w.level(0)
+}
+
+// supportWalk is the state of one census walk, kept on a struct so that
+// each level allocates only its yield closure.
+type supportWalk struct {
+	support []*Loop
+	assigns [][]Step
+	env     *expr.Env
+	depth   int
+	visit   func() bool
+	stopped bool
+}
+
+func (w *supportWalk) level(lvl int) {
+	if lvl == w.depth {
+		w.stopped = !w.visit()
+		return
 	}
-	rec(0)
+	defer func() { _ = recover() }()
+	lp := w.support[lvl]
+	iterateLoop(lp, w.env, func(v int64) bool {
+		w.env.Slots[lp.Slot] = expr.IntVal(v)
+		runAssigns(w.assigns[lvl], w.env)
+		w.level(lvl + 1)
+		return !w.stopped
+	})
 }
 
 // sampleSelectivity estimates one constraint's pass rate from
@@ -624,20 +633,24 @@ func rangeLen(start, stop, step int64, limit uint64) (n uint64, wraps bool) {
 // panics; n then counts the values yielded before the panic, as a walk
 // that recovers would see them.
 func domainLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64, ok bool) {
+	if rd, isRange := d.(*space.RangeDomain); isRange {
+		if start, stop, step, valid := safeSpan(rd, env); valid {
+			if n, wraps := rangeLen(start, stop, step, limit); !wraps {
+				return n, true
+			}
+		}
+	}
+	return walkLen(d, env, limit)
+}
+
+// walkLen is domainLen by walking. It is a function of its own because the
+// count its closure captures is heap-allocated on every call.
+func walkLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64, ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
-	if rd, isRange := d.(*space.RangeDomain); isRange {
-		start, stop, step, valid := rd.Span(env)
-		if !valid {
-			return 0, true
-		}
-		if m, wraps := rangeLen(start, stop, step, limit); !wraps {
-			return m, true
-		}
-	}
 	d.Iterate(env, func(int64) bool {
 		n++
 		return n < limit

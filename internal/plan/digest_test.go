@@ -17,7 +17,8 @@ import (
 // reorderDigest pins the loop-order optimizer's decisions and the plans
 // they produce over a fixed corpus of real spaces. Any change to the
 // sampled selectivities, the cost model, the arbitration or the compiled
-// nest moves it; plan-time speedups must leave it alone.
+// nest moves it; a plan-time speedup that keeps every estimate must leave
+// it alone.
 const reorderDigest = "091fbb867b73199a47182e5e3f39a8e6d539faf7d31ef23b1cfc9aae34962f8e"
 
 // digestCorpus lists the spaces the digest covers, by name.

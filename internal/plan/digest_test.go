@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/families"
 	"repro/internal/plan"
 	"repro/internal/space"
@@ -121,5 +122,71 @@ func TestReorderChoiceDigest(t *testing.T) {
 	})
 	if got != reorderChoiceDigest {
 		t.Errorf("reorder choice digest = %s, want %s", got, reorderChoiceDigest)
+	}
+}
+
+// censusShapeDigest pins the selectivity estimates, decisions and plans of
+// censusShapeSpace, whose supports run over the domain shapes the corpus
+// lacks. Like reorderDigest, a plan-time speedup that keeps every
+// estimate must leave it alone.
+const censusShapeDigest = "0c5e75902129e2fe5153bcd31ebfdd411ba5b44fdb63b27dd7f79a1f87f5a257"
+
+// censusShapeSpace builds a space whose constraints' support sets run over
+// conditional, list, algebra, negative-step and dynamic-step domains, as
+// in the code generators' feature space. n scales the outer range, so the
+// same shapes reach exact censuses (n = 10), Monte Carlo sampling chosen
+// by the cardinality product (n = 40) and censuses sized past the walk cap
+// (n = 200).
+func censusShapeSpace(n int64) *space.Space {
+	ref, lit := expr.NewRef, expr.IntLit
+	s := space.New()
+	s.IntSetting("n", n)
+	s.IntSetting("mode", 1)
+	s.Range("a", lit(1), expr.Add(ref("n"), lit(1)))
+	s.RangeStep("down", ref("a"), lit(0), lit(-2))
+	s.RangeStep("b", lit(0), ref("n"), ref("a"))
+	s.DomainIter("c", space.NewCond(expr.Gt(ref("a"), lit(5)),
+		space.NewRange(lit(0), lit(3)), space.NewRange(lit(1), lit(4))))
+	s.DomainIter("cl", space.NewCond(expr.Eq(expr.Mod(ref("a"), lit(2)), lit(0)),
+		space.NewList(lit(7), ref("a")), space.NewList(lit(9), lit(11))))
+	s.DomainIter("alg", space.Union(space.NewIntList(1, 3), space.NewIntList(3, 5)))
+	s.DomainIter("cat", space.Concat(space.NewRange(lit(0), ref("a")), space.NewList(expr.Mul(ref("a"), lit(2)))))
+	s.DomainIter("dif", space.Difference(space.NewRange(lit(0), expr.Mul(ref("mode"), lit(12))), space.NewRange(lit(0), ref("c"))))
+	s.DomainIter("isect", space.Intersect(space.NewRangeStep(lit(0), ref("n"), lit(3)), space.NewRangeStep(ref("b"), ref("n"), lit(2))))
+	s.Derived("t", &expr.Table2D{
+		Name: "T", Data: [][]int64{{1, 2}, {3, 4}}, Default: -1,
+		Row: expr.Mod(ref("a"), lit(3)), Col: expr.Mod(ref("b"), lit(2)),
+	})
+	s.Derived("m", expr.MaxOf(ref("a"), ref("b"), expr.Abs(expr.Neg(ref("c")))))
+	s.Derived("lim", expr.Add(expr.Mul(ref("n"), ref("mode")), lit(2)))
+	s.Constrain("k1", space.Hard, expr.And(expr.Gt(ref("m"), lit(8)), expr.Ne(ref("t"), lit(-1))))
+	s.Constrain("k2", space.Soft, expr.If(expr.Lt(ref("down"), lit(3)),
+		expr.Eq(expr.Mod(expr.Add(ref("cl"), ref("alg")), lit(5)), lit(0)), expr.BoolLit(false)))
+	s.Constrain("k3", space.Soft, expr.Eq(expr.Mod(expr.Add(ref("down"), ref("b")), lit(3)), lit(0)))
+	s.Constrain("k4", space.Soft, expr.Eq(expr.Mod(expr.Add(expr.Mul(ref("cat"), lit(3)), ref("isect")), lit(7)), lit(1)))
+	s.Constrain("k5", space.Soft, expr.Gt(ref("dif"), expr.Add(ref("c"), lit(4))))
+	s.Constrain("k6", space.Soft, expr.Or(expr.Gt(expr.Sub(ref("cl"), ref("down")), lit(4)), expr.Not(ref("down"))))
+	s.Constrain("k7", space.Soft, expr.Eq(expr.Mul(ref("alg"), ref("c")), lit(9)))
+	s.Constrain("k8", space.Soft, expr.Gt(expr.Add(ref("b"), ref("down")), ref("lim")))
+	s.Constrain("k9", space.Soft, expr.Eq(expr.Mod(expr.Add(ref("cat"), ref("a")), lit(11)), lit(3)))
+	return s
+}
+
+// TestCensusShapeDigest compares the digest of censusShapeSpace's
+// estimates and plans, folded and unfolded, against the pinned value.
+func TestCensusShapeDigest(t *testing.T) {
+	h := sha256.New()
+	for _, n := range []int64{10, 40, 200} {
+		for _, fold := range []bool{true, false} {
+			fmt.Fprintf(h, "== n=%d fold=%v\n", n, fold)
+			prog, err := plan.Compile(censusShapeSpace(n), plan.Options{DisableFolding: !fold})
+			if err != nil {
+				t.Fatalf("n=%d fold=%v: %v", n, fold, err)
+			}
+			writeReorderDigest(h, prog)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != censusShapeDigest {
+		t.Errorf("census shape digest = %s, want %s", got, censusShapeDigest)
 	}
 }

@@ -16,10 +16,11 @@ import (
 // counters.
 //
 // One routine, narrowRange, runs for every caller. Each loop's bounds are
-// lowered once to intFn closures over a register file: the compiled and
-// VM backends compile them (CompileExpr), while the interpreter and the
-// parallel tiler wrap their own evaluators in closures built once per
-// state, which read the trial value of a probe from the register file.
+// lowered once to expr.IntFn closures over a register file: the compiled
+// and VM backends compile them (expr.CompileInt), while the interpreter
+// and the parallel tiler wrap their own evaluators in closures built once
+// per state, which read the trial value of a probe from the register
+// file.
 
 // compiledBounds is a LoopBounds lowered to register-file closures.
 type compiledBounds struct {
@@ -29,29 +30,32 @@ type compiledBounds struct {
 
 type compiledBoundGroup struct {
 	statsID int
-	lo, hi  []intFn
+	lo, hi  []expr.IntFn
 	probes  []compiledProbe
 }
 
 type compiledProbe struct {
-	pred   intFn // nonzero when the trial value in reg[slot] is rejected
+	pred   expr.IntFn // nonzero when the trial value in reg[slot] is rejected
 	slot   int
 	suffix bool
 }
 
 // boundLowering turns a bound (probe false) or probe predicate (probe
-// true) into an intFn.
-type boundLowering func(e expr.Expr, probe bool) (intFn, error)
+// true) into an expr.IntFn.
+type boundLowering func(e expr.Expr, probe bool) (expr.IntFn, error)
 
-// compileBound is the compiled and VM backends' lowering.
-func compileBound(e expr.Expr, _ bool) (intFn, error) { return CompileExpr(e) }
+// compileBound is the compiled and VM backends' lowering; str maps the
+// program's string slots (plan.Program.StringSlots).
+func compileBound(str map[int]string) boundLowering {
+	return func(e expr.Expr, _ bool) (expr.IntFn, error) { return expr.CompileInt(e, str) }
+}
 
 // boxedBounds is the lowering of the boxed evaluators (the interpreter
 // and the parallel tiler): eval evaluates an expression against their
 // environment, and bind binds the loop variable to a probe's trial
 // value, which narrowRange leaves in reg[slot].
 func boxedBounds(eval func(expr.Expr) expr.Value, bind func(int64), slot int) boundLowering {
-	return func(e expr.Expr, probe bool) (intFn, error) {
+	return func(e expr.Expr, probe bool) (expr.IntFn, error) {
 		if probe {
 			return func(r []int64) int64 {
 				bind(r[slot])

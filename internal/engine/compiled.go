@@ -25,6 +25,7 @@ type Compiled struct {
 	loops    []compiledLoop
 	prelude  []compiledStep
 	settings map[int]expr.Value // slot -> original value (strings for hosts)
+	str      map[int]string     // string setting slots, which no expression may read
 	initInts []slotInit
 }
 
@@ -33,12 +34,10 @@ type slotInit struct {
 	v    int64
 }
 
-type intFn func(r []int64) int64
-
 type compiledStep struct {
 	check        bool
 	slot         int // assign target
-	fn           intFn
+	fn           expr.IntFn
 	statsID      int
 	deferredFn   func(r []int64) bool // non-nil for deferred constraints
 	temp         bool                 // optimizer temp assignment
@@ -48,90 +47,6 @@ type compiledStep struct {
 	tabOuterSlot int                  // binary-table outer register, -1 for unary
 }
 
-// compiledDomain enumerates values against the raw register file.
-type compiledDomain interface {
-	iterate(r []int64, yield func(int64) bool) bool
-}
-
-type rangeDom struct{ start, stop, step intFn }
-
-func (d *rangeDom) span(r []int64) (int64, int64, int64) {
-	return d.start(r), d.stop(r), d.step(r)
-}
-
-func (d *rangeDom) iterate(r []int64, yield func(int64) bool) bool {
-	start, stop, step := d.span(r)
-	if step > 0 {
-		for v := start; v < stop; v += step {
-			if !yield(v) {
-				return false
-			}
-		}
-	} else if step < 0 {
-		for v := start; v > stop; v += step {
-			if !yield(v) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-type listDom struct{ elems []intFn }
-
-func (d *listDom) iterate(r []int64, yield func(int64) bool) bool {
-	for _, e := range d.elems {
-		if !yield(e(r)) {
-			return false
-		}
-	}
-	return true
-}
-
-type condDom struct {
-	cond      intFn
-	then, els compiledDomain
-}
-
-func (d *condDom) iterate(r []int64, yield func(int64) bool) bool {
-	if d.cond(r) != 0 {
-		return d.then.iterate(r, yield)
-	}
-	return d.els.iterate(r, yield)
-}
-
-type algebraDom struct {
-	op   space.SetOp
-	l, r compiledDomain
-}
-
-func (d *algebraDom) iterate(r []int64, yield func(int64) bool) bool {
-	collect := func(cd compiledDomain) []int64 {
-		var out []int64
-		cd.iterate(r, func(v int64) bool { out = append(out, v); return true })
-		return out
-	}
-	lv := collect(d.l)
-	if d.op == space.OpConcat {
-		for _, v := range append(lv, collect(d.r)...) {
-			if !yield(v) {
-				return false
-			}
-		}
-		return true
-	}
-	rv := collect(d.r)
-	// Reuse the reference set algebra by round-tripping through constant
-	// domains; correctness over micro-optimization here (algebra domains
-	// sit far from the hot innermost loops in practice).
-	ref := &space.AlgebraDomain{Op: d.op, L: constList(lv), R: constList(rv)}
-	return ref.Iterate(&expr.Env{}, yield)
-}
-
-func constList(vals []int64) space.DomainExpr {
-	return space.NewIntList(vals...)
-}
-
 // hostDom adapts a deferred or closure iterator to the raw register file.
 type hostDom struct {
 	iter     *space.Iterator
@@ -139,7 +54,7 @@ type hostDom struct {
 	settings map[int]expr.Value
 }
 
-func (d *hostDom) iterate(r []int64, yield func(int64) bool) bool {
+func (d *hostDom) Iterate(r []int64, yield func(int64) bool) bool {
 	args := hostArgs(r, d.argSlots, d.settings)
 	switch d.iter.Kind {
 	case space.DeferredIter:
@@ -185,11 +100,11 @@ func deferredCheck(st *plan.Step, settings map[int]expr.Value) func(r []int64) b
 
 type compiledLoop struct {
 	slot   int
-	domain compiledDomain
+	domain space.IntDomain
 	steps  []compiledStep
 	// fast path: non-nil when the domain is a plain range, letting the
 	// enumerator run the loop inline without the domain indirection.
-	rng *rangeDom
+	rng *space.IntRange
 	// bounds is the compiled narrowing recipe when the plan absorbed
 	// leading checks into the range (only ever set alongside rng).
 	bounds *compiledBounds
@@ -199,10 +114,7 @@ type compiledLoop struct {
 // values (run the planner with folding enabled) or other untranslatable
 // nodes.
 func NewCompiled(prog *plan.Program) (*Compiled, error) {
-	if err := checkProgramStrings(prog); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	c := &Compiled{prog: prog, settings: prog.SettingBySlot()}
+	c := &Compiled{prog: prog, settings: prog.SettingBySlot(), str: prog.StringSlots()}
 	for _, s := range prog.Settings {
 		if s.V.K != expr.Str {
 			c.initInts = append(c.initInts, slotInit{slot: s.Slot, v: s.V.I})
@@ -211,20 +123,20 @@ func NewCompiled(prog *plan.Program) (*Compiled, error) {
 	var err error
 	c.prelude, err = c.compileSteps(prog.Prelude)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	for _, lp := range prog.Loops {
 		cl := compiledLoop{slot: lp.Slot}
 		if lp.Iter.Kind == space.ExprIter {
-			dom, derr := compileDomain(lp.Domain)
+			dom, derr := space.CompileDomain(lp.Domain, c.str)
 			if derr != nil {
 				return nil, fmt.Errorf("engine: iterator %s: %w", lp.Iter.Name, derr)
 			}
 			cl.domain = dom
-			if rd, ok := dom.(*rangeDom); ok {
+			if rd, ok := dom.(*space.IntRange); ok {
 				cl.rng = rd
 				if lp.Bounds != nil {
-					cl.bounds, err = lowerLoopBounds(lp.Bounds, lp.Slot, compileBound)
+					cl.bounds, err = lowerLoopBounds(lp.Bounds, lp.Slot, compileBound(c.str))
 					if err != nil {
 						return nil, fmt.Errorf("engine: loop %s bounds: %w", lp.Iter.Name, err)
 					}
@@ -262,7 +174,7 @@ func (c *Compiled) compileSteps(steps []plan.Step) ([]compiledStep, error) {
 		if cs.check && st.Constraint.Deferred() {
 			cs.deferredFn = deferredCheck(st, c.settings)
 		} else {
-			fn, err := CompileExpr(st.Expr)
+			fn, err := expr.CompileInt(st.Expr, c.str)
 			if err != nil {
 				return nil, fmt.Errorf("step %s: %w", st.Name, err)
 			}
@@ -271,235 +183,6 @@ func (c *Compiled) compileSteps(steps []plan.Step) ([]compiledStep, error) {
 		out = append(out, cs)
 	}
 	return out, nil
-}
-
-// compileDomain lowers an expression-iterator domain to native enumeration
-// over the raw register file. Shared by the Compiled and VM backends (a VM
-// reaches non-range domains through host calls, as Lua reaches C).
-func compileDomain(d space.DomainExpr) (compiledDomain, error) {
-	switch n := d.(type) {
-	case *space.RangeDomain:
-		start, err := CompileExpr(n.Start)
-		if err != nil {
-			return nil, err
-		}
-		stop, err := CompileExpr(n.Stop)
-		if err != nil {
-			return nil, err
-		}
-		step, err := CompileExpr(n.Step)
-		if err != nil {
-			return nil, err
-		}
-		return &rangeDom{start: start, stop: stop, step: step}, nil
-	case *space.ListDomain:
-		elems := make([]intFn, len(n.Elems))
-		for i, e := range n.Elems {
-			fn, err := CompileExpr(e)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = fn
-		}
-		return &listDom{elems: elems}, nil
-	case *space.CondDomain:
-		cond, err := CompileExpr(n.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := compileDomain(n.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := compileDomain(n.Else)
-		if err != nil {
-			return nil, err
-		}
-		return &condDom{cond: cond, then: then, els: els}, nil
-	case *space.AlgebraDomain:
-		l, err := compileDomain(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileDomain(n.R)
-		if err != nil {
-			return nil, err
-		}
-		return &algebraDom{op: n.Op, l: l, r: r}, nil
-	default:
-		return nil, fmt.Errorf("unsupported domain type %T", d)
-	}
-}
-
-// CompileExpr lowers a bound expression to a closure over the raw register
-// file. Booleans are 0/1; string operands are a compile-time error.
-func CompileExpr(e expr.Expr) (intFn, error) {
-	switch n := e.(type) {
-	case *expr.Lit:
-		if n.V.K == expr.Str {
-			return nil, fmt.Errorf("string literal %s cannot be compiled; specialize the program first", n.V)
-		}
-		v := n.V.I
-		return func([]int64) int64 { return v }, nil
-	case *expr.Ref:
-		slot := n.Slot
-		if slot < 0 {
-			return nil, fmt.Errorf("unbound reference %q", n.Name)
-		}
-		return func(r []int64) int64 { return r[slot] }, nil
-	case *expr.Unary:
-		x, err := CompileExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		switch n.Op {
-		case expr.OpNeg:
-			return func(r []int64) int64 { return -x(r) }, nil
-		case expr.OpNot:
-			return func(r []int64) int64 {
-				if x(r) == 0 {
-					return 1
-				}
-				return 0
-			}, nil
-		}
-		return nil, fmt.Errorf("bad unary op %v", n.Op)
-	case *expr.Binary:
-		l, err := CompileExpr(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := CompileExpr(n.R)
-		if err != nil {
-			return nil, err
-		}
-		return compileBinary(n.Op, l, r)
-	case *expr.Ternary:
-		cond, err := CompileExpr(n.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := CompileExpr(n.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := CompileExpr(n.Else)
-		if err != nil {
-			return nil, err
-		}
-		return func(r []int64) int64 {
-			if cond(r) != 0 {
-				return then(r)
-			}
-			return els(r)
-		}, nil
-	case *expr.Call:
-		args := make([]intFn, len(n.Args))
-		for i, a := range n.Args {
-			fn, err := CompileExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = fn
-		}
-		switch n.Fn {
-		case "min":
-			return func(r []int64) int64 {
-				best := args[0](r)
-				for _, a := range args[1:] {
-					if v := a(r); v < best {
-						best = v
-					}
-				}
-				return best
-			}, nil
-		case "max":
-			return func(r []int64) int64 {
-				best := args[0](r)
-				for _, a := range args[1:] {
-					if v := a(r); v > best {
-						best = v
-					}
-				}
-				return best
-			}, nil
-		case "abs":
-			return func(r []int64) int64 {
-				v := args[0](r)
-				if v < 0 {
-					return -v
-				}
-				return v
-			}, nil
-		}
-		return nil, fmt.Errorf("unknown builtin %q", n.Fn)
-	case *expr.Table2D:
-		row, err := CompileExpr(n.Row)
-		if err != nil {
-			return nil, err
-		}
-		col, err := CompileExpr(n.Col)
-		if err != nil {
-			return nil, err
-		}
-		data, def := n.Data, n.Default
-		return func(r []int64) int64 {
-			i, j := row(r), col(r)
-			if i < 0 || i >= int64(len(data)) {
-				return def
-			}
-			rw := data[i]
-			if j < 0 || j >= int64(len(rw)) {
-				return def
-			}
-			return rw[j]
-		}, nil
-	default:
-		return nil, fmt.Errorf("unsupported expression type %T", e)
-	}
-}
-
-func compileBinary(op expr.Op, l, r intFn) (intFn, error) {
-	switch op {
-	case expr.OpAdd:
-		return func(reg []int64) int64 { return l(reg) + r(reg) }, nil
-	case expr.OpSub:
-		return func(reg []int64) int64 { return l(reg) - r(reg) }, nil
-	case expr.OpMul:
-		return func(reg []int64) int64 { return l(reg) * r(reg) }, nil
-	case expr.OpDiv:
-		return func(reg []int64) int64 { return expr.FloorDiv(l(reg), r(reg)) }, nil
-	case expr.OpMod:
-		return func(reg []int64) int64 { return expr.FloorMod(l(reg), r(reg)) }, nil
-	case expr.OpEq:
-		return func(reg []int64) int64 { return b2i(l(reg) == r(reg)) }, nil
-	case expr.OpNe:
-		return func(reg []int64) int64 { return b2i(l(reg) != r(reg)) }, nil
-	case expr.OpLt:
-		return func(reg []int64) int64 { return b2i(l(reg) < r(reg)) }, nil
-	case expr.OpLe:
-		return func(reg []int64) int64 { return b2i(l(reg) <= r(reg)) }, nil
-	case expr.OpGt:
-		return func(reg []int64) int64 { return b2i(l(reg) > r(reg)) }, nil
-	case expr.OpGe:
-		return func(reg []int64) int64 { return b2i(l(reg) >= r(reg)) }, nil
-	case expr.OpAnd:
-		return func(reg []int64) int64 {
-			if v := l(reg); v == 0 {
-				return v
-			}
-			return r(reg)
-		}, nil
-	case expr.OpOr:
-		return func(reg []int64) int64 {
-			if v := l(reg); v != 0 {
-				return v
-			}
-			return r(reg)
-		}, nil
-	default:
-		return nil, fmt.Errorf("bad binary op %v", op)
-	}
 }
 
 // Name implements Engine.
@@ -669,7 +352,7 @@ func (s *compiledState) loop(d int) bool {
 		ch = nil
 	}
 	if lp.rng != nil {
-		start, stop, step := lp.rng.span(s.reg)
+		start, stop, step := lp.rng.Span(s.reg)
 		if step > 0 && lp.bounds != nil {
 			start, stop = narrowRange(lp.bounds, s.reg, start, stop, step, s.stats, d)
 		}
@@ -692,7 +375,7 @@ func (s *compiledState) loop(d int) bool {
 		return true
 	}
 	if ch != nil {
-		return lp.domain.iterate(s.reg, ch.yield) && ch.flush()
+		return lp.domain.Iterate(s.reg, ch.yield) && ch.flush()
 	}
-	return lp.domain.iterate(s.reg, func(v int64) bool { return s.body(d, v) })
+	return lp.domain.Iterate(s.reg, func(v int64) bool { return s.body(d, v) })
 }

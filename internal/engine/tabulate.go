@@ -3,7 +3,6 @@ package engine
 import (
 	"math/bits"
 
-	"repro/internal/expr"
 	"repro/internal/plan"
 )
 
@@ -16,10 +15,9 @@ import (
 
 // tabExec is one state's view of the plan's constraint tables.
 type tabExec struct {
-	tab     *plan.Tabulation
-	env     *expr.Env // lazily built row-construction environment
-	slowEnv *expr.Env // lazily built predKill environment
-	tables  []tabRT
+	tab    *plan.Tabulation
+	regs   []int64 // lazily built row-construction register file
+	tables []tabRT
 }
 
 // tabRT is the mutable run-time half of one table: the memoized row
@@ -80,15 +78,15 @@ func (tx *tabExec) row(ti int, outer int64, stats *Stats) []uint64 {
 		rt.lastOuter, rt.lastRow = outer, r
 		return r
 	}
-	if tx.env == nil {
-		tx.env = tx.tab.NewBuildEnv()
+	if tx.regs == nil {
+		tx.regs = tx.tab.NewBuildRegs()
 	}
 	if len(rt.rows) < t.MaxRows {
 		if rt.rows == nil {
 			rt.rows = make(map[int64][]uint64)
 		}
 		r := make([]uint64, t.RowWords)
-		tx.tab.BuildRow(t, outer, tx.env, r)
+		tx.tab.BuildRow(t, outer, tx.regs, r)
 		rt.rows[outer] = r
 		rt.lastOuter, rt.lastRow = outer, r
 		return r
@@ -96,7 +94,7 @@ func (tx *tabExec) row(ti int, outer int64, stats *Stats) []uint64 {
 	if rt.scratch == nil {
 		rt.scratch = make([]uint64, t.RowWords)
 	}
-	tx.tab.BuildRow(t, outer, tx.env, rt.scratch)
+	tx.tab.BuildRow(t, outer, tx.regs, rt.scratch)
 	rt.lastOuter, rt.lastRow = outer, rt.scratch
 	return rt.scratch
 }
@@ -172,15 +170,9 @@ func (tx *tabExec) scalarKill(ti int, inner, outer int64, stats *Stats) (kill, o
 	return row[pos>>6]>>(uint(pos&63))&1 == 0, true
 }
 
-// predKill evaluates table ti's kill predicate directly over the
+// predKill evaluates table ti's compiled kill predicate directly over the
 // register file (plan slots and registers share numbering) — the cold
 // fallback when scalarKill declines a value.
 func (tx *tabExec) predKill(ti int, reg []int64) bool {
-	if tx.slowEnv == nil {
-		tx.slowEnv = expr.NewEnv(len(reg))
-	}
-	for i, v := range reg {
-		tx.slowEnv.Slots[i] = expr.IntVal(v)
-	}
-	return tx.tab.Tables[ti].Pred.Eval(tx.slowEnv).Truthy()
+	return tx.tab.Tables[ti].Kills(reg)
 }

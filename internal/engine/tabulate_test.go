@@ -135,6 +135,70 @@ func TestTabulateSkipsUnamortizedBinary(t *testing.T) {
 	}
 }
 
+// TestStringChecksStayBoxed: the planner's censuses, draws and table rows
+// run on int64 registers, which hold no strings. With folding off, a
+// constraint that reads a string gets the host constraints' fixed
+// estimate (Pass 0.5, no samples, not exact), and an innermost check that
+// reads one keeps the expression path: it is not tabulated, and every
+// counter matches the DisableTabulation run. The int check beside it
+// still gets a census and a table.
+func TestStringChecksStayBoxed(t *testing.T) {
+	ref, lit := expr.NewRef, expr.IntLit
+	s := space.New()
+	s.StrSetting("mode", "nn")
+	s.StrSetting("want", "nn")
+	s.Range("a", lit(1), lit(9))
+	s.Range("b", lit(1), lit(129))
+	s.Constrain("mode_a", space.Soft, expr.And(expr.Eq(ref("mode"), expr.StrLit("nn")), expr.Gt(ref("a"), lit(5))))
+	s.Constrain("same_b", space.Soft, expr.And(expr.Eq(ref("mode"), ref("want")), expr.Eq(expr.Mod(ref("b"), lit(3)), lit(0))))
+	s.Constrain("u", space.Soft, expr.Eq(expr.Mod(ref("b"), lit(7)), lit(0)))
+
+	prog, err := plan.Compile(s, verified(plan.Options{DisableFolding: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Reorder == nil {
+		t.Fatal("no reorder info")
+	}
+	for _, name := range []string{"mode_a", "same_b"} {
+		est, ok := prog.Reorder.SelectivityOf(name)
+		if !ok || est.Pass != 0.5 || est.Samples != 0 || est.Exact {
+			t.Errorf("%s: want Pass 0.5, Samples 0, Exact false; got %+v (found %v)", name, est, ok)
+		}
+	}
+	if est, _ := prog.Reorder.SelectivityOf("u"); !est.Exact || est.Samples != 128 {
+		t.Errorf("u: want an exact census of 128 values, got %+v", est)
+	}
+
+	opts := verified(plan.Options{DisableFolding: true, DisableReorder: true})
+	progOn, err := plan.Compile(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.DisableTabulation = true
+	progOff, err := plan.Compile(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := progOn.Tab
+	if tab == nil {
+		t.Fatal("the int check was not tabulated")
+	}
+	for _, tb := range tab.Tables {
+		if tb.Name != "u" {
+			t.Errorf("check %s was tabulated", tb.Name)
+		}
+	}
+	for _, chunk := range []int{1, 64} {
+		on := runStats(t, NewInterp(progOn), Options{ChunkSize: chunk})
+		off := runStats(t, NewInterp(progOff), Options{ChunkSize: chunk})
+		requireStatsEqual(t, fmt.Sprintf("chunk=%d", chunk), on, off)
+		if on.TabulatedChecks == 0 {
+			t.Errorf("chunk=%d: the int check's table was never used", chunk)
+		}
+	}
+}
+
 // canonTuples returns the tuple stream in a canonical order, so survivor
 // sets compare across worker schedules.
 func canonTuples(tuples [][]int64) []string {

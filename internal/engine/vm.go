@@ -120,7 +120,7 @@ type vmCode struct {
 	ins       []instr
 	consts    []int64
 	tables    [][][]int64
-	hostDoms  []compiledDomain
+	hostDoms  []space.IntDomain
 	deferred  []func(r []int64) bool
 	narrows   []vmNarrow
 	nregs     int
@@ -143,6 +143,7 @@ type vmAssembler struct {
 	vm       *VM
 	code     *vmCode
 	settings map[int]expr.Value
+	str      map[int]string // string setting slots, which no expression may read
 	protocol Protocol
 	// temp register bases
 	stopT, stepT, posT []int32
@@ -154,9 +155,6 @@ type vmAssembler struct {
 
 func (vm *VM) runFull(opts Options, ctl *runCtl) (st *Stats, err error) {
 	defer recoverRunError(&err)
-	if cerr := checkProgramStrings(vm.prog); cerr != nil {
-		return nil, fmt.Errorf("vm: %w", cerr)
-	}
 	code, cerr := vm.compile(opts, 0, false)
 	if cerr != nil {
 		return nil, cerr
@@ -173,9 +171,6 @@ func (vm *VM) runFull(opts Options, ctl *runCtl) (st *Stats, err error) {
 // variable registers and re-executes the stream.
 func (vm *VM) newWorker(opts Options, ctl *runCtl, depth int) (w tileWorker, err error) {
 	defer recoverRunError(&err)
-	if cerr := checkProgramStrings(vm.prog); cerr != nil {
-		return nil, fmt.Errorf("vm: %w", cerr)
-	}
 	code, cerr := vm.compile(opts, depth, true)
 	if cerr != nil {
 		return nil, cerr
@@ -214,6 +209,7 @@ func (vm *VM) compile(opts Options, prefixDepth int, tile bool) (*vmCode, error)
 		vm:       vm,
 		code:     &vmCode{nregs: prog.NumSlots() + 3*n},
 		settings: prog.SettingBySlot(),
+		str:      prog.StringSlots(),
 		protocol: opts.Protocol,
 		stopT:    make([]int32, n),
 		stepT:    make([]int32, n),
@@ -224,7 +220,7 @@ func (vm *VM) compile(opts Options, prefixDepth int, tile bool) (*vmCode, error)
 		a.stepT[d] = base + int32(3*d+1)
 		a.posT[d] = base + int32(3*d+2)
 	}
-	a.code.hostDoms = make([]compiledDomain, n)
+	a.code.hostDoms = make([]space.IntDomain, n)
 	for _, lp := range prog.Loops {
 		a.code.loopSlots = append(a.code.loopSlots, int32(lp.Slot))
 	}
@@ -247,6 +243,7 @@ func (vm *VM) compile(opts Options, prefixDepth int, tile bool) (*vmCode, error)
 			a.emitAssign(st)
 		}
 		for d := 0; d < prefixDepth; d++ {
+			a.vetDomain(prog.Loops[d])
 			for _, st := range prog.Loops[d].Steps {
 				a.emitAssign(st)
 			}
@@ -281,14 +278,33 @@ func (vm *VM) compile(opts Options, prefixDepth int, tile bool) (*vmCode, error)
 	return a.code, nil
 }
 
-// emitAssign compiles an assignment step and ignores check steps (the tile
-// mode's replay of prefix levels, whose checks the tiler already applied).
+// emitAssign compiles an assignment step (the tile mode's replay of the
+// prelude and the prefix levels). A check step emits nothing, since the
+// tiler already applied it, but it is vetted like everything the tiler
+// runs in the VM's place (see vetDomain).
 func (a *vmAssembler) emitAssign(st plan.Step) {
 	if st.Kind != plan.AssignStep {
+		if !st.Constraint.Deferred() {
+			if _, err := expr.CompileInt(st.Expr, a.str); err != nil {
+				a.fail(fmt.Errorf("vm: step %s: %w", st.Name, err))
+			}
+		}
 		return
 	}
 	a.emitExpr(st.Expr)
 	a.emit(instr{op: opStore, a: int32(st.Slot)})
+}
+
+// vetDomain rejects a prefix loop's domain that a sequential run could not
+// compile, so that a tiled run, whose tiler enumerates the prefix levels,
+// rejects every program a sequential run rejects.
+func (a *vmAssembler) vetDomain(lp *plan.Loop) {
+	if lp.Iter.Kind != space.ExprIter {
+		return
+	}
+	if _, err := space.CompileDomain(lp.Domain, a.str); err != nil {
+		a.fail(fmt.Errorf("vm: iterator %s: %w", lp.Iter.Name, err))
+	}
 }
 
 func (a *vmAssembler) emit(in instr) int32 {
@@ -343,14 +359,14 @@ func (a *vmAssembler) laneProgram(e expr.Expr) []instr {
 func (a *vmAssembler) emitExpr(e expr.Expr) {
 	switch n := e.(type) {
 	case *expr.Lit:
-		if n.V.K == expr.Str {
-			a.fail(fmt.Errorf("vm: string literal %s cannot be compiled; specialize the program first", n.V))
+		if err := expr.IntLeafError(n, a.str); err != nil {
+			a.fail(fmt.Errorf("vm: %w", err))
 			return
 		}
 		a.emit(instr{op: opPushC, a: a.constIdx(n.V.I)})
 	case *expr.Ref:
-		if n.Slot < 0 {
-			a.fail(fmt.Errorf("vm: unbound reference %q", n.Name))
+		if err := expr.IntLeafError(n, a.str); err != nil {
+			a.fail(fmt.Errorf("vm: %w", err))
 			return
 		}
 		if a.laneOf != nil && a.laneOf[n.Slot] >= 0 {
@@ -512,7 +528,7 @@ func (a *vmAssembler) emitLoop(d int) {
 		if lp.Iter.Kind != space.ExprIter {
 			a.code.hostDoms[d] = &hostDom{iter: lp.Iter, argSlots: lp.ArgSlots, settings: a.settings}
 		} else {
-			dom, err := compileDomain(lp.Domain)
+			dom, err := space.CompileDomain(lp.Domain, a.str)
 			if err != nil {
 				a.fail(fmt.Errorf("vm: iterator %s: %w", lp.Iter.Name, err))
 				return
@@ -542,7 +558,7 @@ func (a *vmAssembler) emitLoop(d int) {
 	a.emitExpr(rangeDomain.Step)
 	a.emit(instr{op: opForPrep, a: varReg, b: a.stopT[d], c: a.stepT[d]})
 	if lp.Bounds != nil {
-		cb, err := lowerLoopBounds(lp.Bounds, lp.Slot, compileBound)
+		cb, err := lowerLoopBounds(lp.Bounds, lp.Slot, compileBound(a.str))
 		if err != nil {
 			a.fail(fmt.Errorf("vm: loop %s bounds: %w", lp.Iter.Name, err))
 			return
@@ -805,7 +821,7 @@ func (x *vmExec) run() {
 			pc = in.d
 		case opHostDom:
 			var buf []int64
-			code.hostDoms[in.a].iterate(reg, func(v int64) bool {
+			code.hostDoms[in.a].Iterate(reg, func(v int64) bool {
 				buf = append(buf, v)
 				return true
 			})

@@ -739,11 +739,54 @@ func (p *Program) EstimateLoopCards() []int64 {
 			continue
 		}
 		// Counting stops at 1<<22; beyond this any estimate saturates.
-		if n, ok := domainLen(lp.Domain, env, 1<<22); ok {
+		if n, ok := envDomainLen(lp.Domain, env, 1<<22); ok {
 			cards[i] = int64(n)
 		}
 	}
 	return cards
+}
+
+// envDomainLen returns how many values d yields in env before a walk
+// capped at limit stops: by arithmetic for a range whose walk does not
+// wrap int64 (rangeLen), by walking otherwise. ok is false when evaluating
+// the domain panics; n then counts the values yielded before the panic.
+// Static domains are sized this way, against the prelude environment.
+func envDomainLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64, ok bool) {
+	if rd, isRange := d.(*space.RangeDomain); isRange {
+		if start, stop, step, valid := safeSpan(rd, env); valid {
+			if n, wraps := rangeLen(start, stop, step, limit); !wraps {
+				return n, true
+			}
+		}
+	}
+	return envWalkLen(d, env, limit)
+}
+
+// safeSpan evaluates a range's bounds; ok is false for an empty-by-
+// definition range (zero step, non-integer bound) and for bounds that fail
+// to evaluate.
+func safeSpan(rd *space.RangeDomain, env *expr.Env) (start, stop, step int64, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return rd.Span(env)
+}
+
+// envWalkLen is envDomainLen by walking, a function of its own for the
+// reason walkLen is.
+func envWalkLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	d.Iterate(env, func(int64) bool {
+		n++
+		return n < limit
+	})
+	return n, true
 }
 
 // ChooseSplitDepth picks the prefix depth K for the parallel scheduler:
@@ -835,6 +878,19 @@ func (p *Program) SettingBySlot() map[int]expr.Value {
 	out := make(map[int]expr.Value, len(p.Settings))
 	for _, s := range p.Settings {
 		out[s.Slot] = s.V
+	}
+	return out
+}
+
+// StringSlots maps the slots of string-valued settings to their names. An
+// int64 register file has no value for them, so expr.CompileInt rejects
+// any expression that reads one.
+func (p *Program) StringSlots() map[int]string {
+	out := make(map[int]string)
+	for _, s := range p.Settings {
+		if s.V.K == expr.Str {
+			out[s.Slot] = s.Name
+		}
 	}
 	return out
 }

@@ -308,11 +308,12 @@ func TestReorderOutOfScopeSingleLoop(t *testing.T) {
 }
 
 // rangeShape is one range(start, stop, step) domain; wraps marks a range
-// whose walk steps past an int64 limit and back inside the range.
+// whose walk steps past an int64 limit and back inside the range, str one
+// with a string operand, which does not compile to int64 closures.
 type rangeShape struct {
 	name              string
 	start, stop, step expr.Expr
-	wraps             bool
+	wraps, str        bool
 }
 
 // rangeShapes covers the range forms the arithmetic sizers must agree
@@ -320,43 +321,47 @@ type rangeShape struct {
 func rangeShapes() []rangeShape {
 	lit := expr.IntLit
 	return []rangeShape{
-		{"ascending", lit(0), lit(10), lit(1), false},
-		{"ascending, step does not divide span", lit(3), lit(100), lit(7), false},
-		{"descending", lit(10), lit(0), lit(-1), false},
-		{"descending, step does not divide span", lit(100), lit(-5), lit(-7), false},
-		{"single value", lit(5), lit(6), lit(1), false},
-		{"empty", lit(5), lit(5), lit(1), false},
-		{"empty, reversed bounds", lit(5), lit(0), lit(1), false},
-		{"empty descending", lit(0), lit(5), lit(-1), false},
-		{"zero step", lit(0), lit(10), lit(0), false},
-		{"exactly the cap", lit(0), lit(reorderMatCap), lit(1), false},
-		{"longer than the cap", lit(0), lit(1_000_000), lit(1), false},
-		{"descending, longer than the cap", lit(0), lit(-1_000_000), lit(-3), false},
-		{"ends at MaxInt64, capped before the end", lit(math.MaxInt64 - 100_000), lit(math.MaxInt64), lit(1), false},
-		{"wraps past MaxInt64", lit(math.MaxInt64 - 10), lit(math.MaxInt64), lit(4), true},
-		{"wraps past MinInt64", lit(math.MinInt64 + 10), lit(math.MinInt64), lit(-4), true},
-		{"whole int64 line", lit(math.MinInt64), lit(math.MaxInt64), lit(math.MaxInt64), true},
-		{"Span panics on a string operand", expr.Add(expr.StrLit("x"), lit(1)), lit(10), lit(1), false},
-		{"string bound", lit(0), expr.StrLit("x"), lit(1), false},
+		{"ascending", lit(0), lit(10), lit(1), false, false},
+		{"ascending, step does not divide span", lit(3), lit(100), lit(7), false, false},
+		{"descending", lit(10), lit(0), lit(-1), false, false},
+		{"descending, step does not divide span", lit(100), lit(-5), lit(-7), false, false},
+		{"single value", lit(5), lit(6), lit(1), false, false},
+		{"empty", lit(5), lit(5), lit(1), false, false},
+		{"empty, reversed bounds", lit(5), lit(0), lit(1), false, false},
+		{"empty descending", lit(0), lit(5), lit(-1), false, false},
+		{"zero step", lit(0), lit(10), lit(0), false, false},
+		{"exactly the cap", lit(0), lit(reorderMatCap), lit(1), false, false},
+		{"longer than the cap", lit(0), lit(1_000_000), lit(1), false, false},
+		{"descending, longer than the cap", lit(0), lit(-1_000_000), lit(-3), false, false},
+		{"ends at MaxInt64, capped before the end", lit(math.MaxInt64 - 100_000), lit(math.MaxInt64), lit(1), false, false},
+		{"wraps past MaxInt64", lit(math.MaxInt64 - 10), lit(math.MaxInt64), lit(4), true, false},
+		{"wraps past MinInt64", lit(math.MinInt64 + 10), lit(math.MinInt64), lit(-4), true, false},
+		{"whole int64 line", lit(math.MinInt64), lit(math.MaxInt64), lit(math.MaxInt64), true, false},
+		{"Span panics on a string operand", expr.Add(expr.StrLit("x"), lit(1)), lit(10), lit(1), false, true},
+		{"string bound", lit(0), expr.StrLit("x"), lit(1), false, true},
 	}
 }
 
 // TestPickMatchesMaterialized: the arithmetic range pick must return the
 // value the materializing walk picks, after the same RNG draws, for every
 // range shape. Ranges whose walk wraps int64 must fall back to the walk;
-// every other range must not touch the materialization buffer.
+// every other range must not touch the materialization buffer. Shapes
+// with a string operand must not compile.
 func TestPickMatchesMaterialized(t *testing.T) {
 	for _, c := range rangeShapes() {
-		lp := &Loop{
-			Iter:   &space.Iterator{Name: "x", Kind: space.ExprIter},
-			Domain: &space.RangeDomain{Start: c.start, Stop: c.stop, Step: c.step},
+		d, err := space.CompileDomain(&space.RangeDomain{Start: c.start, Stop: c.stop, Step: c.step}, nil)
+		if (err != nil) != c.str {
+			t.Fatalf("%s: compile error %v", c.name, err)
 		}
-		env := expr.NewEnv(1)
+		if c.str {
+			continue
+		}
+		r := make([]int64, 1)
 		fast := &picker{rng: newReorderRNG(c.name)}
 		walk := &picker{rng: newReorderRNG(c.name)}
 		for i := 0; i < 64; i++ {
-			got, gotOK := fast.pick(lp, env)
-			want, wantOK := walk.pickMaterialized(lp, env)
+			got, gotOK := fast.pick(d, r)
+			want, wantOK := walk.pickMaterialized(d, r)
 			if got != want || gotOK != wantOK {
 				t.Fatalf("%s, draw %d: pick = (%d, %v), materialized = (%d, %v)",
 					c.name, i, got, gotOK, want, wantOK)
@@ -371,9 +376,11 @@ func TestPickMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestDomainLenMatchesWalk: domainLen must count what a capped walk that
-// recovers from panics counts, and report the panic, for every range shape
-// and for a list whose third element fails to evaluate.
+// TestDomainLenMatchesWalk: the sizers must count what a capped walk
+// counts, for every range shape. envDomainLen must also report a walk
+// that panics, for a list whose third element fails to evaluate and for
+// the string shapes, which domainLen never sees because they do not
+// compile.
 func TestDomainLenMatchesWalk(t *testing.T) {
 	doms := map[string]space.DomainExpr{
 		"list, third element panics": &space.ListDomain{Elems: []expr.Expr{
@@ -383,7 +390,9 @@ func TestDomainLenMatchesWalk(t *testing.T) {
 		doms[c.name] = &space.RangeDomain{Start: c.start, Stop: c.stop, Step: c.step}
 	}
 	env := expr.NewEnv(1)
+	r := make([]int64, 1)
 	for name, d := range doms {
+		cd, cerr := space.CompileDomain(d, nil)
 		for _, limit := range []uint64{1, 2, 7, reorderMatCap} {
 			var walked uint64
 			panicked := func() (p bool) {
@@ -394,10 +403,16 @@ func TestDomainLenMatchesWalk(t *testing.T) {
 				})
 				return false
 			}()
-			n, ok := domainLen(d, env, limit)
+			n, ok := envDomainLen(d, env, limit)
 			if n != walked || ok == panicked {
-				t.Errorf("%s, limit %d: domainLen = (%d, %v), walk counts %d (panicked %v)",
+				t.Errorf("%s, limit %d: envDomainLen = (%d, %v), walk counts %d (panicked %v)",
 					name, limit, n, ok, walked, panicked)
+			}
+			if cerr != nil {
+				continue
+			}
+			if got := domainLen(cd, r, limit); got != walked {
+				t.Errorf("%s, limit %d: domainLen = %d, walk counts %d", name, limit, got, walked)
 			}
 		}
 	}

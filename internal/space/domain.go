@@ -307,17 +307,21 @@ func Materialize(d DomainExpr, env *expr.Env) []int64 {
 }
 
 func (a *AlgebraDomain) values(env *expr.Env) []int64 {
-	l := Materialize(a.L, env)
-	if a.Op == OpConcat {
-		return append(l, Materialize(a.R, env)...)
+	return combine(a.Op, Materialize(a.L, env), Materialize(a.R, env))
+}
+
+// combine applies op to the value sequences of an algebra domain's
+// operands.
+func combine(op SetOp, l, r []int64) []int64 {
+	if op == OpConcat {
+		return append(l, r...)
 	}
-	r := Materialize(a.R, env)
 	inR := make(map[int64]struct{}, len(r))
 	for _, v := range r {
 		inR[v] = struct{}{}
 	}
 	set := make(map[int64]struct{}, len(l))
-	switch a.Op {
+	switch op {
 	case OpUnion:
 		for _, v := range l {
 			set[v] = struct{}{}
@@ -390,4 +394,139 @@ func DomainDeps(d DomainExpr) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// IntDomain is a DomainExpr compiled by CompileDomain to native closures
+// over an int64 register file (see expr.CompileInt). It yields the values
+// the source domain's Iterate yields whenever every slot it reads holds an
+// integer or a boolean. Iterate reports whether iteration ran to
+// completion.
+type IntDomain interface {
+	Iterate(r []int64, yield func(int64) bool) bool
+}
+
+// IntRange is a compiled RangeDomain.
+type IntRange struct{ start, stop, step expr.IntFn }
+
+// Span evaluates the bounds. Unlike RangeDomain.Span it passes a zero step
+// through; Iterate yields nothing for one.
+func (d *IntRange) Span(r []int64) (start, stop, step int64) {
+	return d.start(r), d.stop(r), d.step(r)
+}
+
+func (d *IntRange) Iterate(r []int64, yield func(int64) bool) bool {
+	start, stop, step := d.Span(r)
+	if step > 0 {
+		for v := start; v < stop; v += step {
+			if !yield(v) {
+				return false
+			}
+		}
+	} else if step < 0 {
+		for v := start; v > stop; v += step {
+			if !yield(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+type intList struct{ elems []expr.IntFn }
+
+func (d *intList) Iterate(r []int64, yield func(int64) bool) bool {
+	for _, e := range d.elems {
+		if !yield(e(r)) {
+			return false
+		}
+	}
+	return true
+}
+
+type intCond struct {
+	cond      expr.IntFn
+	then, els IntDomain
+}
+
+func (d *intCond) Iterate(r []int64, yield func(int64) bool) bool {
+	if d.cond(r) != 0 {
+		return d.then.Iterate(r, yield)
+	}
+	return d.els.Iterate(r, yield)
+}
+
+type intAlgebra struct {
+	op   SetOp
+	l, r IntDomain
+}
+
+func (d *intAlgebra) Iterate(r []int64, yield func(int64) bool) bool {
+	collect := func(cd IntDomain) []int64 {
+		var out []int64
+		cd.Iterate(r, func(v int64) bool { out = append(out, v); return true })
+		return out
+	}
+	for _, v := range combine(d.op, collect(d.l), collect(d.r)) {
+		if !yield(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// CompileDomain lowers a bound domain to an IntDomain with
+// expr.CompileInt; str maps the slots that hold strings to their names,
+// and a domain that reads one does not compile.
+func CompileDomain(d DomainExpr, str map[int]string) (IntDomain, error) {
+	switch n := d.(type) {
+	case *RangeDomain:
+		start, err := expr.CompileInt(n.Start, str)
+		if err != nil {
+			return nil, err
+		}
+		stop, err := expr.CompileInt(n.Stop, str)
+		if err != nil {
+			return nil, err
+		}
+		step, err := expr.CompileInt(n.Step, str)
+		if err != nil {
+			return nil, err
+		}
+		return &IntRange{start: start, stop: stop, step: step}, nil
+	case *ListDomain:
+		elems := make([]expr.IntFn, len(n.Elems))
+		for i, e := range n.Elems {
+			fn, err := expr.CompileInt(e, str)
+			if err != nil {
+				return nil, err
+			}
+			elems[i] = fn
+		}
+		return &intList{elems: elems}, nil
+	case *CondDomain:
+		cond, err := expr.CompileInt(n.Cond, str)
+		if err != nil {
+			return nil, err
+		}
+		then, err := CompileDomain(n.Then, str)
+		if err != nil {
+			return nil, err
+		}
+		els, err := CompileDomain(n.Else, str)
+		if err != nil {
+			return nil, err
+		}
+		return &intCond{cond: cond, then: then, els: els}, nil
+	case *AlgebraDomain:
+		l, err := CompileDomain(n.L, str)
+		if err != nil {
+			return nil, err
+		}
+		r, err := CompileDomain(n.R, str)
+		if err != nil {
+			return nil, err
+		}
+		return &intAlgebra{op: n.Op, l: l, r: r}, nil
+	}
+	return nil, fmt.Errorf("unsupported domain type %T", d)
 }

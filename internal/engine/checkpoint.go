@@ -11,7 +11,8 @@ import (
 // and hands a consistent Snapshot to OnSnapshot every EveryTiles commits
 // plus once when the run ends — completed, cancelled, or aborted by a
 // worker error — so the last snapshot always covers exactly the committed
-// tiles.
+// tiles. That final snapshot is skipped when the last one OnSnapshot
+// accepted already covers every committed tile.
 //
 // In checkpoint mode Options.OnTuple delivery is transactional: a tile's
 // surviving tuples are logged while the tile runs and delivered only
@@ -21,6 +22,12 @@ import (
 // taken only while no worker is between starting a tile's delivery and
 // committing that tile, so the tuples delivered when OnSnapshot runs are
 // exactly those of the snapshot's committed tiles.
+//
+// A stopped run commits whole tiles too. An Options.OnTuple that returns
+// false still commits the tile it was delivering, and the run reports
+// Stopped; that tile's remaining survivors are never delivered, not even
+// after a resume. A tile whose run ends after the stop is not committed,
+// so a resume delivers it whole.
 //
 // Checkpointing rejects Options.Limit; see there.
 type CheckpointConfig struct {

@@ -80,6 +80,11 @@ type Options struct {
 	// false stops the whole run promptly (all workers observe the
 	// cancellation). With Workers > 1 the callback is invoked concurrently
 	// and must be safe for that.
+	//
+	// Under Checkpoint, returning false still commits the tile whose
+	// survivors were being delivered, whole, and the run reports Stopped:
+	// that tile's remaining survivors are never delivered, not even after
+	// a resume (see CheckpointConfig).
 	OnTuple func(tuple []int64) bool
 
 	// Limit, if positive, stops enumeration after this many survivors.

@@ -419,8 +419,12 @@ type tileTracker struct {
 	sinceSnap int
 	done      []uint64
 	completed int
-	depth     int
-	tiles     int
+	// snapped is the committed count the last snapshot captured, or -1
+	// when there is none or it failed: the final snapshot is skipped only
+	// when it would repeat a snapshot OnSnapshot accepted.
+	snapped int
+	depth   int
+	tiles   int
 	// base accumulates the committed tiles' counters (seeded from the
 	// resume snapshot); its flags and metadata stay zero.
 	base *Stats
@@ -434,6 +438,7 @@ func newTileTracker(prog *plan.Program, opts Options, tiles *tileSet, st *Stats)
 		cfg:     opts.Checkpoint,
 		onTuple: opts.OnTuple,
 		every:   1,
+		snapped: -1,
 		done:    make([]uint64, (tiles.n+63)/64),
 		depth:   tiles.depth,
 		tiles:   tiles.n,
@@ -503,19 +508,26 @@ func (tr *tileTracker) deliverAndCommit(tile int, log *survivorLog, cur, prev *S
 func (tr *tileTracker) snapshot() error {
 	tr.gate.Lock()
 	defer tr.gate.Unlock()
-	return tr.cfg.OnSnapshot(&Snapshot{
+	err := tr.cfg.OnSnapshot(&Snapshot{
 		SplitDepth: tr.depth,
 		Tiles:      tr.tiles,
 		Completed:  tr.completed,
 		Done:       append([]uint64(nil), tr.done...),
 		TileStats:  tr.base.Clone(),
 	})
+	tr.snapped = tr.completed
+	if err != nil {
+		tr.snapped = -1
+	}
+	return err
 }
 
 // finalSnapshot writes one last snapshot after the pool drains, so the
-// checkpoint file always reflects every committed tile.
+// checkpoint file always reflects every committed tile. It is skipped when
+// the last snapshot already captured every commit; a run that took no
+// snapshot, or whose last one failed, always writes it.
 func (tr *tileTracker) finalSnapshot() error {
-	if !tr.snapshots() {
+	if !tr.snapshots() || tr.snapped == tr.completed {
 		return nil
 	}
 	return tr.snapshot()

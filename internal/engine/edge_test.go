@@ -346,6 +346,35 @@ func TestTypeErrorSurfacedAsError(t *testing.T) {
 	if _, err := NewVM(prog).Run(Options{}); err == nil {
 		t.Error("expected the VM to reject string expressions")
 	}
+
+	// A string comparison raises no type error, so the interpreter and
+	// the tiler evaluate it, in a check or in a conditional domain. The
+	// VM still rejects it at every worker count, although a tiled run
+	// leaves the prefix levels it sits on to the tiler.
+	isABC := expr.Eq(expr.NewRef("mode"), expr.StrLit("abc"))
+	for _, inCheck := range []bool{true, false} {
+		s2 := space.New()
+		s2.StrSetting("mode", "abc")
+		if inCheck {
+			s2.Range("x", expr.IntLit(0), expr.IntLit(3))
+			s2.Constrain("str", space.Soft, expr.And(isABC, expr.Gt(expr.NewRef("x"), expr.IntLit(1))))
+		} else {
+			s2.DomainIter("x", space.NewCond(isABC, space.NewIntList(1, 2), space.NewIntList(3)))
+		}
+		s2.Range("y", expr.IntLit(0), expr.IntLit(3))
+		prog2, err := plan.Compile(s2, plan.Options{DisableFolding: true, DisableReorder: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewInterp(prog2).Run(Options{Workers: 2}); err != nil {
+			t.Errorf("check=%v: interpreter: %v", inCheck, err)
+		}
+		for _, workers := range []int{1, 2} {
+			if _, err := NewVM(prog2).Run(Options{Workers: workers}); err == nil {
+				t.Errorf("check=%v workers=%d: expected the VM to reject a string comparison", inCheck, workers)
+			}
+		}
+	}
 }
 
 // A check step between shared subtrees forces the optimizer to place one

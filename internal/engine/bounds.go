@@ -3,7 +3,6 @@ package engine
 import (
 	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/space"
 )
 
 // Runtime side of the plan's bounds-compilation pass (plan/bounds.go): at
@@ -18,9 +17,8 @@ import (
 // One routine, narrowRange, runs for every caller. Each loop's bounds are
 // lowered once to expr.IntFn closures over a register file: the compiled
 // and VM backends compile them (expr.CompileInt), while the interpreter
-// and the parallel tiler wrap their own evaluators in closures built once
-// per state, which read the trial value of a probe from the register
-// file.
+// wraps its own evaluator in closures built once per worker, which read
+// the trial value of a probe from the register file.
 
 // compiledBounds is a LoopBounds lowered to register-file closures.
 type compiledBounds struct {
@@ -50,10 +48,9 @@ func compileBound(str map[int]string) boundLowering {
 	return func(e expr.Expr, _ bool) (expr.IntFn, error) { return expr.CompileInt(e, str) }
 }
 
-// boxedBounds is the lowering of the boxed evaluators (the interpreter
-// and the parallel tiler): eval evaluates an expression against their
-// environment, and bind binds the loop variable to a probe's trial
-// value, which narrowRange leaves in reg[slot].
+// boxedBounds is the interpreter's lowering: eval evaluates an
+// expression against its environment, and bind binds the loop variable
+// to a probe's trial value, which narrowRange leaves in reg[slot].
 func boxedBounds(eval func(expr.Expr) expr.Value, bind func(int64), slot int) boundLowering {
 	return func(e expr.Expr, probe bool) (expr.IntFn, error) {
 		if probe {
@@ -164,32 +161,6 @@ func narrowRange(cb *compiledBounds, reg []int64, start, stop, step int64, st *S
 		st.IterationsSkipped[d] += totalSkipped
 	}
 	return lo, hi
-}
-
-// collectNarrowed materializes a bounded range loop's values during tiling
-// with the bounds cb applied, crediting skips in st at depth d. It reports
-// false — domain untouched — when the loop has no bounds or the evaluated
-// range is not ascending, in which case the caller enumerates the domain
-// as before.
-func collectNarrowed(lp *plan.Loop, cb *compiledBounds, env *expr.Env, reg []int64, st *Stats, d int, collect func(int64) bool) bool {
-	if cb == nil {
-		return false
-	}
-	rd, ok := lp.Domain.(*space.RangeDomain)
-	if !ok {
-		return false
-	}
-	start, stop, step, ok := rd.Span(env)
-	if !ok || step <= 0 {
-		return false
-	}
-	lo, hi := narrowRange(cb, reg, start, stop, step, st, d)
-	for v := lo; v < hi; v += step {
-		if !collect(v) {
-			break
-		}
-	}
-	return true
 }
 
 // rangeCount returns the number of values of the ascending progression

@@ -190,7 +190,7 @@ func (c *Compiled) Name() string { return "compiled" }
 
 // Run implements Engine.
 func (c *Compiled) Run(opts Options) (*Stats, error) {
-	return run(c.prog, c, opts)
+	return runContext(context.Background(), c.prog, c, opts)
 }
 
 // RunContext implements Engine.
@@ -198,95 +198,93 @@ func (c *Compiled) RunContext(ctx context.Context, opts Options) (*Stats, error)
 	return runContext(ctx, c.prog, c, opts)
 }
 
+// compiledState is one worker of the compiled backend: a private register
+// file, Stats and scratch kept across tiles.
 type compiledState struct {
 	c     *Compiled
 	reg   []int64
 	stats *Stats
 	ctl   *runCtl
 	out   sink
-	chunk *chunker // non-nil when the innermost loop runs chunked
-	tabx  *tabExec // non-nil when the plan tabulated constraints
+	chunk *chunker    // non-nil when the innermost loop runs chunked
+	tabx  *tabExec    // non-nil when the plan tabulated constraints
+	depth int         // prefix depth the worker resumes below
+	last  int         // deepest level it enumerates
+	leaf  func(int64) // non-nil on a tiling level (see backend)
+	// bodies holds each non-range loop's body, bound once so that
+	// walking its domain does not allocate on every loop entry.
+	bodies []func(int64) bool
 }
 
-func (c *Compiled) newState(opts Options, ctl *runCtl) *compiledState {
-	state := &compiledState{
-		c:     c,
-		reg:   make([]int64, c.prog.NumSlots()),
-		stats: NewStats(c.prog),
-		ctl:   ctl,
+// newWorker implements backend.
+func (c *Compiled) newWorker(opts Options, ctl *runCtl, depth int, leaf func(int64)) (tileWorker, error) {
+	s := &compiledState{
+		c:      c,
+		reg:    make([]int64, c.prog.NumSlots()),
+		stats:  NewStats(c.prog),
+		ctl:    ctl,
+		depth:  depth,
+		last:   len(c.loops) - 1,
+		leaf:   leaf,
+		bodies: make([]func(int64) bool, len(c.loops)),
+	}
+	if leaf != nil {
+		s.last = depth
 	}
 	for _, in := range c.initInts {
-		state.reg[in.slot] = in.v
+		s.reg[in.slot] = in.v
 	}
-	state.out = newSink(c.prog, opts, ctl, state.stats, state.reg, nil)
+	for d := range c.loops {
+		if c.loops[d].rng == nil {
+			s.bodies[d] = func(v int64) bool { return s.body(d, v) }
+		}
+	}
+	s.out = newSink(c.prog, opts, ctl, s.stats, s.reg, nil)
 	if c.prog.Tab != nil {
-		state.tabx = newTabExec(c.prog.Tab)
+		s.tabx = newTabExec(c.prog.Tab)
 	}
-	if ch := newChunker(c.prog, opts, &state.out, state.tabx); ch != nil {
-		state.attachLanes(ch)
+	if ch := newChunker(c.prog, opts, &s.out, s.tabx); ch != nil {
+		s.attachLanes(ch)
 	}
-	return state
+	return s, nil
 }
 
-func (c *Compiled) runFull(opts Options, ctl *runCtl) (st *Stats, err error) {
+func (s *compiledState) counters() *Stats { return s.stats }
+
+// runTile implements tileWorker.
+func (s *compiledState) runTile(prefix []int64) (err error) {
 	defer recoverRunError(&err)
-	state := c.newState(opts, ctl)
-	ok, rejected := state.steps(c.prelude)
-	if rejected || !ok {
-		return state.stats, nil
+	c := s.c
+	if s.depth > 0 {
+		s.replay(c.prelude)
+	} else if !s.steps(c.prelude) {
+		return nil
 	}
-	if len(c.loops) == 0 {
-		state.out.survive()
-		return state.stats, nil
-	}
-	state.loop(0)
-	return state.stats, nil
-}
-
-// newWorker implements backend: a tile worker over a private register file.
-// Prelude assignments run once per worker; prelude checks already passed
-// (and were counted) during tiling.
-func (c *Compiled) newWorker(opts Options, ctl *runCtl, depth int) (w tileWorker, err error) {
-	defer recoverRunError(&err)
-	state := c.newState(opts, ctl)
-	for i := range c.prelude {
-		st := &c.prelude[i]
-		if !st.check {
-			state.reg[st.slot] = st.fn(state.reg)
-		}
-	}
-	return &compiledWorker{state: state, depth: depth}, nil
-}
-
-type compiledWorker struct {
-	state *compiledState
-	depth int
-}
-
-func (w *compiledWorker) stats() *Stats { return w.state.stats }
-
-func (w *compiledWorker) runTile(prefix []int64) (err error) {
-	defer recoverRunError(&err)
-	s := w.state
 	for d, v := range prefix {
-		lp := &s.c.loops[d]
+		lp := &c.loops[d]
 		s.reg[lp.slot] = v
-		for i := range lp.steps {
-			st := &lp.steps[i]
-			if !st.check {
-				s.reg[st.slot] = st.fn(s.reg)
-			}
-		}
+		s.replay(lp.steps)
 	}
-	if w.depth == len(s.c.loops) {
+	if s.depth == len(c.loops) {
 		s.out.survive()
 		return nil
 	}
-	s.loop(w.depth)
+	s.loop(s.depth)
 	return nil
 }
 
-func (s *compiledState) steps(steps []compiledStep) (ok, rejected bool) {
+// replay runs the assignments of an already-checked step list, uncounted.
+func (s *compiledState) replay(steps []compiledStep) {
+	for i := range steps {
+		if st := &steps[i]; !st.check {
+			s.reg[st.slot] = st.fn(s.reg)
+		}
+	}
+}
+
+// steps executes a step list, counted; it reports whether every check
+// passed.
+func (s *compiledState) steps(steps []compiledStep) bool {
 	for i := range steps {
 		st := &steps[i]
 		if st.tempRefs > 0 {
@@ -317,10 +315,10 @@ func (s *compiledState) steps(steps []compiledStep) (ok, rejected bool) {
 		}
 		if kill {
 			s.stats.Kills[st.statsID]++
-			return true, true
+			return false
 		}
 	}
-	return true, false
+	return true
 }
 
 func (s *compiledState) body(d int, v int64) bool {
@@ -330,14 +328,14 @@ func (s *compiledState) body(d int, v int64) bool {
 	lp := &s.c.loops[d]
 	s.reg[lp.slot] = v
 	s.stats.LoopVisits[d]++
-	ok, rejected := s.steps(lp.steps)
-	if !ok {
-		return false
-	}
-	if rejected {
+	if !s.steps(lp.steps) {
 		return true
 	}
-	if d == len(s.c.loops)-1 {
+	if d == s.last {
+		if s.leaf != nil {
+			s.leaf(v)
+			return true
+		}
 		return s.out.survive()
 	}
 	return s.loop(d + 1)
@@ -377,5 +375,5 @@ func (s *compiledState) loop(d int) bool {
 	if ch != nil {
 		return lp.domain.Iterate(s.reg, ch.yield) && ch.flush()
 	}
-	return lp.domain.Iterate(s.reg, func(v int64) bool { return s.body(d, v) })
+	return lp.domain.Iterate(s.reg, s.bodies[d])
 }

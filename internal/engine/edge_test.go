@@ -347,10 +347,10 @@ func TestTypeErrorSurfacedAsError(t *testing.T) {
 		t.Error("expected the VM to reject string expressions")
 	}
 
-	// A string comparison raises no type error, so the interpreter and
-	// the tiler evaluate it, in a check or in a conditional domain. The
-	// VM still rejects it at every worker count, although a tiled run
-	// leaves the prefix levels it sits on to the tiler.
+	// A string comparison raises no type error, so the interpreter
+	// evaluates it, in a check or in a conditional domain. The VM rejects
+	// it at every worker count: a tiled run compiles the prefix levels it
+	// sits on into its level streams.
 	isABC := expr.Eq(expr.NewRef("mode"), expr.StrLit("abc"))
 	for _, inCheck := range []bool{true, false} {
 		s2 := space.New()
@@ -373,6 +373,25 @@ func TestTypeErrorSurfacedAsError(t *testing.T) {
 			if _, err := NewVM(prog2).Run(Options{Workers: workers}); err == nil {
 				t.Errorf("check=%v workers=%d: expected the VM to reject a string comparison", inCheck, workers)
 			}
+		}
+	}
+
+	// Tiling prunes every x, so no tiled run reaches the level that reads
+	// the string; the VM must reject the program all the same.
+	s3 := space.New()
+	s3.StrSetting("mode", "abc")
+	s3.Range("x", expr.IntLit(0), expr.IntLit(3))
+	s3.Constrain("none", space.Hard, expr.Ge(expr.NewRef("x"), expr.IntLit(0)))
+	s3.Range("y", expr.IntLit(0), expr.IntLit(3))
+	s3.Constrain("str", space.Soft, expr.And(isABC, expr.Gt(expr.NewRef("y"), expr.IntLit(1))))
+	prog3, err := plan.Compile(s3, plan.Options{DisableFolding: true, DisableReorder: true, DisableNarrowing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Workers: 1}, {Workers: 2}, {Workers: 1, Checkpoint: &CheckpointConfig{}}} {
+		if _, err := NewVM(prog3).Run(opts); err == nil {
+			t.Errorf("pruned level, workers=%d checkpoint=%v: expected the VM to reject a string comparison",
+				opts.Workers, opts.Checkpoint != nil)
 		}
 	}
 }

@@ -57,19 +57,23 @@ type Options struct {
 	// Protocol selects the loop-control variant (see Protocol).
 	Protocol Protocol
 
-	// Workers > 1 enumerates in parallel: the driver materializes prefix
+	// Workers > 1 enumerates in parallel: the backend itself builds prefix
 	// tiles — surviving value tuples of the first SplitDepth loops, with
-	// hoisted constraints already applied — and workers pull tiles from a
-	// shared queue, so heavily pruned subtrees cannot strand the pool the
-	// way a static split of the outermost loop could. Enumeration order
-	// across workers is nondeterministic, but the merged Stats of a
-	// complete run are identical to a sequential run's.
+	// hoisted constraints already applied — one level at a time, and
+	// workers pull tiles from a shared queue, so heavily pruned subtrees
+	// cannot strand the pool the way a static split of the outermost loop
+	// could. Enumeration order across workers is nondeterministic, but the
+	// merged Stats of a complete run are identical to a sequential run's.
+	// Workers <= 1 runs one worker on the caller's goroutine, unless
+	// Checkpoint or Resume is set: those runs are tiled, with a pool of one.
 	Workers int
 
-	// SplitDepth overrides the parallel driver's tiling depth: tiles are
-	// value tuples of loops 0..SplitDepth-1. Zero (the default) lets the
-	// planner's cardinality analysis pick a depth that yields roughly
-	// 8 tiles per worker. Ignored when Workers <= 1.
+	// SplitDepth overrides the tiling depth: tiles are value tuples of
+	// loops 0..SplitDepth-1. Zero (the default) lets the planner's
+	// cardinality analysis pick a depth that yields roughly 8 tiles per
+	// worker. It applies to every tiled run: Workers > 1, or any run with
+	// Checkpoint set (Resume forces the snapshot's depth instead). An
+	// untiled run ignores it.
 	SplitDepth int
 
 	// OnTuple, if non-nil, is called for every surviving tuple with the

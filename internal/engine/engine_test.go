@@ -269,16 +269,24 @@ func TestEmptySpaceAndPreludeRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Prelude) == 0 {
-		t.Fatal("expected a prelude check")
+	if len(prog.Prelude) != 1 || prog.Prelude[0].Kind != plan.CheckStep {
+		t.Fatal("expected one prelude check")
 	}
-	for _, e := range []Engine{NewInterp(prog), NewVM(prog)} {
-		st := runStats(t, e, Options{})
-		if st.Survivors != 0 {
-			t.Errorf("%s: survivors = %d, want 0", e.Name(), st.Survivors)
-		}
-		if st.TotalVisits() != 0 {
-			t.Errorf("%s: visits = %d, want 0 (prelude should cut)", e.Name(), st.TotalVisits())
+	id := prog.Prelude[0].StatsID
+	// Exactly one worker runs the prelude, whatever the schedule.
+	for _, opts := range []Options{{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 1, Checkpoint: &CheckpointConfig{}}} {
+		for _, e := range allBackends(t, prog) {
+			label := fmt.Sprintf("%s workers=%d checkpoint=%v", e.Name(), opts.Workers, opts.Checkpoint != nil)
+			st := runStats(t, e, opts)
+			if st.Survivors != 0 {
+				t.Errorf("%s: survivors = %d, want 0", label, st.Survivors)
+			}
+			if st.TotalVisits() != 0 {
+				t.Errorf("%s: visits = %d, want 0 (prelude should cut)", label, st.TotalVisits())
+			}
+			if st.Checks[id] != 1 || st.Kills[id] != 1 {
+				t.Errorf("%s: prelude check counted %d checks, %d kills; want 1, 1", label, st.Checks[id], st.Kills[id])
+			}
 		}
 	}
 }
@@ -294,10 +302,46 @@ func TestZeroLoopProgramSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []Engine{NewInterp(prog), NewVM(prog), comp} {
-		st := runStats(t, e, Options{})
-		if st.Survivors != 1 {
-			t.Errorf("%s: survivors = %d, want 1 (the empty tuple)", e.Name(), st.Survivors)
+	// A program with no loops is never tiled, at any worker count.
+	for _, workers := range []int{1, 4} {
+		for _, e := range []Engine{NewInterp(prog), NewVM(prog), comp} {
+			st := runStats(t, e, Options{Workers: workers})
+			if st.Survivors != 1 {
+				t.Errorf("%s workers=%d: survivors = %d, want 1 (the empty tuple)", e.Name(), workers, st.Survivors)
+			}
+		}
+	}
+}
+
+// TestListLoopEntryAllocs pins that entering a loop whose domain is not a
+// plain range does not allocate: quadrupling the outer loop quadruples
+// the entries into the list loop below it, and every backend, scalar and
+// chunked, must allocate no more per run.
+func TestListLoopEntryAllocs(t *testing.T) {
+	backends := func(n int64) []Engine {
+		s := space.New()
+		s.Range("a", expr.IntLit(0), expr.IntLit(n))
+		s.DomainIter("c", space.NewIntList(1, 2, 4, 8))
+		s.Range("b", expr.IntLit(0), expr.IntLit(8))
+		prog, err := plan.Compile(s, plan.Options{DisableReorder: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allBackends(t, prog)
+	}
+	allocs := func(e Engine, chunk int) float64 {
+		runStats(t, e, Options{ChunkSize: chunk}) // warm-up
+		return testing.AllocsPerRun(5, func() { runStats(t, e, Options{ChunkSize: chunk}) })
+	}
+	small, large := backends(100), backends(400)
+	for i := range small {
+		for _, chunk := range []int{1, 64} {
+			a, b := allocs(small[i], chunk), allocs(large[i], chunk)
+			t.Logf("%s chunk=%d: %.0f allocs/run at 100 entries, %.0f at 400", small[i].Name(), chunk, a, b)
+			if b > a {
+				t.Errorf("%s chunk=%d: allocations grow with loop entries: %.0f at 100, %.0f at 400",
+					small[i].Name(), chunk, a, b)
+			}
 		}
 	}
 }

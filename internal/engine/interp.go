@@ -37,7 +37,7 @@ func (in *Interp) Name() string { return "interp" }
 
 // Run implements Engine.
 func (in *Interp) Run(opts Options) (*Stats, error) {
-	return run(in.prog, in, opts)
+	return runContext(context.Background(), in.prog, in, opts)
 }
 
 // RunContext implements Engine.
@@ -259,6 +259,8 @@ func spanMap(r *space.RangeDomain, env ienv) (start, stop, step int64, ok bool) 
 	return s, e, st, true
 }
 
+// interpState is one worker of the interpreter: the associative
+// environment, private Stats and scratch it keeps across tiles.
 type interpState struct {
 	in     *Interp
 	env    ienv
@@ -266,6 +268,9 @@ type interpState struct {
 	opts   Options
 	ctl    *runCtl
 	out    sink
+	depth  int          // prefix depth the worker resumes below
+	last   int          // deepest level it enumerates
+	leaf   func(int64)  // non-nil on a tiling level (see backend)
 	chunk  *chunker     // non-nil when the innermost loop may run chunked
 	lanes  *interpLanes // chunk's evaluator
 	tabx   *tabExec     // non-nil when the plan tabulated constraints
@@ -296,7 +301,8 @@ type whileControl struct {
 	ltCond, gtCond, incr expr.Expr
 }
 
-func (in *Interp) newState(opts Options, ctl *runCtl) *interpState {
+// newWorker implements backend.
+func (in *Interp) newWorker(opts Options, ctl *runCtl, depth int, leaf func(int64)) (tileWorker, error) {
 	prog := in.prog
 	n := len(prog.Loops)
 	env := make(ienv, prog.NumSlots()+8)
@@ -309,6 +315,9 @@ func (in *Interp) newState(opts Options, ctl *runCtl) *interpState {
 		stats:      NewStats(prog),
 		opts:       opts,
 		ctl:        ctl,
+		depth:      depth,
+		last:       n - 1,
+		leaf:       leaf,
 		bodies:     make([]func(int64) bool, n),
 		rangeBuf:   make([][]int64, n),
 		iterArgBuf: make([][]expr.Value, n),
@@ -334,10 +343,13 @@ func (in *Interp) newState(opts Options, ctl *runCtl) *interpState {
 			st.tabIdx[d] = tabStepIndex(prog, d)
 		}
 	}
+	if leaf != nil {
+		st.last = depth
+	}
 	if ch := newChunker(prog, opts, &st.out, st.tabx); ch != nil {
 		st.attachLanes(ch)
 	}
-	return st
+	return st, nil
 }
 
 // deferredArgs fills the shared argument scratch with the named
@@ -368,70 +380,44 @@ func (s *interpState) iterArgs(d int, lp *plan.Loop) []expr.Value {
 	return args
 }
 
-func (in *Interp) runFull(opts Options, ctl *runCtl) (st *Stats, err error) {
+func (s *interpState) counters() *Stats { return s.stats }
+
+// runTile implements tileWorker.
+func (s *interpState) runTile(prefix []int64) (err error) {
 	defer recoverRunError(&err)
-	state := in.newState(opts, ctl)
-	ok, rejected := state.steps(in.prog.Prelude, nil)
-	if rejected || !ok {
-		return state.stats, nil
-	}
-	if len(in.prog.Loops) == 0 {
-		state.out.survive()
-		return state.stats, nil
-	}
-	state.loop(0)
-	return state.stats, nil
-}
-
-// newWorker implements backend: a tile worker with its own associative
-// environment and Stats. Prelude assignments run once per worker; prelude
-// checks already passed (and were counted) during tiling.
-func (in *Interp) newWorker(opts Options, ctl *runCtl, depth int) (w tileWorker, err error) {
-	defer recoverRunError(&err)
-	state := in.newState(opts, ctl)
-	for i := range in.prog.Prelude {
-		st := &in.prog.Prelude[i]
-		if st.Kind == plan.AssignStep {
-			state.env[st.Name] = evalMap(st.Expr, state.env)
-		}
-	}
-	return &interpWorker{state: state, depth: depth}, nil
-}
-
-type interpWorker struct {
-	state *interpState
-	depth int
-}
-
-func (w *interpWorker) stats() *Stats { return w.state.stats }
-
-func (w *interpWorker) runTile(prefix []int64) (err error) {
-	defer recoverRunError(&err)
-	s := w.state
 	prog := s.in.prog
+	if s.depth > 0 {
+		s.replay(prog.Prelude)
+	} else if !s.steps(prog.Prelude, nil) {
+		return nil
+	}
 	for d, v := range prefix {
 		lp := prog.Loops[d]
 		s.env[lp.Iter.Name] = expr.IntVal(v)
-		for i := range lp.Steps {
-			st := &lp.Steps[i]
-			if st.Kind == plan.AssignStep {
-				s.env[st.Name] = evalMap(st.Expr, s.env)
-			}
-		}
+		s.replay(lp.Steps)
 	}
-	if w.depth == len(prog.Loops) {
+	if s.depth == len(prog.Loops) {
 		s.out.survive()
 		return nil
 	}
-	s.loop(w.depth)
+	s.loop(s.depth)
 	return nil
 }
 
-// steps executes a step list; it reports (continueEnumeration,
-// constraintRejected). tabIdx maps each step to its plan table (-1 =
-// expression path, nil = no tables at this depth), precomputed so the
-// hot loop never consults the ByStats map.
-func (s *interpState) steps(steps []plan.Step, tabIdx []int) (ok, rejected bool) {
+// replay runs the assignments of an already-checked step list, uncounted.
+func (s *interpState) replay(steps []plan.Step) {
+	for i := range steps {
+		if st := &steps[i]; st.Kind == plan.AssignStep {
+			s.env[st.Name] = evalMap(st.Expr, s.env)
+		}
+	}
+}
+
+// steps executes a step list, counted; it reports whether every check
+// passed. tabIdx maps each step to its plan table (-1 = expression path,
+// nil = no tables at this depth), precomputed so the hot loop never
+// consults the ByStats map.
+func (s *interpState) steps(steps []plan.Step, tabIdx []int) bool {
 	for i := range steps {
 		st := &steps[i]
 		if st.TempRefs > 0 {
@@ -464,10 +450,10 @@ func (s *interpState) steps(steps []plan.Step, tabIdx []int) (ok, rejected bool)
 		}
 		if kill {
 			s.stats.Kills[st.StatsID]++
-			return true, true
+			return false
 		}
 	}
-	return true, false
+	return true
 }
 
 // body binds value v at depth d, runs the hoisted steps, and recurses.
@@ -483,14 +469,14 @@ func (s *interpState) body(d int, v int64) bool {
 	if s.tabIdx != nil {
 		tabIdx = s.tabIdx[d]
 	}
-	ok, rejected := s.steps(lp.Steps, tabIdx)
-	if !ok {
-		return false
-	}
-	if rejected {
+	if !s.steps(lp.Steps, tabIdx) {
 		return true // pruned: next value at this depth
 	}
-	if d == len(s.in.prog.Loops)-1 {
+	if d == s.last {
+		if s.leaf != nil {
+			s.leaf(v)
+			return true
+		}
 		return s.out.survive()
 	}
 	return s.loop(d + 1)

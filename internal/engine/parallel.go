@@ -7,9 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/space"
 )
 
 // tileTarget is the tiles-per-worker ratio the auto split-depth policy aims
@@ -20,7 +18,7 @@ const tileTarget = 8
 
 // runCtl is the control state one enumeration run shares across workers: a
 // cancellation token plus the survivor countdown that makes Options.Limit
-// exact under concurrency. Sequential runs use the same object so the
+// exact under concurrency. Untiled runs use the same object so the
 // survivor path is identical in both modes.
 type runCtl struct {
 	cancel  atomic.Bool
@@ -30,9 +28,9 @@ type runCtl struct {
 	// many workers race.
 	remaining atomic.Int64
 	limited   bool
-	// poll gates the cooperative cancellation check: parallel and
-	// context-cancellable runs pay the atomic load in the loop body
-	// (sequential early stop propagates through return values as before).
+	// poll gates the cooperative cancellation check: tiled and
+	// context-cancellable runs pay the atomic load in the loop body (an
+	// untiled run's early stop propagates through return values).
 	poll bool
 	// ctxDone records that cancellation came from the run's context, so the
 	// driver can distinguish a deadline/caller cancellation from a limit
@@ -40,8 +38,8 @@ type runCtl struct {
 	ctxDone atomic.Bool
 }
 
-func newRunCtl(limit int64, parallel bool) *runCtl {
-	c := &runCtl{limited: limit > 0, poll: parallel}
+func newRunCtl(limit int64, poll bool) *runCtl {
+	c := &runCtl{limited: limit > 0, poll: poll}
 	if c.limited {
 		c.remaining.Store(limit)
 	}
@@ -153,26 +151,29 @@ func (s *sink) deliver() bool {
 	return true
 }
 
-// backend is the per-backend execution surface the shared driver schedules.
+// backend is the one execution surface each backend gives the driver.
 type backend interface {
-	// runFull enumerates the whole space on the calling goroutine.
-	runFull(opts Options, ctl *runCtl) (*Stats, error)
-	// newWorker returns a worker that resumes enumeration from fixed
-	// prefixes of the first depth loop variables. depth == len(Loops) means
-	// tiles are complete tuples and runTile only records the survivor.
-	newWorker(opts Options, ctl *runCtl, depth int) (tileWorker, error)
+	// newWorker returns a worker that enumerates below fixed prefixes of
+	// the first depth loop variables. A depth-0 worker runs and counts the
+	// prelude, so a sequential run is one depth-0 worker on the empty
+	// prefix. With a nil leaf the worker enumerates each prefix's subtree
+	// to its survivors; depth == len(Loops) means prefixes are complete
+	// tuples and runTile only records the survivor. With a non-nil leaf it
+	// enumerates only level depth and passes each value that survives the
+	// level's steps to leaf: genTiles builds tiles that way.
+	newWorker(opts Options, ctl *runCtl, depth int, leaf func(int64)) (tileWorker, error)
 }
 
 // tileWorker is one worker's session: it keeps its backend state (register
 // file, bytecode, environment) and its private Stats across tiles.
 type tileWorker interface {
-	// runTile enumerates the subtree under one prefix tile. Constraint
-	// checks at prefix depths were already applied (and counted) while
-	// tiling; the worker replays only the prefix assignments.
+	// runTile enumerates under one prefix. Constraint checks at prefix
+	// depths were already applied (and counted) by the level that built
+	// the prefix; the worker replays only the prefix assignments.
 	runTile(prefix []int64) error
-	// stats returns the worker's private counters, merged once by the
+	// counters returns the worker's private Stats, merged once by the
 	// driver after the pool drains.
-	stats() *Stats
+	counters() *Stats
 }
 
 // tileSet is a materialized set of loop-variable prefixes, stored flat
@@ -185,13 +186,8 @@ type tileSet struct {
 
 func (t *tileSet) at(i int) []int64 { return t.vals[i*t.depth : (i+1)*t.depth] }
 
-// run is the shared Run implementation behind every backend's Run method.
-func run(prog *plan.Program, b backend, opts Options) (*Stats, error) {
-	return runContext(context.Background(), prog, b, opts)
-}
-
 // runContext is the shared driver behind every backend's Run and RunContext:
-// sequential dispatch, or prefix-tile generation plus a self-scheduling
+// one inline worker, or prefix-tile generation plus a self-scheduling
 // worker pool. Context cancellation maps onto the shared runCtl token — the
 // same path workers poll for limit stops — so deadlines and caller
 // cancellation stop every worker promptly, and the partial Stats come back
@@ -211,13 +207,20 @@ func runContext(ctx context.Context, prog *plan.Program, b backend, opts Options
 		return runTiled(ctx, prog, b, opts)
 	}
 
+	// A sequential run is one depth-0 worker on the empty prefix, run on
+	// the caller's goroutine; its own Stats are the result, so the pool's
+	// bookkeeping stays off this path.
 	ctl := newRunCtl(opts.Limit, ctx.Done() != nil)
 	stop := context.AfterFunc(ctx, ctl.cancelCtx)
 	defer stop()
-	st, err := b.runFull(opts, ctl)
+	w, err := b.newWorker(opts, ctl, 0, nil)
+	if err == nil {
+		err = w.runTile(nil)
+	}
 	if err != nil {
 		return nil, err
 	}
+	st := w.counters()
 	st.Stopped = ctl.stopped.Load()
 	if ctl.ctxCancelled() {
 		st.Cancelled = true
@@ -247,7 +250,7 @@ func runTiled(ctx context.Context, prog *plan.Program, b backend, opts Options) 
 		// identical regardless of worker count or SplitDepth overrides.
 		genOpts.SplitDepth = opts.Resume.SplitDepth
 	}
-	total, tiles, err := genTiles(prog, genOpts, workers, ctl)
+	total, tiles, err := genTiles(prog, b, genOpts, workers, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +325,7 @@ func runTiled(ctx context.Context, prog *plan.Program, b backend, opts Options) 
 					wopts.OnTuple = log.add
 				}
 			}
-			w, err := b.newWorker(wopts, ctl, tiles.depth)
+			w, err := b.newWorker(wopts, ctl, tiles.depth, nil)
 			if err != nil {
 				werrs[wi] = err
 				ctl.abort()
@@ -351,7 +354,7 @@ func runTiled(ctx context.Context, prog *plan.Program, b backend, opts Options) 
 						// leave it uncommitted so a resume re-runs it whole.
 						return
 					}
-					userStop, err := tr.commit(int(t), log, w.stats(), prev)
+					userStop, err := tr.commit(int(t), log, w.counters(), prev)
 					if err != nil {
 						werrs[wi] = err
 						ctl.abort()
@@ -363,7 +366,7 @@ func runTiled(ctx context.Context, prog *plan.Program, b backend, opts Options) 
 				}
 			}
 			if tr == nil {
-				wstats[wi] = w.stats()
+				wstats[wi] = w.counters()
 			}
 		}(i)
 	}
@@ -575,39 +578,22 @@ func (l *survivorLog) drain(fn func([]int64) bool) bool {
 	return true
 }
 
-// genTiles runs the prelude and materializes prefix tiles for the first K
-// loop levels, applying (and counting) every hoisted constraint along the
-// way — so tiles are exactly the surviving prefixes, and the skew the
-// constraints induce is flattened before work is handed out. The returned
-// Stats carry the prelude and prefix-level counters; workers count only
-// depths >= K, so the merged totals match a sequential run.
+// genTiles materializes prefix tiles for the first K loop levels by running
+// the run's own backend one level at a time: a level-d worker replays each
+// depth-d prefix, enumerates level d, applies (and counts) the steps
+// hoisted there, and extends the prefix by every value that survives. The
+// level-0 worker also runs and counts the prelude. Tiles are therefore
+// exactly the surviving prefixes, and the skew the constraints induce is
+// flattened before work is handed out. The returned Stats carry the
+// prelude and prefix-level counters; pool workers count only depths >= K,
+// so the merged totals match a sequential run. Level workers run scalar:
+// the chunker serves only a pool worker's innermost loop.
 //
 // K is Options.SplitDepth when positive; otherwise the planner's estimate
 // (plan.ChooseSplitDepth) targeting tileTarget*workers tiles, extended past
 // the estimate only while the realized tile count is still short of the
 // worker count, and cut short once the target is comfortably met.
-func genTiles(prog *plan.Program, opts Options, workers int, ctl *runCtl) (st *Stats, tiles *tileSet, err error) {
-	defer recoverRunError(&err)
-	st = NewStats(prog)
-	env := prog.NewEnv()
-	for i := range prog.Prelude {
-		step := &prog.Prelude[i]
-		if step.TempRefs > 0 {
-			st.TempHits[0] += int64(step.TempRefs)
-		}
-		if step.Kind == plan.AssignStep {
-			env.Slots[step.Slot] = step.Expr.Eval(env)
-			if step.Temp {
-				st.TempEvals[0]++
-			}
-			continue
-		}
-		st.Checks[step.StatsID]++
-		if rejectStep(step, env) {
-			st.Kills[step.StatsID]++
-			return st, &tileSet{}, nil
-		}
-	}
+func genTiles(prog *plan.Program, b backend, opts Options, workers int, ctl *runCtl) (*Stats, *tileSet, error) {
 	n := len(prog.Loops)
 	target := tileTarget * workers
 	auto := opts.SplitDepth <= 0
@@ -615,8 +601,8 @@ func genTiles(prog *plan.Program, opts Options, workers int, ctl *runCtl) (st *S
 	if auto {
 		goalK = plan.ChooseSplitDepth(prog, target)
 	}
-	tiles = &tileSet{n: 1}                // the single empty prefix
-	reg := make([]int64, prog.NumSlots()) // narrowing probes' trial values
+	st := NewStats(prog)
+	tiles := &tileSet{n: 1} // the single empty prefix
 	for d := 0; d < n; d++ {
 		if auto {
 			if tiles.n >= target {
@@ -628,106 +614,38 @@ func genTiles(prog *plan.Program, opts Options, workers int, ctl *runCtl) (st *S
 		} else if d >= goalK {
 			break
 		}
-		tiles = expandTiles(prog, env, reg, tiles, d, st, ctl)
-		if tiles.n == 0 || (ctl != nil && ctl.cancelled()) {
+		next := &tileSet{depth: d + 1}
+		var prefix []int64
+		w, err := b.newWorker(Options{Protocol: opts.Protocol}, ctl, d, func(v int64) {
+			next.vals = append(append(next.vals, prefix...), v)
+			next.n++
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for t := 0; t < tiles.n && !ctl.cancelled(); t++ {
+			prefix = tiles.at(t)
+			if err := w.runTile(prefix); err != nil {
+				return nil, nil, err
+			}
+		}
+		st.Merge(w.counters())
+		if d == 0 && preludeRejected(prog, st) {
+			return st, &tileSet{}, nil // nothing was tiled
+		}
+		if tiles = next; tiles.n == 0 || ctl.cancelled() {
 			break
 		}
 	}
 	return st, tiles, nil
 }
 
-// expandTiles extends every surviving prefix in `in` by one level: it binds
-// the prefix, replays its assignments, enumerates the level-d domain, and
-// applies the steps hoisted to depth d. Counters land in st exactly as the
-// sequential enumerators would count them.
-func expandTiles(prog *plan.Program, env *expr.Env, reg []int64, in *tileSet, d int, st *Stats, ctl *runCtl) *tileSet {
-	lp := prog.Loops[d]
-	out := &tileSet{depth: d + 1}
-	var cb *compiledBounds
-	if lp.Bounds != nil {
-		eval := func(e expr.Expr) expr.Value { return e.Eval(env) }
-		bind := func(v int64) { env.Slots[lp.Slot] = expr.IntVal(v) }
-		cb, _ = lowerLoopBounds(lp.Bounds, lp.Slot, boxedBounds(eval, bind, lp.Slot)) // boxed lowering never fails
-	}
-	var buf []int64
-	for t := 0; t < in.n; t++ {
-		if ctl != nil && ctl.cancelled() {
-			// Cancelled mid-tiling: the caller checks the token and discards
-			// the partial tile set.
-			return out
-		}
-		prefix := in.vals[t*in.depth : (t+1)*in.depth]
-		replayPrefix(prog, env, prefix)
-		// Materialize this level's values before running any steps: step
-		// assignments mutate env slots a lazily evaluated domain (list
-		// elements, conditional bounds) might read.
-		buf = buf[:0]
-		collect := func(v int64) bool { buf = append(buf, v); return true }
-		if lp.Iter.Kind == space.ExprIter {
-			if !collectNarrowed(lp, cb, env, reg, st, d, collect) {
-				lp.Domain.Iterate(env, collect)
-			}
-		} else {
-			lp.Iter.Iterate(env, lp.ArgSlots, collect)
-		}
-		for _, v := range buf {
-			env.Slots[lp.Slot] = expr.IntVal(v)
-			st.LoopVisits[d]++
-			if runTileSteps(lp.Steps, env, st) {
-				out.vals = append(out.vals, prefix...)
-				out.vals = append(out.vals, v)
-				out.n++
-			}
+// preludeRejected reports whether st counts a kill by a prelude check.
+func preludeRejected(prog *plan.Program, st *Stats) bool {
+	for i := range prog.Prelude {
+		if step := &prog.Prelude[i]; step.Kind == plan.CheckStep && st.Kills[step.StatsID] > 0 {
+			return true
 		}
 	}
-	return out
-}
-
-// replayPrefix rebinds a prefix's loop variables and re-runs the assignment
-// steps hoisted to those depths, so env is exactly the state a sequential
-// enumerator would have on entering the next level. Checks are skipped:
-// they already passed when the prefix survived tiling.
-func replayPrefix(prog *plan.Program, env *expr.Env, prefix []int64) {
-	for d, v := range prefix {
-		lp := prog.Loops[d]
-		env.Slots[lp.Slot] = expr.IntVal(v)
-		for i := range lp.Steps {
-			step := &lp.Steps[i]
-			if step.Kind == plan.AssignStep {
-				env.Slots[step.Slot] = step.Expr.Eval(env)
-			}
-		}
-	}
-}
-
-// runTileSteps executes one level's hoisted steps during tiling; it reports
-// whether the prefix survives.
-func runTileSteps(steps []plan.Step, env *expr.Env, st *Stats) bool {
-	for i := range steps {
-		step := &steps[i]
-		if step.TempRefs > 0 {
-			st.TempHits[step.Depth+1] += int64(step.TempRefs)
-		}
-		if step.Kind == plan.AssignStep {
-			env.Slots[step.Slot] = step.Expr.Eval(env)
-			if step.Temp {
-				st.TempEvals[step.Depth+1]++
-			}
-			continue
-		}
-		st.Checks[step.StatsID]++
-		if rejectStep(step, env) {
-			st.Kills[step.StatsID]++
-			return false
-		}
-	}
-	return true
-}
-
-// rejectStep evaluates one check step against the boxed environment.
-func rejectStep(step *plan.Step, env *expr.Env) bool {
-	if step.Constraint.Deferred() {
-		return step.Constraint.Rejects(env, step.ArgSlots)
-	}
-	return step.Expr.Eval(env).Truthy()
+	return false
 }

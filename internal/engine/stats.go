@@ -11,10 +11,12 @@
 //   - Compiled: closure compilation to native Go code, the stand-in for the
 //     generated standard C of Figure 19;
 //
-// plus a multithreaded driver that tiles the first K loop levels into
-// prefix tasks and lets workers pull them dynamically — the parallelization
-// §X.B says the level sets make possible, generalized past L0 so pruning
-// skew cannot strand the pool.
+// plus one driver for all three. A sequential run is one worker on the
+// empty prefix. A parallel or checkpointed run has the backend tile the
+// first K loop levels into prefix tasks, one level worker per level, and
+// lets a worker pool pull them dynamically — the parallelization §X.B
+// says the level sets make possible, generalized past L0 so pruning skew
+// cannot strand the pool.
 //
 // All backends consume the same plan.Program and are required (and
 // property-tested) to enumerate identical surviving tuples with identical
@@ -68,9 +70,9 @@ type Stats struct {
 	// chunked execution mode (Options.ChunkSize > 1), and LanesMasked
 	// counts lanes a residual check turned off inside those blocks. Both
 	// stay zero in scalar mode and — unlike the pruning counters — they
-	// are schedule-dependent: a parallel split that reaches the innermost
-	// loop enumerates it tile-wise (scalar), so comparisons across
-	// schedules must exclude them.
+	// are schedule-dependent: tiles are built by level workers, which run
+	// scalar, so a split that reaches the innermost loop enumerates it
+	// without chunks, and comparisons across schedules must exclude them.
 	ChunksEvaluated int64
 	LanesMasked     int64
 
@@ -88,9 +90,9 @@ type Stats struct {
 	// set once alongside the returned ctx error: Merge leaves it alone.
 	Cancelled bool
 
-	// SplitDepth and Tiles describe the parallel schedule that produced
+	// SplitDepth and Tiles describe the tiled schedule that produced
 	// this run: tiles were value prefixes of the first SplitDepth loops.
-	// Both are zero for sequential runs. Driver metadata, not counters:
+	// Both are zero for untiled runs. Driver metadata, not counters:
 	// Merge leaves them alone.
 	SplitDepth int
 	Tiles      int

@@ -27,9 +27,9 @@ type VM struct {
 	prog *plan.Program
 }
 
-// NewVM returns a bytecode engine for prog. Compilation happens per run
-// (it is linear in program size and lets the parallel driver specialize
-// each worker's code to resume from a fixed loop-variable prefix).
+// NewVM returns a bytecode engine for prog. Compilation happens per worker
+// (it is linear in program size and specializes each worker's code to
+// resume from a fixed loop-variable prefix).
 func NewVM(prog *plan.Program) *VM { return &VM{prog: prog} }
 
 // Name implements Engine.
@@ -37,7 +37,7 @@ func (vm *VM) Name() string { return "vm" }
 
 // Run implements Engine.
 func (vm *VM) Run(opts Options) (*Stats, error) {
-	return run(vm.prog, vm, opts)
+	return runContext(context.Background(), vm.prog, vm, opts)
 }
 
 // RunContext implements Engine.
@@ -84,6 +84,7 @@ const (
 	opCheck    // pop; stats.Checks[a]++; if nonzero { stats.Kills[a]++; pc = b }
 	opHostChk  // stats.Checks[c]++; if deferred[a](reg) { stats.Kills[c]++; pc = b }
 	opSurvive  // survivor bookkeeping; may halt enumeration
+	opLeaf     // leaf(reg[a]): a tiling level's surviving value
 	opTempEval // stats.TempEvals[a]++ (optimizer temp assignment executed)
 	opTempHits // stats.TempHits[a] += b (temp-slot reads in the step just run)
 	opNarrow   // narrows[a]: tighten the freshly prepped loop range in place
@@ -150,43 +151,29 @@ type vmAssembler struct {
 	// laneOf is the vector layout while a lane program is being
 	// compiled, nil for the scalar stream.
 	laneOf []int
+	last   int  // deepest level the stream enumerates
+	leaf   bool // level last ends in opLeaf instead of the nest below
 	err    error
 }
 
-func (vm *VM) runFull(opts Options, ctl *runCtl) (st *Stats, err error) {
-	defer recoverRunError(&err)
-	code, cerr := vm.compile(opts, 0, false)
-	if cerr != nil {
-		return nil, cerr
+// newWorker implements backend: it compiles the worker's instruction
+// stream and keeps one register file and operand stack across tiles.
+func (vm *VM) newWorker(opts Options, ctl *runCtl, depth int, leaf func(int64)) (tileWorker, error) {
+	code, err := vm.compile(opts, depth, leaf != nil)
+	if err != nil {
+		return nil, err
 	}
 	x := newVMExec(vm, code, opts, ctl)
-	x.run()
-	return x.stats, nil
+	x.leaf = leaf
+	return x, nil
 }
 
-// newWorker implements backend: it compiles a tile-specialized instruction
-// stream — prelude assignments, the assignment steps of the prefix depths,
-// then the nest from the split depth down — and keeps one register file and
-// operand stack across tiles. runTile pokes the prefix values into the loop
+func (x *vmExec) counters() *Stats { return x.stats }
+
+// runTile implements tileWorker: it pokes the prefix values into the loop
 // variable registers and re-executes the stream.
-func (vm *VM) newWorker(opts Options, ctl *runCtl, depth int) (w tileWorker, err error) {
+func (x *vmExec) runTile(prefix []int64) (err error) {
 	defer recoverRunError(&err)
-	code, cerr := vm.compile(opts, depth, true)
-	if cerr != nil {
-		return nil, cerr
-	}
-	return &vmWorker{x: newVMExec(vm, code, opts, ctl)}, nil
-}
-
-type vmWorker struct {
-	x *vmExec
-}
-
-func (w *vmWorker) stats() *Stats { return w.x.stats }
-
-func (w *vmWorker) runTile(prefix []int64) (err error) {
-	defer recoverRunError(&err)
-	x := w.x
 	for d, v := range prefix {
 		x.reg[x.code.loopSlots[d]] = v
 	}
@@ -195,13 +182,14 @@ func (w *vmWorker) runTile(prefix []int64) (err error) {
 	return nil
 }
 
-// compile translates the planned program into bytecode. In tile mode the
-// stream is a worker body: prelude assignments (checks were applied during
-// tiling), the assignment steps hoisted to the prefixDepth outermost loops
-// (their variables are set by runTile before execution), then the loop nest
-// from prefixDepth inward — or just the survivor bookkeeping when the
-// prefix is a complete tuple.
-func (vm *VM) compile(opts Options, prefixDepth int, tile bool) (*vmCode, error) {
+// compile translates the planned program into the stream of a worker at
+// prefix depth depth (see backend): the prelude, checked and counted at
+// depth 0 and otherwise only its assignments; the assignment steps of the
+// prefix levels, whose variables runTile sets before execution; then the
+// loop nest from depth inward, or just the survivor bookkeeping when the
+// prefix is a complete tuple. A leaf stream enumerates level depth alone
+// and ends its body in opLeaf.
+func (vm *VM) compile(opts Options, depth int, leaf bool) (*vmCode, error) {
 	prog := vm.prog
 	n := len(prog.Loops)
 	base := int32(prog.NumSlots())
@@ -214,6 +202,11 @@ func (vm *VM) compile(opts Options, prefixDepth int, tile bool) (*vmCode, error)
 		stopT:    make([]int32, n),
 		stepT:    make([]int32, n),
 		posT:     make([]int32, n),
+		last:     n - 1,
+		leaf:     leaf,
+	}
+	if leaf {
+		a.last = depth
 	}
 	for d := 0; d < n; d++ {
 		a.stopT[d] = base + int32(3*d)
@@ -226,7 +219,7 @@ func (vm *VM) compile(opts Options, prefixDepth int, tile bool) (*vmCode, error)
 	}
 	// Compile the innermost loop's lane programs when chunking is on, the
 	// plan marked the loop eligible, and this stream runs that loop.
-	if v := prog.Vector; normChunk(opts.ChunkSize) > 1 && v != nil && v.Eligible && (!tile || prefixDepth < n) {
+	if v := prog.Vector; normChunk(opts.ChunkSize) > 1 && v != nil && v.Eligible && depth < n {
 		tabIdx := tabStepIndex(prog, v.Depth)
 		steps := prog.Loops[v.Depth].Steps
 		a.code.lanes = make([][]instr, len(steps))
@@ -238,72 +231,45 @@ func (vm *VM) compile(opts Options, prefixDepth int, tile bool) (*vmCode, error)
 	}
 	// Setting initialization is done by the executor from the program
 	// directly.
-	if tile {
-		for _, st := range prog.Prelude {
+	for _, st := range prog.Prelude {
+		if depth == 0 {
+			a.emitStepToHalt(st)
+		} else {
 			a.emitAssign(st)
 		}
-		for d := 0; d < prefixDepth; d++ {
-			a.vetDomain(prog.Loops[d])
-			for _, st := range prog.Loops[d].Steps {
-				a.emitAssign(st)
-			}
-		}
-		if prefixDepth == n {
-			a.emit(instr{op: opSurvive})
-		} else {
-			a.emitLoop(prefixDepth)
-		}
-		a.emit(instr{op: opHalt})
-		if a.err != nil {
-			return nil, a.err
-		}
-		return a.code, nil
 	}
-	for _, st := range prog.Prelude {
-		a.emitStepToHalt(st)
+	for d := 0; d < depth; d++ {
+		for _, st := range prog.Loops[d].Steps {
+			a.emitAssign(st)
+		}
 	}
-	if n == 0 {
+	if depth == n {
 		a.emit(instr{op: opSurvive})
-		a.emit(instr{op: opHalt})
-		if a.err != nil {
-			return nil, a.err
-		}
-		return a.code, nil
+	} else {
+		a.emitLoop(depth)
 	}
-	a.emitLoop(0)
 	a.emit(instr{op: opHalt})
+	if leaf {
+		// Tiling may prune every prefix, and then no stream compiles the
+		// levels below this one. Vet the program by the int64 rule every
+		// stream compiles with, which the compiled backend applies
+		// whole, so a tiled run rejects what a sequential run rejects.
+		if _, err := NewCompiled(prog); err != nil {
+			a.fail(err)
+		}
+	}
 	if a.err != nil {
 		return nil, a.err
 	}
 	return a.code, nil
 }
 
-// emitAssign compiles an assignment step (the tile mode's replay of the
-// prelude and the prefix levels). A check step emits nothing, since the
-// tiler already applied it, but it is vetted like everything the tiler
-// runs in the VM's place (see vetDomain).
+// emitAssign compiles a replayed assignment step; a replayed check emits
+// nothing, since the level that built the prefix already applied it.
 func (a *vmAssembler) emitAssign(st plan.Step) {
-	if st.Kind != plan.AssignStep {
-		if !st.Constraint.Deferred() {
-			if _, err := expr.CompileInt(st.Expr, a.str); err != nil {
-				a.fail(fmt.Errorf("vm: step %s: %w", st.Name, err))
-			}
-		}
-		return
-	}
-	a.emitExpr(st.Expr)
-	a.emit(instr{op: opStore, a: int32(st.Slot)})
-}
-
-// vetDomain rejects a prefix loop's domain that a sequential run could not
-// compile, so that a tiled run, whose tiler enumerates the prefix levels,
-// rejects every program a sequential run rejects.
-func (a *vmAssembler) vetDomain(lp *plan.Loop) {
-	if lp.Iter.Kind != space.ExprIter {
-		return
-	}
-	if _, err := space.CompileDomain(lp.Domain, a.str); err != nil {
-		a.fail(fmt.Errorf("vm: iterator %s: %w", lp.Iter.Name, err))
+	if st.Kind == plan.AssignStep {
+		a.emitExpr(st.Expr)
+		a.emit(instr{op: opStore, a: int32(st.Slot)})
 	}
 }
 
@@ -451,8 +417,9 @@ func (a *vmAssembler) emitBinary(n *expr.Binary) {
 // killTarget (patched later via the returned patch list). It returns the
 // instruction index to patch, or -1.
 func (a *vmAssembler) emitStep(st plan.Step, _ int32) int32 {
-	// Optimizer accounting rides only this counted path; emitAssign's tile
-	// replay stays silent so merged parallel stats equal sequential ones.
+	// Optimizer accounting rides only this counted path; emitAssign's
+	// prefix replay stays silent so merged parallel stats equal sequential
+	// ones.
 	if st.TempRefs > 0 {
 		a.emit(instr{op: opTempHits, a: int32(st.Depth + 1), b: int32(st.TempRefs)})
 	}
@@ -515,10 +482,13 @@ func (a *vmAssembler) emitLoop(d int) {
 				killPatches = append(killPatches, at)
 			}
 		}
-		if d == len(prog.Loops)-1 {
-			a.emit(instr{op: opSurvive})
-		} else {
+		switch {
+		case d < a.last:
 			a.emitLoop(d + 1)
+		case a.leaf:
+			a.emit(instr{op: opLeaf, a: varReg})
+		default:
+			a.emit(instr{op: opSurvive})
 		}
 		return killPatches
 	}
@@ -651,20 +621,24 @@ func (a *vmAssembler) emitLoop(d int) {
 	}
 }
 
-// vmExec is one execution session: the register file, operand stack, and
-// scratch buffers live across runs so a tile worker re-executes its stream
-// without reallocating.
+// vmExec is one worker's execution session: the register file, operand
+// stack, and scratch buffers live across tiles so the worker re-executes
+// its stream without reallocating.
 type vmExec struct {
 	vm    *VM
 	code  *vmCode
 	reg   []int64
-	bufs  [][]int64
+	bufs  [][]int64 // per-depth values of a list-driven loop
 	stk   []int64
 	stats *Stats
 	ctl   *runCtl
 	out   sink
-	chunk *chunker // non-nil when code.lanes is
-	tabx  *tabExec // non-nil when the plan tabulated constraints
+	chunk *chunker    // non-nil when code.lanes is
+	tabx  *tabExec    // non-nil when the plan tabulated constraints
+	leaf  func(int64) // non-nil on a tiling level (see backend)
+	// collect appends to bufs[d] for each list-driven depth d, bound
+	// once so materializing a domain does not allocate on every entry.
+	collect []func(int64) bool
 }
 
 func newVMExec(vm *VM, code *vmCode, opts Options, ctl *runCtl) *vmExec {
@@ -676,6 +650,12 @@ func newVMExec(vm *VM, code *vmCode, opts Options, ctl *runCtl) *vmExec {
 		stk:   make([]int64, 0, 64),
 		stats: NewStats(vm.prog),
 		ctl:   ctl,
+	}
+	x.collect = make([]func(int64) bool, len(code.hostDoms))
+	for d, dom := range code.hostDoms {
+		if dom != nil {
+			x.collect[d] = func(v int64) bool { x.bufs[d] = append(x.bufs[d], v); return true }
+		}
 	}
 	for _, s := range vm.prog.Settings {
 		if s.V.K != expr.Str {
@@ -820,12 +800,8 @@ func (x *vmExec) run() {
 			reg[in.a] += reg[in.c]
 			pc = in.d
 		case opHostDom:
-			var buf []int64
-			code.hostDoms[in.a].Iterate(reg, func(v int64) bool {
-				buf = append(buf, v)
-				return true
-			})
-			bufs[in.a] = buf
+			bufs[in.a] = bufs[in.a][:0]
+			code.hostDoms[in.a].Iterate(reg, x.collect[in.a])
 			reg[in.b] = 0
 		case opForList:
 			pos := reg[in.b]
@@ -888,6 +864,8 @@ func (x *vmExec) run() {
 			if !x.out.survive() {
 				return
 			}
+		case opLeaf:
+			x.leaf(reg[in.a])
 		case opChunkRange:
 			ch := x.chunk
 			ch.begin()

@@ -97,14 +97,6 @@ const (
 	Anneal       = autotune.Anneal
 )
 
-// Loop-reorder modes for a tuning run (TuneOptions.Reorder): keep the
-// planner's decision, force the declared nest, or force reordering.
-const (
-	ReorderPlanned = autotune.ReorderPlanned
-	ReorderOff     = autotune.ReorderOff
-	ReorderOn      = autotune.ReorderOn
-)
-
 // NewSpace returns an empty space.
 func NewSpace() *Space { return space.New() }
 

@@ -13,11 +13,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"repro/internal/autotune"
 	"repro/internal/batched"
@@ -27,67 +24,35 @@ import (
 )
 
 func main() {
+	planOpts := cli.PlanFlags()
+	sweep := cli.SweepFlags(8)
+	run := cli.RunFlags()
+	devFlags := cli.DeviceFlags()
 	var (
-		kernel    = flag.String("kernel", "cholesky", "kernel: cholesky or trsm")
-		sizes     = flag.String("sizes", "8,16,24,32,48,64,96,128,192,256", "comma-separated matrix sizes")
-		batch     = flag.Int64("batch", 10000, "matrices per batch")
-		nrhs      = flag.Int64("nrhs", 16, "right-hand sides (trsm)")
-		devName   = flag.String("device", "k40c", "device: k40c, gtx680, c2050, gtx980")
-		devJSON   = flag.String("device-json", "", "load device properties from a JSON file")
-		workers   = flag.Int("workers", 8, "parallel enumeration workers")
-		chunk     = flag.Int("chunk", 64, "innermost-loop chunk size for batched evaluation (1 = scalar)")
-		noNarrow  = flag.Bool("no-narrow", false, "disable bounds compilation: pruning checks stay in the loop body instead of narrowing loop ranges (ablation)")
-		noReorder = flag.Bool("no-reorder", false, "disable the selectivity-driven loop-order optimizer: keep the declared nest (ablation)")
-		noTab     = flag.Bool("no-tabulate", false, "disable plan-time constraint tabulation: checks evaluate expressions instead of bitset lookup tables (ablation)")
-		tabBudget = flag.Int64("tabulate-budget", plan.DefaultTabulateBudget, "byte budget for constraint tables (unary bitsets plus binary row caches)")
-		verify    = flag.Bool("verify", false, "run the IR invariant checker on every compiled plan (debug)")
-		orderSpec = flag.String("order", "", "comma-separated loop order, e.g. nb,dim_x,mpb,unroll (implies -no-reorder; must respect domain dependencies)")
-		ckptPath  = flag.String("checkpoint", "", "snapshot tuning progress to this file (single -sizes value only; resume with -resume)")
-		resumeP   = flag.String("resume", "", "resume an interrupted run from this checkpoint file (single -sizes value only)")
-		ckptEvery = flag.Int("checkpoint-every", 1, "snapshot cadence in completed tiles for -checkpoint")
-		timeout   = flag.Duration("timeout", 0, "cancel the sweep after this duration (0 = no limit)")
+		kernel = flag.String("kernel", "cholesky", "kernel: cholesky or trsm")
+		sizes  = flag.String("sizes", "8,16,24,32,48,64,96,128,192,256", "comma-separated matrix sizes")
+		batch  = flag.Int64("batch", 10000, "matrices per batch")
+		nrhs   = flag.Int64("nrhs", 16, "right-hand sides (trsm)")
 	)
 	flag.Parse()
-	planOpts := plan.Options{
-		DisableNarrowing:  *noNarrow,
-		DisableReorder:    *noReorder,
-		DisableTabulation: *noTab,
-		TabulateBudget:    *tabBudget,
-		Order:             splitOrder(*orderSpec),
-		Verify:            *verify,
-	}
 
-	var dev *device.Properties
-	var err error
-	if *devJSON != "" {
-		dev, err = device.LoadJSONFile(*devJSON)
-	} else {
-		dev, err = device.Lookup(*devName)
-	}
+	dev, err := devFlags.Load()
 	if err != nil {
 		fail(err)
 	}
-
 	ns, err := parseSizes(*sizes)
 	if err != nil {
 		fail(cli.Usagef("%v", err))
 	}
-	ck := ckptFlags{path: *ckptPath, resume: *resumeP, every: *ckptEvery}
-	if (ck.path != "" || ck.resume != "") && len(ns) != 1 {
+	if run.Enabled() && len(ns) != 1 {
 		// One checkpoint file maps to one enumeration; a multi-size sweep
 		// would overwrite it on every row.
 		fail(cli.Usagef("-checkpoint/-resume require a single -sizes value, got %d", len(ns)))
 	}
-
-	// Ctrl-C / SIGTERM and -timeout cancel the sweep instead of killing the
-	// process; with -checkpoint the run leaves a resumable snapshot behind.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := run.Context()
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	tune := cli.TuneOptions(sweep, run)
+	tune.TopK = 1
 
 	fmt.Printf("batched %s on %s, batch=%d\n\n", *kernel, dev.Name, *batch)
 	fmt.Printf("%5s %10s %12s %12s %9s   %s\n",
@@ -96,9 +61,9 @@ func main() {
 	for _, n := range ns {
 		switch *kernel {
 		case "cholesky":
-			runCholesky(ctx, dev, n, *batch, *workers, *chunk, planOpts, ck)
+			runCholesky(ctx, dev, n, *batch, *planOpts, tune, run)
 		case "trsm":
-			runTRSM(ctx, dev, n, *nrhs, *batch, *workers, *chunk, planOpts, ck)
+			runTRSM(ctx, dev, n, *nrhs, *batch, *planOpts, tune, run)
 		default:
 			fail(cli.Usagef("unknown kernel %q (want cholesky or trsm)", *kernel))
 		}
@@ -106,31 +71,7 @@ func main() {
 	fmt.Println("\n(speedup is Table I's 'Improvement': paper reports up to 1000% small, 300% medium)")
 }
 
-// ckptFlags carries the checkpoint/resume flag values into the per-size
-// tuning helpers.
-type ckptFlags struct {
-	path, resume string
-	every        int
-}
-
-// options builds the autotune options shared by both kernels.
-func (ck ckptFlags) options(workers, chunk int) autotune.Options {
-	return autotune.Options{
-		Strategy: autotune.Exhaustive, TopK: 1, Workers: workers, ChunkSize: chunk,
-		CheckpointPath: ck.path, ResumePath: ck.resume, CheckpointEvery: ck.every,
-	}
-}
-
-// tuneErr reports a failed or cancelled tuning run, pointing at the
-// checkpoint file when one was being written.
-func (ck ckptFlags) tuneErr(err error) {
-	if ck.path != "" {
-		fmt.Printf("progress saved; continue with -resume %s\n", ck.path)
-	}
-	fail(err)
-}
-
-func runCholesky(ctx context.Context, dev *device.Properties, n, batch int64, workers, chunk int, planOpts plan.Options, ck ckptFlags) {
+func runCholesky(ctx context.Context, dev *device.Properties, n, batch int64, planOpts plan.Options, tune autotune.Options, run *cli.Run) {
 	cfg := batched.DefaultConfig(n)
 	cfg.Batch = batch
 	cfg.Device = dev
@@ -148,9 +89,9 @@ func runCholesky(ctx context.Context, dev *device.Properties, n, batch int64, wo
 	if err != nil {
 		fail(err)
 	}
-	rep, err := tuner.RunContext(ctx, ck.options(workers, chunk))
+	rep, err := tuner.RunContext(ctx, tune)
 	if err != nil {
-		ck.tuneErr(err)
+		run.Interrupted("batched-tune", err)
 	}
 	if len(rep.Best) == 0 {
 		fmt.Printf("%5d %10d %12s %12s %9s   no feasible kernels\n", n, rep.Survivors, "-", "-", "-")
@@ -163,7 +104,7 @@ func runCholesky(ctx context.Context, dev *device.Properties, n, batch int64, wo
 		k.NB, k.DimX, k.MPB, k.Unroll)
 }
 
-func runTRSM(ctx context.Context, dev *device.Properties, n, nrhs, batch int64, workers, chunk int, planOpts plan.Options, ck ckptFlags) {
+func runTRSM(ctx context.Context, dev *device.Properties, n, nrhs, batch int64, planOpts plan.Options, tune autotune.Options, run *cli.Run) {
 	cfg := batched.DefaultTRSMConfig(n)
 	cfg.NRHS = nrhs
 	cfg.Batch = batch
@@ -182,9 +123,9 @@ func runTRSM(ctx context.Context, dev *device.Properties, n, nrhs, batch int64, 
 	if err != nil {
 		fail(err)
 	}
-	rep, err := tuner.RunContext(ctx, ck.options(workers, chunk))
+	rep, err := tuner.RunContext(ctx, tune)
 	if err != nil {
-		ck.tuneErr(err)
+		run.Interrupted("batched-tune", err)
 	}
 	if len(rep.Best) == 0 {
 		fmt.Printf("%5d %10d %12s %12s %9s   no feasible kernels\n", n, rep.Survivors, "-", "-", "-")
@@ -195,19 +136,6 @@ func runTRSM(ctx context.Context, dev *device.Properties, n, nrhs, batch int64, 
 	fmt.Printf("%5d %10d %12.1f %12.1f %8.2fx   nb=%d dim_x=%d dim_rhs=%d mpb=%d\n",
 		n, rep.Survivors, rep.Best[0].Score, base, rep.Best[0].Score/base,
 		k.NB, k.DimX, k.DimRHS, k.MPB)
-}
-
-// splitOrder parses the -order flag: a comma-separated iterator list, or
-// nil when the flag was not given (planner picks the order).
-func splitOrder(spec string) []string {
-	if spec == "" {
-		return nil
-	}
-	parts := strings.Split(spec, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }
 
 func parseSizes(s string) ([]int64, error) {

@@ -13,35 +13,26 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/analyze"
-	"repro/internal/checkpoint"
 	"repro/internal/cli"
-	"repro/internal/device"
 	"repro/internal/engine"
-	"repro/internal/gemm"
 	"repro/internal/plan"
-	"repro/internal/space"
 	"repro/internal/speclang"
 	"repro/internal/viz"
 )
 
 func main() {
+	src := cli.SourceFlags()
+	planOpts := cli.PlanFlags()
+	sweep := cli.SweepFlags(1)
+	run := cli.RunFlags()
+	prof := cli.ProfileFlags()
 	var (
-		specPath   = flag.String("spec", "", "path to a spec-language file")
-		gemmName   = flag.String("gemm", "", "built-in GEMM space instead of -spec")
-		devName    = flag.String("device", "k40c", "device for -gemm")
-		devJSON    = flag.String("device-json", "", "load device properties from a JSON file instead of -device")
-		scale      = flag.Int64("scale", 1, "divide device thread-dim limits by this factor")
-		minThreads = flag.Int64("min-threads", 256, "GEMM occupancy floor")
 		describe   = flag.Bool("describe", false, "print the planned loop nest and exit")
 		format     = flag.Bool("format", false, "re-render the space in the textual notation and exit")
 		dot        = flag.Bool("dot", false, "print the dependency DAG in Graphviz format and exit")
@@ -51,42 +42,20 @@ func main() {
 		tuples     = flag.Int64("tuples", 0, "print the first N surviving tuples")
 		engineName = flag.String("engine", "compiled", "backend: interp, vm, compiled")
 		protoName  = flag.String("protocol", "default", "loop protocol: default, while, range, xrange, repeat")
-		workers    = flag.Int("workers", 1, "parallel enumeration workers (prefix-tile scheduling)")
-		splitDepth = flag.Int("split-depth", 0, "parallel tiling depth: tiles span loops 0..K-1 (0 = auto)")
-		chunk      = flag.Int("chunk", 64, "innermost-loop chunk size for batched evaluation (1 = scalar)")
-		noHoist    = flag.Bool("no-hoisting", false, "disable constraint hoisting (ablation)")
-		noCSE      = flag.Bool("no-cse", false, "disable the plan-time expression optimizer: CSE, subexpression hoisting, simplification (ablation)")
-		noNarrow   = flag.Bool("no-narrow", false, "disable bounds compilation: pruning checks stay in the loop body instead of narrowing loop ranges (ablation)")
-		noReorder  = flag.Bool("no-reorder", false, "disable the selectivity-driven loop-order optimizer: keep the declared nest (ablation)")
-		noTabulate = flag.Bool("no-tabulate", false, "disable plan-time constraint tabulation: checks evaluate expressions instead of bitset lookup tables (ablation)")
-		tabBudget  = flag.Int64("tabulate-budget", plan.DefaultTabulateBudget, "byte budget for constraint tables (unary bitsets plus binary row caches)")
-		lint       = flag.Bool("lint", false, "run the static analyzer over the space, print diagnostics, and exit (status 2 on error-severity findings)")
-		werror     = flag.Bool("Werror", false, "with -lint, promote warnings to errors")
-		verify     = flag.Bool("verify", false, "run the IR invariant checker on the compiled plan before executing it (debug)")
-		orderSpec  = flag.String("order", "", "comma-separated loop order, e.g. i,j,k (implies -no-reorder; must respect domain dependencies)")
-		ckptPath   = flag.String("checkpoint", "", "snapshot enumeration progress to this file (resume with -resume)")
-		resumePath = flag.String("resume", "", "resume an interrupted sweep from this checkpoint file")
-		ckptEvery  = flag.Int("checkpoint-every", 1, "snapshot cadence in completed tiles for -checkpoint")
-		timeout    = flag.Duration("timeout", 0, "cancel the sweep after this duration (0 = no limit)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := prof.Start()
 	if err != nil {
 		fail(err)
 	}
 	defer stopProfiles()
 
-	s, err := loadSpace(*specPath, *gemmName, *devName, *devJSON, *scale, *minThreads)
+	s, err := src.Load()
 	if err != nil {
 		fail(err)
 	}
-	if *lint {
-		runLint(s, *specPath, *tabBudget, *werror)
-		return
-	}
+	src.Lint("beast", s, planOpts.TabulateBudget)
 	if *format {
 		text, err := speclang.Format(s)
 		if err != nil {
@@ -97,16 +66,7 @@ func main() {
 	}
 	fmt.Println(s.Summary())
 
-	prog, err := plan.Compile(s, plan.Options{
-		DisableHoisting:   *noHoist,
-		DisableCSE:        *noCSE,
-		DisableNarrowing:  *noNarrow,
-		DisableReorder:    *noReorder,
-		DisableTabulation: *noTabulate,
-		TabulateBudget:    *tabBudget,
-		Order:             splitOrder(*orderSpec),
-		Verify:            *verify,
-	})
+	prog, err := plan.Compile(s, *planOpts)
 	if err != nil {
 		fail(err)
 	}
@@ -128,7 +88,8 @@ func main() {
 		fail(err)
 	}
 
-	opts := engine.Options{Protocol: proto, Workers: *workers, SplitDepth: *splitDepth, ChunkSize: *chunk}
+	opts := *sweep
+	opts.Protocol = proto
 	if *tuples > 0 {
 		// Tuples print in source declaration order, whatever nest the
 		// planner chose.
@@ -152,29 +113,13 @@ func main() {
 		return
 	}
 
-	// Ctrl-C / SIGTERM and -timeout cancel the sweep instead of killing the
-	// process: the engine drains its workers, reports partial progress, and
-	// (with -checkpoint) leaves a resumable snapshot behind.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := run.Context()
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	if _, err := run.Attach(&opts, prog, eng.Name(), nil); err != nil {
+		fail(err)
 	}
-	if *ckptPath != "" || *resumePath != "" {
-		fp := checkpoint.Fingerprint(prog, eng.Name(), opts)
-		if *resumePath != "" {
-			res, _, err := checkpoint.Resume(*resumePath, fp)
-			if err != nil {
-				fail(err)
-			}
-			opts.Resume = res
-			fmt.Printf("resuming: %d of %d tiles already complete\n", res.CompletedTiles(), res.Tiles)
-		}
-		if *ckptPath != "" {
-			opts.Checkpoint = checkpoint.NewWriter(*ckptPath, fp, *ckptEvery, nil)
-		}
+	if res := opts.Resume; res != nil {
+		fmt.Printf("resuming: %d of %d tiles already complete\n", res.CompletedTiles(), res.Tiles)
 	}
 
 	start := time.Now()
@@ -184,7 +129,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("engine=%s protocol=%s workers=%d elapsed=%s\n",
-		eng.Name(), proto, *workers, elapsed.Round(time.Millisecond))
+		eng.Name(), proto, opts.Workers, elapsed.Round(time.Millisecond))
 	if st.Tiles > 0 {
 		fmt.Printf("schedule: split-depth=%d tiles=%d\n", st.SplitDepth, st.Tiles)
 	}
@@ -192,10 +137,7 @@ func main() {
 		st.TotalVisits(), st.Survivors, 100*st.PruneRate(),
 		float64(st.TotalVisits())/elapsed.Seconds()/1e6)
 	if st.Cancelled {
-		if *ckptPath != "" {
-			fmt.Printf("progress saved; continue with -resume %s\n", *ckptPath)
-		}
-		fail(fmt.Errorf("sweep cancelled: %w", runErr))
+		run.Interrupted("beast", fmt.Errorf("sweep cancelled: %w", runErr))
 	}
 	if len(prog.Temps) > 0 {
 		fmt.Printf("expr optimizer: temps=%d evals=%d reuse-hits=%d exprops=%d\n",
@@ -203,7 +145,7 @@ func main() {
 	}
 	if st.ChunksEvaluated > 0 {
 		fmt.Printf("chunked inner loop: chunk=%d chunks=%d lanes-masked=%d\n",
-			*chunk, st.ChunksEvaluated, st.LanesMasked)
+			opts.ChunkSize, st.ChunksEvaluated, st.LanesMasked)
 	}
 	if st.TabulatedChecks > 0 {
 		fmt.Printf("constraint tabulation: %d checks from %d table bytes (%d row-cache hits)\n",
@@ -226,51 +168,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *svgPath)
 	}
-}
-
-func loadSpace(specPath, gemmName, devName, devJSON string, scale, minThreads int64) (*space.Space, error) {
-	switch {
-	case specPath != "" && gemmName != "":
-		return nil, cli.Usagef("use either -spec or -gemm, not both")
-	case specPath != "":
-		src, err := os.ReadFile(specPath)
-		if err != nil {
-			return nil, err
-		}
-		return speclang.Parse(string(src))
-	case gemmName != "":
-		cfg, err := gemm.ByName(gemmName)
-		if err != nil {
-			return nil, err
-		}
-		var dev *device.Properties
-		if devJSON != "" {
-			dev, err = device.LoadJSONFile(devJSON)
-		} else {
-			dev, err = device.Lookup(devName)
-		}
-		if err != nil {
-			return nil, err
-		}
-		cfg.Device = device.Scaled(dev, scale)
-		cfg.MinThreadsPerMultiprocessor = minThreads
-		return gemm.Space(cfg)
-	default:
-		return nil, cli.Usagef("one of -spec or -gemm is required")
-	}
-}
-
-// splitOrder parses the -order flag: a comma-separated iterator list, or
-// nil when the flag was not given (planner picks the order).
-func splitOrder(spec string) []string {
-	if spec == "" {
-		return nil
-	}
-	parts := strings.Split(spec, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }
 
 func pickEngine(name string, prog *plan.Program) (engine.Engine, error) {
@@ -300,22 +197,6 @@ func pickProtocol(name string) (engine.Protocol, error) {
 		return engine.ProtoRepeat, nil
 	default:
 		return 0, cli.Usagef("unknown protocol %q", name)
-	}
-}
-
-// runLint prints the analyzer's diagnostics for s and exits 2 when the
-// findings fail the run (any error, or any warning under -Werror).
-func runLint(s *space.Space, file string, tabBudget int64, werror bool) {
-	if file == "" {
-		file = "<space>"
-	}
-	rep, err := analyze.Analyze(s, analyze.Options{TabulateBudget: tabBudget})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print(rep.Render(file))
-	if rep.Fails(werror) {
-		cli.Exit(cli.ExitUsage)
 	}
 }
 

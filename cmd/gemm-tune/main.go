@@ -12,13 +12,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/autotune"
@@ -34,10 +29,13 @@ import (
 )
 
 func main() {
+	planOpts := cli.PlanFlags()
+	sweep := cli.SweepFlags(8)
+	run := cli.RunFlags()
+	prof := cli.ProfileFlags()
+	devFlags := cli.DeviceFlags()
 	var (
 		kernel     = flag.String("kernel", "dgemm_nn", "GEMM kernel: sgemm/dgemm/cgemm/zgemm[_nn|_nt|_tn|_tt]")
-		devName    = flag.String("device", "k40c", "device: k40c, gtx680, c2050, gtx980")
-		devJSON    = flag.String("device-json", "", "load device properties from a JSON file instead of -device")
 		scale      = flag.Int64("scale", 16, "divide device thread-dim limits by this factor")
 		full       = flag.Bool("full", false, "paper-scale limits (scale 1); the sweep is large")
 		n          = flag.Int64("n", 4096, "problem matrix size for the performance model")
@@ -45,38 +43,18 @@ func main() {
 		strategy   = flag.String("strategy", "exhaustive", "exhaustive, sample, hillclimb, anneal")
 		topK       = flag.Int("topk", 10, "report this many best kernels")
 		samples    = flag.Int("samples", 2000, "benchmark budget for -strategy sample")
-		workers    = flag.Int("workers", 8, "parallel enumeration workers")
-		splitDepth = flag.Int("split-depth", 0, "parallel tiling depth: tiles span loops 0..K-1 (0 = auto)")
-		chunk      = flag.Int("chunk", 64, "innermost-loop chunk size for batched evaluation (1 = scalar)")
 		seed       = flag.Int64("seed", 1, "random seed for sample/hillclimb")
 		funnel     = flag.Bool("funnel", false, "print the pruning funnel instead of tuning")
 		table1     = flag.Bool("table1", false, "reproduce Table I and exit")
 		compare    = flag.Bool("compare-backends", false, "time the sweep under every backend (§XI)")
 		energy     = flag.Bool("energy", false, "multi-objective performance/energy tuning (§XI.E): print the Pareto front")
-		noNarrow   = flag.Bool("no-narrow", false, "disable bounds compilation: pruning checks stay in the loop body instead of narrowing loop ranges (ablation)")
-		noReorder  = flag.Bool("no-reorder", false, "disable the selectivity-driven loop-order optimizer: keep the declared nest (ablation)")
-		noTabulate = flag.Bool("no-tabulate", false, "disable plan-time constraint tabulation: checks evaluate expressions instead of bitset lookup tables (ablation)")
-		tabBudget  = flag.Int64("tabulate-budget", plan.DefaultTabulateBudget, "byte budget for constraint tables (unary bitsets plus binary row caches)")
-		verify     = flag.Bool("verify", false, "run the IR invariant checker on every compiled plan (debug)")
-		orderSpec  = flag.String("order", "", "comma-separated loop order, e.g. i,j,k (implies -no-reorder; must respect domain dependencies)")
-		ckptPath   = flag.String("checkpoint", "", "snapshot exhaustive-tuning progress to this file (resume with -resume)")
-		resumePath = flag.String("resume", "", "resume an interrupted exhaustive run from this checkpoint file")
-		ckptEvery  = flag.Int("checkpoint-every", 1, "snapshot cadence in completed tiles for -checkpoint")
-		timeout    = flag.Duration("timeout", 0, "cancel the tuning run after this duration (0 = no limit)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
-	planOpts := plan.Options{
-		DisableNarrowing:  *noNarrow,
-		DisableReorder:    *noReorder,
-		DisableTabulation: *noTabulate,
-		TabulateBudget:    *tabBudget,
-		Order:             splitOrder(*orderSpec),
-		Verify:            *verify,
+	if run.Enabled() && (*table1 || *compare || *funnel || *energy || *strategy != "exhaustive") {
+		fail(cli.Usagef("-checkpoint and -resume apply only to the exhaustive tuner"))
 	}
 
-	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := prof.Start()
 	if err != nil {
 		fail(err)
 	}
@@ -91,12 +69,7 @@ func main() {
 	if err != nil {
 		fail(cli.Usagef("%v", err))
 	}
-	var dev *device.Properties
-	if *devJSON != "" {
-		dev, err = device.LoadJSONFile(*devJSON)
-	} else {
-		dev, err = device.Lookup(*devName)
-	}
+	dev, err := devFlags.Load()
 	if err != nil {
 		fail(err)
 	}
@@ -117,11 +90,11 @@ func main() {
 	fmt.Printf("%s on %s\n%s\n", cfg.Name(), cfg.Device.Name, s.Summary())
 
 	if *compare {
-		compareBackends(s, planOpts, *chunk)
+		compareBackends(s, *planOpts, sweep.ChunkSize)
 		return
 	}
 	if *funnel {
-		prog, err := plan.Compile(s, planOpts)
+		prog, err := plan.Compile(s, *planOpts)
 		if err != nil {
 			fail(err)
 		}
@@ -129,7 +102,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		st, err := eng.Run(engine.Options{Workers: *workers, SplitDepth: *splitDepth, ChunkSize: *chunk})
+		st, err := eng.Run(*sweep)
 		if err != nil {
 			fail(err)
 		}
@@ -139,7 +112,7 @@ func main() {
 
 	prob := kernelsim.ProblemFor(cfg, *n)
 	if *energy {
-		tuner, err := autotune.NewWithOptions(s, nil, planOpts)
+		tuner, err := autotune.NewWithOptions(s, nil, *planOpts)
 		if err != nil {
 			fail(err)
 		}
@@ -176,30 +149,18 @@ func main() {
 			return 0
 		}
 		return kernelsim.EstimateGEMM(dev, k, prob).GFLOPS
-	}, planOpts)
+	}, *planOpts)
 	if err != nil {
 		fail(err)
 	}
-	// Ctrl-C / SIGTERM and -timeout cancel the run instead of killing the
-	// process; an exhaustive run with -checkpoint leaves a resumable
-	// snapshot (progress plus the partial top-K) behind.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := run.Context()
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
 	var rep *autotune.Report
-	runOpts := autotune.Options{
-		TopK: *topK, Workers: *workers, SplitDepth: *splitDepth,
-		ChunkSize: *chunk, Samples: *samples, Seed: *seed,
-		CheckpointPath: *ckptPath, ResumePath: *resumePath, CheckpointEvery: *ckptEvery,
-	}
+	runOpts := cli.TuneOptions(sweep, run)
+	runOpts.TopK, runOpts.Samples, runOpts.Seed = *topK, *samples, *seed
 	switch *strategy {
 	case "exhaustive":
-		runOpts.Strategy = autotune.Exhaustive
 		rep, err = tuner.RunContext(ctx, runOpts)
 	case "sample":
 		runOpts.Strategy = autotune.RandomSample
@@ -216,9 +177,7 @@ func main() {
 		if rep != nil {
 			// A cancelled exhaustive run still carries the partial rankings.
 			fmt.Print(rep.Render())
-			if *ckptPath != "" {
-				fmt.Printf("progress saved; continue with -resume %s\n", *ckptPath)
-			}
+			run.Interrupted("gemm-tune", err)
 		}
 		fail(err)
 	}
@@ -269,19 +228,6 @@ func compareBackends(s *space.Space, planOpts plan.Options, chunk int) {
 		fmt.Printf("\ncompiled-over-interpreted speedup: %.1fx (paper at full scale: 253x)\n",
 			interpSec/compiledSec)
 	}
-}
-
-// splitOrder parses the -order flag: a comma-separated iterator list, or
-// nil when the flag was not given (planner picks the order).
-func splitOrder(spec string) []string {
-	if spec == "" {
-		return nil
-	}
-	parts := strings.Split(spec, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }
 
 func fail(err error) {

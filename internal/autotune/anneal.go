@@ -35,11 +35,8 @@ func (t *Tuner) RunAnneal(opts AnnealOptions) (*Report, error) {
 // RunAnnealContext is RunAnneal under a context: seeding enumeration and
 // the restart loop both observe cancellation.
 func (t *Tuner) RunAnnealContext(ctx context.Context, opts AnnealOptions) (*Report, error) {
-	if tt, err := t.forReorder(opts.Reorder); err != nil {
+	if err := opts.noCheckpoint(Anneal.String()); err != nil {
 		return nil, err
-	} else if tt != t {
-		opts.Reorder = ReorderPlanned
-		return tt.RunAnnealContext(ctx, opts)
 	}
 	base := opts.Options
 	if base.TopK <= 0 {

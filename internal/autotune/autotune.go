@@ -68,22 +68,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// ReorderMode controls plan-time loop reordering for a tuning run.
-type ReorderMode uint8
-
-// Reorder modes.
-const (
-	// ReorderPlanned keeps whatever nest the planner chose when the
-	// Tuner was built (reordering on by default in plan.Compile).
-	ReorderPlanned ReorderMode = iota
-	// ReorderOff forces the declared nest order, recompiling if needed.
-	// Survivor sets are identical either way; only visit counts shift.
-	ReorderOff
-	// ReorderOn forces selectivity-driven reordering, recompiling if the
-	// Tuner was built with it disabled.
-	ReorderOn
-)
-
 // Options configure a tuning run.
 type Options struct {
 	Strategy Strategy
@@ -103,8 +87,6 @@ type Options struct {
 	Seed int64
 	// Restarts and Steps bound HillClimb (defaults 16 and 200).
 	Restarts, Steps int
-	// Reorder overrides the plan-time loop-order choice for this run.
-	Reorder ReorderMode
 
 	// CheckpointPath, if non-empty, persists enumeration progress (and the
 	// partial top-K) to this file so an interrupted run can be resumed;
@@ -142,7 +124,6 @@ type Report struct {
 type Tuner struct {
 	Prog      *plan.Program
 	Objective Objective
-	planOpts  plan.Options
 }
 
 // New compiles s and returns a Tuner using the fast native engine.
@@ -157,28 +138,7 @@ func NewWithOptions(s *space.Space, obj Objective, opts plan.Options) (*Tuner, e
 	if err != nil {
 		return nil, err
 	}
-	return &Tuner{Prog: prog, Objective: obj, planOpts: opts}, nil
-}
-
-// forReorder returns a tuner whose program honours the requested reorder
-// mode, recompiling from the source space only when the current program
-// disagrees with the request.
-func (t *Tuner) forReorder(mode ReorderMode) (*Tuner, error) {
-	if mode == ReorderPlanned {
-		return t, nil
-	}
-	reordered := t.Prog.Reorder != nil && t.Prog.Reorder.Applied
-	if (mode == ReorderOn) == reordered {
-		return t, nil
-	}
-	o := t.planOpts
-	o.Order = nil
-	o.DisableReorder = mode == ReorderOff
-	prog, err := plan.Compile(t.Prog.Source, o)
-	if err != nil {
-		return nil, err
-	}
-	return &Tuner{Prog: prog, Objective: t.Objective, planOpts: o}, nil
+	return &Tuner{Prog: prog, Objective: obj}, nil
 }
 
 // Run executes the tuning strategy.
@@ -192,14 +152,10 @@ func (t *Tuner) Run(opts Options) (*Report, error) {
 // Report alongside the context's error, so the caller can report progress
 // — and, when checkpointing, resume later.
 func (t *Tuner) RunContext(ctx context.Context, opts Options) (*Report, error) {
-	if tt, err := t.forReorder(opts.Reorder); err != nil {
-		return nil, err
-	} else if tt != t {
-		opts.Reorder = ReorderPlanned
-		return tt.RunContext(ctx, opts)
-	}
-	if (opts.CheckpointPath != "" || opts.ResumePath != "") && opts.Strategy != Exhaustive {
-		return nil, fmt.Errorf("autotune: checkpointing supports only the exhaustive strategy, not %s", opts.Strategy)
+	if opts.Strategy != Exhaustive {
+		if err := opts.noCheckpoint(opts.Strategy.String()); err != nil {
+			return nil, err
+		}
 	}
 	if opts.TopK <= 0 {
 		opts.TopK = 10
@@ -238,6 +194,20 @@ func (t *Tuner) RunContext(ctx context.Context, opts Options) (*Report, error) {
 		rep.Program = t.Prog
 	}
 	return rep, err
+}
+
+// noCheckpoint is the check every entry point but the exhaustive tuner
+// applies: mode cannot checkpoint, so a checkpoint or resume path is an
+// error rather than silently ignored.
+func (o Options) noCheckpoint(mode string) error {
+	if o.checkpoint().Enabled() {
+		return fmt.Errorf("autotune: checkpointing supports only the exhaustive strategy, not %s", mode)
+	}
+	return nil
+}
+
+func (o Options) checkpoint() checkpoint.Config {
+	return checkpoint.Config{Path: o.CheckpointPath, Resume: o.ResumePath, Every: o.CheckpointEvery}
 }
 
 // resultHeap is a min-heap of the best K results (smallest score at the
@@ -304,36 +274,26 @@ func (t *Tuner) runExhaustive(ctx context.Context, opts Options) (*Report, error
 			return true
 		},
 	}
-	if opts.CheckpointPath != "" || opts.ResumePath != "" {
-		fp := checkpoint.Fingerprint(t.Prog, eng.Name(), eopts)
-		if opts.ResumePath != "" {
-			res, file, err := checkpoint.Resume(opts.ResumePath, fp)
-			if err != nil {
-				return nil, err
-			}
-			eopts.Resume = res
-			if len(file.Extra) > 0 {
-				var ex exhaustiveExtra
-				if err := json.Unmarshal(file.Extra, &ex); err != nil {
-					return nil, fmt.Errorf("autotune: checkpoint %s has a corrupt tuner payload: %w", opts.ResumePath, err)
-				}
-				evals = ex.Evaluated
-				for _, r := range ex.Best {
-					best.offer(r.Tuple, r.Score, opts.TopK)
-				}
-			}
+	// The engine takes a snapshot only once every in-flight delivery has
+	// committed, so best and evals then cover exactly the snapshot's
+	// tiles; taking mu cannot deadlock against OnTuple, which never waits
+	// on a snapshot.
+	file, err := opts.checkpoint().Attach(&eopts, t.Prog, eng.Name(), func() (json.RawMessage, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return json.Marshal(exhaustiveExtra{Best: best.sorted(), Evaluated: evals})
+	})
+	if err != nil {
+		return nil, err
+	}
+	if file != nil && len(file.Extra) > 0 {
+		var ex exhaustiveExtra
+		if err := json.Unmarshal(file.Extra, &ex); err != nil {
+			return nil, fmt.Errorf("autotune: checkpoint %s has a corrupt tuner payload: %w", opts.ResumePath, err)
 		}
-		if opts.CheckpointPath != "" {
-			// The engine takes a snapshot only once every in-flight
-			// delivery has committed, so best and evals then cover exactly
-			// the snapshot's tiles; taking mu cannot deadlock against
-			// OnTuple, which never waits on a snapshot.
-			eopts.Checkpoint = checkpoint.NewWriter(opts.CheckpointPath, fp, opts.CheckpointEvery,
-				func() (json.RawMessage, error) {
-					mu.Lock()
-					defer mu.Unlock()
-					return json.Marshal(exhaustiveExtra{Best: best.sorted(), Evaluated: evals})
-				})
+		evals = ex.Evaluated
+		for _, r := range ex.Best {
+			best.offer(r.Tuple, r.Score, opts.TopK)
 		}
 	}
 	st, err := eng.RunContext(ctx, eopts)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,15 +169,45 @@ func TestExhaustiveCheckpointCrashResume(t *testing.T) {
 }
 
 // TestCheckpointRequiresExhaustive: the sampling strategies re-draw their
-// own schedule per run, so checkpointing them would silently lie.
+// own schedule per run, so checkpointing them would silently lie. Every
+// entry point but the exhaustive tuner refuses a checkpoint or resume
+// path, rather than running without one, and writes no file.
 func TestCheckpointRequiresExhaustive(t *testing.T) {
 	s, obj, _ := quadSpace(t)
 	tuner, err := New(s, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tuner.Run(Options{Strategy: RandomSample, Samples: 10, CheckpointPath: "x.ckpt"})
-	if err == nil {
-		t.Fatal("checkpointing a sampling strategy was accepted")
+	path := filepath.Join(t.TempDir(), "x.ckpt")
+	runs := map[string]func(Options) error{
+		"random-sample": func(o Options) error {
+			o.Strategy, o.Samples = RandomSample, 10
+			_, err := tuner.Run(o)
+			return err
+		},
+		"anneal": func(o Options) error {
+			_, err := tuner.RunAnneal(AnnealOptions{Options: o})
+			return err
+		},
+		"pareto": func(o Options) error {
+			_, err := tuner.RunPareto(map[string]Objective{"score": obj}, o)
+			return err
+		},
+		"hill-climb": func(o Options) error {
+			o.Strategy = HillClimb
+			_, err := tuner.Run(o)
+			return err
+		},
+	}
+	opts := map[string]Options{"CheckpointPath": {CheckpointPath: path}, "ResumePath": {ResumePath: path}}
+	for name, run := range runs {
+		for field, o := range opts {
+			if err := run(o); err == nil || !strings.Contains(err.Error(), "only the exhaustive strategy") {
+				t.Errorf("%s with %s: err = %v, want the exhaustive-only error", name, field, err)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("%s with %s left %s behind (stat: %v)", name, field, path, err)
+			}
+		}
 	}
 }

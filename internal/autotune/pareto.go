@@ -63,6 +63,9 @@ func (t *Tuner) RunPareto(objectives map[string]Objective, opts Options) (*Multi
 	if len(objectives) == 0 {
 		return nil, fmt.Errorf("autotune: no objectives")
 	}
+	if err := opts.noCheckpoint("pareto"); err != nil {
+		return nil, err
+	}
 	names := make([]string, 0, len(objectives))
 	for n := range objectives {
 		names = append(names, n)

@@ -201,3 +201,38 @@ func NewWriter(path, fingerprint string, every int, extra func() (json.RawMessag
 		},
 	}
 }
+
+// Config names a run's checkpoint files; the zero value checkpoints
+// nothing.
+type Config struct {
+	Path   string // write snapshots to this file
+	Resume string // resume from this file (may equal Path)
+	Every  int    // snapshot cadence in completed tiles
+}
+
+// Enabled reports whether the run writes or resumes a checkpoint.
+func (c Config) Enabled() bool { return c.Path != "" || c.Resume != "" }
+
+// Attach wires c into opts for a run of prog on the named engine:
+// Fingerprint, then Resume into opts.Resume, then NewWriter into
+// opts.Checkpoint (extra as in NewWriter). Attach it after every
+// schedule-shaping option is set. It returns the resumed file, nil for a
+// fresh run, so the caller can restore its Extra payload.
+func (c Config) Attach(opts *engine.Options, prog *plan.Program, engineName string, extra func() (json.RawMessage, error)) (*File, error) {
+	if !c.Enabled() {
+		return nil, nil
+	}
+	fp := Fingerprint(prog, engineName, *opts)
+	var file *File
+	if c.Resume != "" {
+		res, f, err := Resume(c.Resume, fp)
+		if err != nil {
+			return nil, err
+		}
+		opts.Resume, file = res, f
+	}
+	if c.Path != "" {
+		opts.Checkpoint = NewWriter(c.Path, fp, c.Every, extra)
+	}
+	return file, nil
+}

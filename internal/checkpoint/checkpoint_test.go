@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -165,5 +166,55 @@ func TestFingerprintPinsPlanNotWorkers(t *testing.T) {
 	}
 	if got := Fingerprint(prog2, "compiled", engine.Options{ChunkSize: 64}); got == base {
 		t.Fatal("spec change did not change the fingerprint")
+	}
+}
+
+// TestConfigAttach: Attach is Fingerprint, Resume and NewWriter in one
+// step. A zero Config leaves the options alone; a written checkpoint
+// resumes under the same schedule and is rejected under another.
+func TestConfigAttach(t *testing.T) {
+	prog := testProg(t)
+	eng, err := engine.NewCompiled(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := engine.Options{Workers: 2, ChunkSize: 64}
+	if file, err := (Config{}).Attach(&opts, prog, eng.Name(), nil); err != nil || file != nil || opts.Checkpoint != nil || opts.Resume != nil {
+		t.Fatalf("zero Config attached something: file=%v err=%v opts=%+v", file, err, opts)
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	extra := func() (json.RawMessage, error) { return json.RawMessage(`{"k":1}`), nil }
+	w := opts
+	if _, err := (Config{Path: path, Every: 1}).Attach(&w, prog, eng.Name(), extra); err != nil || w.Checkpoint == nil {
+		t.Fatalf("writer not attached: err=%v", err)
+	}
+	clean, err := eng.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := opts
+	r.Workers = 3 // the worker count is not part of the fingerprint
+	file, err := (Config{Resume: path}).Attach(&r, prog, eng.Name(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ex struct{ K int }
+	if r.Resume == nil || r.Checkpoint != nil || json.Unmarshal(file.Extra, &ex) != nil || ex.K != 1 {
+		t.Fatalf("resume attach: Resume=%v Checkpoint=%v Extra=%s", r.Resume, r.Checkpoint, file.Extra)
+	}
+	resumed, err := eng.Run(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Survivors != clean.Survivors {
+		t.Fatalf("resumed survivors = %d, want %d", resumed.Survivors, clean.Survivors)
+	}
+
+	scalar := opts
+	scalar.ChunkSize = 1
+	if _, err := (Config{Resume: path}).Attach(&scalar, prog, eng.Name(), nil); err == nil || !strings.Contains(err.Error(), "different run") {
+		t.Fatalf("resume under another chunk size: err = %v", err)
 	}
 }

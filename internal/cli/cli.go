@@ -1,8 +1,10 @@
-// Package cli holds the shared error-path contract of the cmd/ tools.
-// Every tool routes failures through one of two helpers so the exit-code
-// contract is uniform: 0 on success, 1 for runtime failures (plan or
-// enumeration errors, cancelled sweeps, objective faults), 2 for usage
-// errors (bad flags, unknown engines/strategies, conflicting options).
+// Package cli is the options surface shared by the cmd/ tools: the flag
+// groups that map command-line flags onto library options (flags.go) and
+// the error-path contract. Every tool routes failures through one of two
+// helpers so the exit-code contract is uniform: 0 on success, 1 for
+// runtime failures (plan or enumeration errors, cancelled sweeps,
+// objective faults, unreadable files), 2 for usage errors (bad flags,
+// unknown engines, strategies, kernels or devices, conflicting options).
 // Both helpers flush stdout before exiting, so partial reports already
 // printed are never lost to a buffered pipe.
 package cli
@@ -11,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sync"
 )
 
@@ -37,40 +37,30 @@ func Usagef(format string, args ...any) error {
 }
 
 // Fail reports an error on stderr, flushes stdout, and exits — 2 for
-// usage-classified errors (see Usagef, Usage), 1 for everything else.
+// usage-classified errors (see Usagef), 1 for everything else.
 func Fail(tool string, err error) {
-	var u usageError
-	if errors.As(err, &u) {
-		exit(tool, err, ExitUsage)
+	code := ExitFailure
+	if errors.As(err, new(usageError)) {
+		code = ExitUsage
 	}
-	exit(tool, err, ExitFailure)
-}
-
-// Usage reports a usage error on stderr, flushes stdout, and exits 2.
-func Usage(tool string, err error) {
-	exit(tool, err, ExitUsage)
+	os.Stdout.Sync()
+	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+	Exit(code)
 }
 
 // Exit runs the registered cleanups, flushes stdout, and exits with code.
-// It is the silent variant of Fail/Usage for paths that have already
-// printed their report — notably -lint, whose diagnostics go to stdout
-// and whose exit code (2 on error-severity findings) is the contract.
+// It is the silent variant of Fail for paths that have already printed
+// their report — notably -lint, whose diagnostics go to stdout and whose
+// exit code (2 on error-severity findings) is the contract.
 func Exit(code int) {
 	runAtExit()
 	os.Stdout.Sync()
 	os.Exit(code)
 }
 
-func exit(tool string, err error, code int) {
-	runAtExit()
-	os.Stdout.Sync()
-	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-	os.Exit(code)
-}
-
 // atExit holds cleanups that must run on the error exit paths too —
-// Fail/Usage call os.Exit, which skips defers, so StartProfiles registers
-// its flush here to keep profiles from dying with the process.
+// Fail and Exit call os.Exit, which skips defers, so Profiles.Start
+// registers its flush here to keep profiles from dying with the process.
 var (
 	atExitMu sync.Mutex
 	atExit   []func()
@@ -84,48 +74,4 @@ func runAtExit() {
 	for i := len(fns) - 1; i >= 0; i-- {
 		fns[i]()
 	}
-}
-
-// StartProfiles starts pprof collection for the -cpuprofile/-memprofile
-// flags: CPU sampling begins immediately, the heap profile is written
-// when the returned stop function runs. Callers defer stop(); the same
-// flush is registered with the Fail/Usage exit path, and running it twice
-// is safe. Empty paths disable the respective profile.
-func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-	}
-	var once sync.Once
-	stop = func() {
-		once.Do(func() {
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				cpuFile.Close()
-			}
-			if memPath != "" {
-				f, ferr := os.Create(memPath)
-				if ferr != nil {
-					fmt.Fprintf(os.Stderr, "memprofile: %v\n", ferr)
-					return
-				}
-				runtime.GC() // settle allocations so the heap profile reflects live data
-				if werr := pprof.WriteHeapProfile(f); werr != nil {
-					fmt.Fprintf(os.Stderr, "memprofile: %v\n", werr)
-				}
-				f.Close()
-			}
-		})
-	}
-	atExitMu.Lock()
-	atExit = append(atExit, stop)
-	atExitMu.Unlock()
-	return stop, nil
 }

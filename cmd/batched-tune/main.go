@@ -89,10 +89,7 @@ func runCholesky(ctx context.Context, dev *device.Properties, n, batch int64, pl
 	if err != nil {
 		fail(err)
 	}
-	rep, err := tuner.RunContext(ctx, tune)
-	if err != nil {
-		run.Interrupted("batched-tune", err)
-	}
+	rep := runTuner(ctx, tuner, tune, run)
 	if len(rep.Best) == 0 {
 		fmt.Printf("%5d %10d %12s %12s %9s   no feasible kernels\n", n, rep.Survivors, "-", "-", "-")
 		return
@@ -123,10 +120,7 @@ func runTRSM(ctx context.Context, dev *device.Properties, n, nrhs, batch int64, 
 	if err != nil {
 		fail(err)
 	}
-	rep, err := tuner.RunContext(ctx, tune)
-	if err != nil {
-		run.Interrupted("batched-tune", err)
-	}
+	rep := runTuner(ctx, tuner, tune, run)
 	if len(rep.Best) == 0 {
 		fmt.Printf("%5d %10d %12s %12s %9s   no feasible kernels\n", n, rep.Survivors, "-", "-", "-")
 		return
@@ -136,6 +130,21 @@ func runTRSM(ctx context.Context, dev *device.Properties, n, nrhs, batch int64, 
 	fmt.Printf("%5d %10d %12.1f %12.1f %8.2fx   nb=%d dim_x=%d dim_rhs=%d mpb=%d\n",
 		n, rep.Survivors, rep.Best[0].Score, base, rep.Best[0].Score/base,
 		k.NB, k.DimX, k.DimRHS, k.MPB)
+}
+
+// runTuner runs one size's tuning. Only a cancelled run returns its
+// partial report, and only then has the checkpoint saved progress to
+// resume; any other error (a checkpoint that cannot be written, a -resume
+// file from another run) exits without the resume hint.
+func runTuner(ctx context.Context, tuner *autotune.Tuner, tune autotune.Options, run *cli.Run) *autotune.Report {
+	rep, err := tuner.RunContext(ctx, tune)
+	if err != nil {
+		if rep != nil {
+			run.Interrupted("batched-tune", err)
+		}
+		fail(err)
+	}
+	return rep
 }
 
 func parseSizes(s string) ([]int64, error) {

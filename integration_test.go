@@ -290,6 +290,17 @@ func TestCmdBatchedTuneSmoke(t *testing.T) {
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Errorf("rejected run left %s behind (stat: %v)", ckpt, err)
 	}
+	// A checkpoint that cannot be written, or a -resume file written for
+	// another size, saved no progress: exit 1 without the resume hint.
+	runBinExpectExit(t, 0, bin, "-sizes", "16", "-checkpoint", ckpt)
+	for _, args := range [][]string{
+		{"-sizes", "16", "-checkpoint", filepath.Join(dir, "nonexistent", "x.ckpt")},
+		{"-sizes", "32", "-checkpoint", ckpt, "-resume", ckpt},
+	} {
+		if out := runBinExpectExit(t, 1, bin, args...); strings.Contains(out, "progress saved") {
+			t.Errorf("batched-tune %v printed the resume hint:\n%s", args, out)
+		}
+	}
 }
 
 // TestCmdExitCodes pins the usage-error class across the four planning

@@ -6,7 +6,10 @@
 // merged counters of an engine.Snapshot, and an optional tool-owned blob
 // for layered state (e.g. the autotuner's top-K heap). Files are written
 // atomically — marshal to a sibling temp file, fsync, rename — so a crash
-// mid-write leaves the previous snapshot intact.
+// mid-write leaves the previous snapshot intact. A run's writer
+// (NewWriter) saves its snapshots on a background goroutine, so the
+// run's workers do not wait for the disk, and the run returns once its
+// last snapshot is on disk.
 package checkpoint
 
 import (
@@ -18,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -78,9 +82,10 @@ func Fingerprint(prog *plan.Program, engineName string, opts engine.Options) str
 }
 
 // Save writes f to path atomically: temp file in the same directory, sync,
-// rename over the target.
+// rename over the target. The JSON is compact; Load also reads the
+// indented files earlier versions wrote.
 func Save(path string, f *File) error {
-	data, err := json.MarshalIndent(f, "", "  ")
+	data, err := json.Marshal(f)
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal: %w", err)
 	}
@@ -173,11 +178,18 @@ func Resume(path, fingerprint string) (*engine.ResumeState, *File, error) {
 	}, f, nil
 }
 
-// NewWriter returns a CheckpointConfig that persists every snapshot to
-// path with the given fingerprint and cadence. extra, if non-nil, is
-// invoked per snapshot to capture tool-owned state into the file's Extra
-// blob; its error aborts the run like a write failure.
+// NewWriter returns a CheckpointConfig that persists the snapshots of a
+// run to path with the given fingerprint and cadence. Each snapshot is
+// split in two. OnSnapshot, which runs while the workers wait, only
+// captures the File; extra, if non-nil, is invoked there to capture
+// tool-owned state into the file's Extra blob, and its error aborts the
+// run. One goroutine at a time then Saves the newest capture and drops any
+// older one still waiting: captures are cumulative, so the newer one
+// covers it. A Save error aborts the run at the next snapshot, and Flush,
+// which the engine calls at the end of the run, returns once the last
+// capture is on disk.
 func NewWriter(path, fingerprint string, every int, extra func() (json.RawMessage, error)) *engine.CheckpointConfig {
+	w := &writer{path: path}
 	return &engine.CheckpointConfig{
 		EveryTiles: every,
 		OnSnapshot: func(s *engine.Snapshot) error {
@@ -197,9 +209,67 @@ func NewWriter(path, fingerprint string, every int, extra func() (json.RawMessag
 				}
 				f.Extra = blob
 			}
-			return Save(path, f)
+			return w.put(f)
 		},
+		Flush: w.flush,
 	}
+}
+
+// writer is NewWriter's persist side: the newest capture waiting to be
+// saved, the goroutine saving it, and the first Save error.
+type writer struct {
+	path string
+	mu   sync.Mutex
+	next *File
+	// idle is closed when the persist goroutine exits; nil while none runs.
+	idle chan struct{}
+	err  error
+}
+
+// put hands f to the persist goroutine, starting one if none runs, in
+// place of any capture still waiting. It returns the first Save error so
+// far, so a failed write aborts the run.
+func (w *writer) put(f *File) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.next = f
+	if w.idle == nil {
+		w.idle = make(chan struct{})
+		go w.persist(w.idle)
+	}
+	return w.err
+}
+
+// persist saves the newest capture until none is waiting, then exits.
+func (w *writer) persist(idle chan struct{}) {
+	defer close(idle)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.next != nil {
+		f := w.next
+		w.next = nil
+		w.mu.Unlock()
+		err := Save(w.path, f)
+		w.mu.Lock()
+		if w.err == nil {
+			w.err = err
+		}
+	}
+	w.idle = nil
+}
+
+// flush waits until the persist goroutine has saved the newest capture
+// and exited, and returns the first Save error.
+func (w *writer) flush() error {
+	w.mu.Lock()
+	idle := w.idle
+	w.mu.Unlock()
+	if idle != nil {
+		<-idle
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
 }
 
 // Config names a run's checkpoint files; the zero value checkpoints

@@ -1,13 +1,18 @@
 package checkpoint
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/expr"
@@ -217,4 +222,137 @@ func TestConfigAttach(t *testing.T) {
 	if _, err := (Config{Resume: path}).Attach(&scalar, prog, eng.Name(), nil); err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("resume under another chunk size: err = %v", err)
 	}
+}
+
+// writerProg has 256 depth-1 tiles of 32 survivors each, so a run takes
+// hundreds of snapshots. Reorder is off: it would put j outermost, leaving
+// 32 tiles.
+func writerProg(t *testing.T) (*plan.Program, []engine.Engine) {
+	t.Helper()
+	s := space.New()
+	s.Range("i", expr.IntLit(0), expr.IntLit(256))
+	s.Range("j", expr.IntLit(0), expr.IntLit(64))
+	s.Constrain("even", space.Hard, expr.Eq(expr.Mod(expr.NewRef("j"), expr.IntLit(2)), expr.IntLit(0)))
+	prog, err := plan.Compile(s, plan.Options{DisableReorder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := engine.NewCompiled(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, []engine.Engine{engine.NewInterp(prog), engine.NewVM(prog), comp}
+}
+
+// TestWriterDurableOnReturn: NewWriter persists in the background, yet the
+// file on disk when RunContext returns covers exactly the tuples OnTuple
+// received, whether the run completes or is cancelled part way.
+func TestWriterDurableOnReturn(t *testing.T) {
+	prog, engines := writerProg(t)
+	const cancelAt = 100
+	for _, e := range engines {
+		for _, workers := range []int{1, 4} {
+			for _, cancelled := range []bool{false, true} {
+				label := fmt.Sprintf("%s workers=%d cancelled=%v", e.Name(), workers, cancelled)
+				path := filepath.Join(t.TempDir(), "sweep.ckpt")
+				opts := engine.Options{Workers: workers, ChunkSize: 64}
+				ctx, cancel := context.WithCancel(context.Background())
+				var delivered atomic.Int64
+				opts.OnTuple = func([]int64) bool {
+					if delivered.Add(1) == cancelAt && cancelled {
+						// The workers see the cancellation only once the
+						// context's AfterFunc has run; this delivery holds
+						// off every snapshot, and so most commits, meanwhile.
+						cancel()
+						time.Sleep(20 * time.Millisecond)
+					}
+					return true
+				}
+				opts.Checkpoint = NewWriter(path, Fingerprint(prog, e.Name(), opts), 1, nil)
+				st, err := e.RunContext(ctx, opts)
+				cancel()
+				f, lerr := Load(path)
+				if cancelled != errors.Is(err, context.Canceled) || (err != nil && !cancelled) {
+					t.Fatalf("%s: err = %v", label, err)
+				}
+				if lerr != nil {
+					t.Fatalf("%s: %v", label, lerr)
+				}
+				if n := delivered.Load(); f.Stats.Survivors != n || st.Survivors != n {
+					t.Fatalf("%s: %d tuples delivered, run reports %d, file on return holds %d (%d of %d tiles)",
+						label, n, st.Survivors, f.Stats.Survivors, f.Completed, f.Tiles)
+				}
+				if partial := f.Completed < f.Tiles; partial != cancelled {
+					t.Fatalf("%s: file covers %d of %d tiles", label, f.Completed, f.Tiles)
+				}
+			}
+		}
+	}
+}
+
+// TestWriterPersistError: a snapshot that cannot be written fails the run.
+// Once the first snapshot is taken, OnTuple moves the checkpoint's
+// directory away (a rename: os.RemoveAll fails if a write in flight adds a
+// file). The run must return an error naming the file, the writer must
+// refuse the next snapshot with it, and no persist goroutine may be left.
+func TestWriterPersistError(t *testing.T) {
+	prog, engines := writerProg(t)
+	for _, e := range engines {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s workers=%d", e.Name(), workers)
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "sweep.ckpt")
+			opts := engine.Options{Workers: workers, ChunkSize: 64}
+			cfg := NewWriter(path, Fingerprint(prog, e.Name(), opts), 1, nil)
+			var snapped, moved atomic.Bool
+			capture := cfg.OnSnapshot
+			cfg.OnSnapshot = func(s *engine.Snapshot) error {
+				err := capture(s)
+				snapped.Store(true)
+				return err
+			}
+			opts.Checkpoint = cfg
+			opts.OnTuple = func([]int64) bool {
+				if snapped.Load() && !moved.Swap(true) {
+					if err := os.Rename(dir, dir+".gone"); err != nil {
+						t.Error(err)
+					}
+				}
+				return true
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.RunContext(context.Background(), opts)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), path) {
+					t.Fatalf("%s: err = %v, want a write error naming %s", label, err, path)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s: run did not return after its checkpoint directory was moved away", label)
+			}
+			if err := cfg.OnSnapshot(&engine.Snapshot{TileStats: &engine.Stats{}}); err == nil {
+				t.Fatalf("%s: the writer accepted a snapshot after a write error", label)
+			}
+			if err := cfg.Flush(); err == nil {
+				t.Fatalf("%s: Flush after a write error returned nil", label)
+			}
+			for deadline := time.Now().Add(5 * time.Second); persisting(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: a persist goroutine is still running after the run returned", label)
+				}
+			}
+		}
+	}
+}
+
+// persisting reports whether any goroutine is in writer.persist.
+func persisting() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*writer).persist")
 }

@@ -528,12 +528,22 @@ func (tr *tileTracker) snapshot() error {
 // finalSnapshot writes one last snapshot after the pool drains, so the
 // checkpoint file always reflects every committed tile. It is skipped when
 // the last snapshot already captured every commit; a run that took no
-// snapshot, or whose last one failed, always writes it.
+// snapshot, or whose last one failed, always writes it. Flush then waits
+// until the newest snapshot is durable; the snapshot's error comes first.
 func (tr *tileTracker) finalSnapshot() error {
-	if !tr.snapshots() || tr.snapped == tr.completed {
+	if !tr.snapshots() {
 		return nil
 	}
-	return tr.snapshot()
+	var err error
+	if tr.snapped != tr.completed {
+		err = tr.snapshot()
+	}
+	if tr.cfg.Flush != nil {
+		if ferr := tr.cfg.Flush(); err == nil {
+			err = ferr
+		}
+	}
+	return err
 }
 
 // logBlockRows is the survivor log's block size in rows.

@@ -14,6 +14,8 @@
 //	ablations  BenchmarkAblation*     — hoisting and folding switched off
 //	plan time  BenchmarkPlanCompile   — plan.Compile with and without the
 //	                                    loop-order optimizer, per space family
+//	checkpoint BenchmarkCheckpointCadence — a sweep with no checkpoint, a
+//	                                    snapshot per tile, and one per quarter
 //
 // Report iterations/second by dividing the per-op iteration counts (logged
 // via b.ReportMetric as "Mit/s") — the paper's quantity of merit.
@@ -21,11 +23,13 @@ package beast
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/autotune"
 	"repro/internal/batched"
+	"repro/internal/checkpoint"
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/families"
@@ -803,6 +807,66 @@ func TestCheckpointDeliveryAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				return rep.Evaluated
+			})
+		}
+	}
+}
+
+// BenchmarkCheckpointCadence measures what a checkpoint file costs a
+// sweep: no checkpoint, a checkpoint.NewWriter snapshot after every tile
+// (the CLI default), and one every quarter of the tiles (beastbench's
+// cadence). Compiled backend, 2 workers, chunk 64, default plan.
+// Stencil(257, 8) has 256 cheap tiles, so per-tile snapshots are many;
+// Dense(4096) has 16 heavy ones. Divide a row's ns/op by its none row's
+// for the overhead.
+func BenchmarkCheckpointCadence(b *testing.B) {
+	for _, sp := range []struct {
+		name  string
+		build func() (*space.Space, error)
+	}{
+		{"stencil", func() (*space.Space, error) { return families.Stencil(257, 8) }},
+		{"dense", func() (*space.Space, error) { return families.Dense(4096) }},
+	} {
+		s, err := sp.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := plan.Compile(s, plan.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		comp, err := engine.NewCompiled(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := engine.Options{Workers: 2, ChunkSize: 64}
+		clean, err := comp.Run(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fp := checkpoint.Fingerprint(prog, comp.Name(), opts)
+		for _, cad := range []struct {
+			name  string
+			every int // 0: no checkpoint
+		}{{"none", 0}, {"every-tile", 1}, {"quarter", max(1, clean.Tiles/4)}} {
+			b.Run(sp.name+"/"+cad.name, func(b *testing.B) {
+				path := filepath.Join(b.TempDir(), "sweep.ckpt")
+				for i := 0; i < b.N; i++ {
+					var delivered atomic.Int64
+					o := opts
+					o.OnTuple = func([]int64) bool { delivered.Add(1); return true }
+					if cad.every > 0 {
+						o.Checkpoint = checkpoint.NewWriter(path, fp, cad.every, nil)
+					}
+					st, err := comp.Run(o)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if st.Survivors != clean.Survivors || delivered.Load() != clean.Survivors {
+						b.Fatalf("%d survivors, %d delivered; want %d", st.Survivors, delivered.Load(), clean.Survivors)
+					}
+				}
+				b.ReportMetric(float64(clean.Tiles), "tiles")
 			})
 		}
 	}

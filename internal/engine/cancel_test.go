@@ -147,39 +147,54 @@ func runWithin(t *testing.T, label string, d time.Duration, run func() (*Stats, 
 }
 
 // TestWorkerPanicIsolated is the callback-panic regression: a panic thrown
-// by Options.OnTuple inside a tile worker must not crash the process — the
-// pool aborts and the run returns a *PanicError carrying the value. The
-// checkpointed input throws the panic during a tile's transactional
-// delivery, after the tile has run and before it commits.
+// by Options.OnTuple, or by a function NewOnTuple made, inside a tile
+// worker must not crash the process — the pool aborts and the run returns
+// a *PanicError carrying the value. The checkpointed input throws the
+// panic during a tile's transactional delivery, after the tile has run
+// and before it commits.
 func TestWorkerPanicIsolated(t *testing.T) {
 	prog := parallelTestSpace(t)
 	for _, e := range allBackends(t, prog) {
 		for _, workers := range []int{1, 8} {
 			for _, ckpt := range []*CheckpointConfig{nil, {EveryTiles: 1, OnSnapshot: func(*Snapshot) error { return nil }}} {
-				label := fmt.Sprintf("%s workers=%d checkpoint=%v", e.Name(), workers, ckpt != nil)
-				var n atomic.Int64
-				opts := Options{Workers: workers, Checkpoint: ckpt, OnTuple: func([]int64) bool {
-					if n.Add(1) == 2 {
-						panic("objective exploded")
+				for _, perWorker := range []bool{false, true} {
+					label := fmt.Sprintf("%s workers=%d checkpoint=%v per-worker=%v", e.Name(), workers, ckpt != nil, perWorker)
+					var n atomic.Int64
+					explode := func([]int64) bool {
+						if n.Add(1) == 2 {
+							panic("objective exploded")
+						}
+						return true
 					}
-					return true
-				}}
-				st, err := runWithin(t, label, 5*time.Second, func() (*Stats, error) { return e.Run(opts) })
-				if st != nil {
-					t.Fatalf("%s: panicking run returned stats", label)
-				}
-				var pe *PanicError
-				if !errors.As(err, &pe) {
-					t.Fatalf("%s: err = %v (%T), want *PanicError", label, err, err)
-				}
-				if pe.Val != "objective exploded" {
-					t.Fatalf("%s: panic value %v, want the original", label, pe.Val)
-				}
-				if len(pe.Stack) == 0 {
-					t.Fatalf("%s: PanicError lost the stack trace", label)
+					opts := Options{Workers: workers, Checkpoint: ckpt, OnTuple: explode}
+					if perWorker {
+						opts.OnTuple = nil
+						opts.NewOnTuple = func() func([]int64) bool { return explode }
+					}
+					runPanicking(t, label, e, opts)
 				}
 			}
 		}
+	}
+}
+
+// runPanicking runs opts, whose callback panics with "objective
+// exploded", and requires the run to return that panic as a *PanicError.
+func runPanicking(t *testing.T, label string, e Engine, opts Options) {
+	t.Helper()
+	st, err := runWithin(t, label, 5*time.Second, func() (*Stats, error) { return e.Run(opts) })
+	if st != nil {
+		t.Fatalf("%s: panicking run returned stats", label)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("%s: err = %v (%T), want *PanicError", label, err, err)
+	}
+	if pe.Val != "objective exploded" {
+		t.Fatalf("%s: panic value %v, want the original", label, pe.Val)
+	}
+	if len(pe.Stack) == 0 {
+		t.Fatalf("%s: PanicError lost the stack trace", label)
 	}
 }
 

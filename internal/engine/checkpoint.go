@@ -16,11 +16,11 @@ import (
 // skipped, the run calls Flush, so it returns only once the last
 // snapshot is durable.
 //
-// In checkpoint mode Options.OnTuple delivery is transactional: a tile's
-// surviving tuples are logged while the tile runs and delivered only
-// when it commits, so the set of delivered tuples is exactly the union of
-// committed tiles — an interrupted run plus its resume delivers each
-// survivor exactly once. Every snapshot holds the same invariant: it is
+// In checkpoint mode delivery to Options.OnTuple or to NewOnTuple's
+// functions is transactional: a tile's surviving tuples are logged while
+// the tile runs and delivered only when it commits, so the set of
+// delivered tuples is exactly the union of committed tiles — an
+// interrupted run plus its resume delivers each survivor exactly once. Every snapshot holds the same invariant: it is
 // taken only while no worker is between starting a tile's delivery and
 // committing that tile, so the tuples delivered when OnSnapshot runs are
 // exactly those of the snapshot's committed tiles.
@@ -43,12 +43,16 @@ type CheckpointConfig struct {
 	//
 	// A due snapshot waits for every in-flight tile delivery to commit,
 	// and deliveries wait while OnSnapshot runs, so state that OnTuple
-	// updates is quiescent during the call. OnTuple must therefore never
-	// wait on a snapshot (for example on a signal OnSnapshot sends):
-	// the snapshot waits for that OnTuple to return, so the run deadlocks.
-	// For the same reason every worker stalls at its next delivery until
-	// OnSnapshot returns, so a receiver that writes files should hand the
-	// write to another goroutine and set Flush.
+	// updates is quiescent during the call. So is the state of every
+	// function NewOnTuple made: OnSnapshot may read it although the
+	// functions take no lock, provided the list of those functions is
+	// guarded, since workers that start late add to it during the run. A
+	// callback must therefore never wait on a snapshot (for example on a
+	// signal OnSnapshot sends): the snapshot waits for that callback to
+	// return, so the run deadlocks. For the same reason every worker
+	// stalls at its next delivery until OnSnapshot returns, so a receiver
+	// that writes files should hand the write to another goroutine and set
+	// Flush.
 	OnSnapshot func(s *Snapshot) error
 	// Flush, if set, lets OnSnapshot return before its snapshot is
 	// durable. The engine calls it once per run that calls OnSnapshot,

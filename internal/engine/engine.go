@@ -83,13 +83,26 @@ type Options struct {
 	// reused and owned by the calling worker; copy it to retain. Returning
 	// false stops the whole run promptly (all workers observe the
 	// cancellation). With Workers > 1 the callback is invoked concurrently
-	// and must be safe for that.
+	// and must be safe for that. A callback that writes shared memory on
+	// every call (a lock, an atomic counter) serializes the workers on that
+	// memory; keep such state per worker with NewOnTuple instead.
 	//
 	// Under Checkpoint, returning false still commits the tile whose
 	// survivors were being delivered, whole, and the run reports Stopped:
 	// that tile's remaining survivors are never delivered, not even after
 	// a resume (see CheckpointConfig).
 	OnTuple func(tuple []int64) bool
+
+	// NewOnTuple, if non-nil, is the per-worker form of OnTuple. The run
+	// calls it once on each goroutine that delivers survivors — the
+	// caller's for a sequential run, each pool worker's for a tiled one —
+	// before that goroutine's first delivery, so at most max(1, Workers)
+	// functions are made. Only the goroutine that made a function calls
+	// it, also when it commits a checkpointed tile, so the function may
+	// update state of its own without synchronization. The returned
+	// functions otherwise behave as OnTuple. Setting both OnTuple and
+	// NewOnTuple is an error.
+	NewOnTuple func() func(tuple []int64) bool
 
 	// Limit, if positive, stops enumeration after this many survivors.
 	// The countdown is shared across workers, so a parallel run reports
@@ -140,10 +153,10 @@ type Engine interface {
 }
 
 // PanicError is a panic recovered at a run boundary — a host callback
-// (Options.OnTuple, a deferred constraint or iterator) or an engine defect
-// that would otherwise take down the process. The run that hit it aborts
-// and returns the panic as its error; with Workers > 1 the pool drains
-// first, so sibling workers exit cleanly.
+// (Options.OnTuple or NewOnTuple, a deferred constraint or iterator) or an
+// engine defect that would otherwise take down the process. The run that
+// hit it aborts and returns the panic as its error; with Workers > 1 the
+// pool drains first, so sibling workers exit cleanly.
 type PanicError struct {
 	// Val is the recovered panic value.
 	Val any
@@ -173,6 +186,17 @@ func recoverRunError(err *error) {
 	if r := recover(); r != nil {
 		*err = panicError(r)
 	}
+}
+
+// perWorker returns the options one delivering goroutine runs under: its
+// OnTuple is a function of its own from NewOnTuple, or the shared
+// OnTuple. A panicking NewOnTuple becomes the error.
+func (o Options) perWorker() (_ Options, err error) {
+	defer recoverRunError(&err)
+	if o.NewOnTuple != nil {
+		o.OnTuple, o.NewOnTuple = o.NewOnTuple(), nil
+	}
+	return o, nil
 }
 
 // CountSurvivors is a convenience wrapper: sequential enumeration counting

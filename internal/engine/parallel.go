@@ -203,6 +203,9 @@ func runContext(ctx context.Context, prog *plan.Program, b backend, opts Options
 	if ckpt && opts.Limit > 0 {
 		return nil, errors.New("engine: Limit cannot be combined with Checkpoint or Resume")
 	}
+	if opts.OnTuple != nil && opts.NewOnTuple != nil {
+		return nil, errors.New("engine: set OnTuple or NewOnTuple, not both")
+	}
 	if (opts.Workers > 1 || ckpt) && len(prog.Loops) > 0 {
 		return runTiled(ctx, prog, b, opts)
 	}
@@ -213,6 +216,10 @@ func runContext(ctx context.Context, prog *plan.Program, b backend, opts Options
 	ctl := newRunCtl(opts.Limit, ctx.Done() != nil)
 	stop := context.AfterFunc(ctx, ctl.cancelCtx)
 	defer stop()
+	opts, err := opts.perWorker()
+	if err != nil {
+		return nil, err
+	}
 	w, err := b.newWorker(opts, ctl, 0, nil)
 	if err == nil {
 		err = w.runTile(nil)
@@ -302,22 +309,29 @@ func runTiled(ctx context.Context, prog *plan.Program, b backend, opts Options) 
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			// Panics outside the runTile boundary (OnTuple during a
-			// checkpointed tile's delivery, scheduler defects, stats
-			// merging) still abort the pool instead of crashing the process.
+			// Panics outside the runTile boundary (NewOnTuple, OnTuple
+			// during a checkpointed tile's delivery, scheduler defects,
+			// stats merging) still abort the pool instead of crashing the
+			// process.
 			defer func() {
 				if r := recover(); r != nil {
 					werrs[wi] = panicError(r)
 					ctl.abort()
 				}
 			}()
-			wopts := opts
+			wopts, err := opts.perWorker()
+			if err != nil {
+				werrs[wi] = err
+				ctl.abort()
+				return
+			}
+			deliver := wopts.OnTuple
 			var log *survivorLog
 			var prev *Stats // counters as of this worker's last commit
 			if tr != nil {
 				log = &survivorLog{width: len(prog.Loops)}
 				prev = NewStats(prog)
-				if opts.OnTuple != nil {
+				if deliver != nil {
 					// Transactional delivery: log a tile's survivors while
 					// it runs; the commit delivers them once the tile is
 					// known complete, so delivered tuples and committed
@@ -354,7 +368,7 @@ func runTiled(ctx context.Context, prog *plan.Program, b backend, opts Options) 
 						// leave it uncommitted so a resume re-runs it whole.
 						return
 					}
-					userStop, err := tr.commit(int(t), log, w.counters(), prev)
+					userStop, err := tr.commit(int(t), log, deliver, w.counters(), prev)
 					if err != nil {
 						werrs[wi] = err
 						ctl.abort()
@@ -417,7 +431,6 @@ type tileTracker struct {
 	gate      sync.RWMutex
 	mu        sync.Mutex // serializes commits running under the shared gate
 	cfg       *CheckpointConfig
-	onTuple   func([]int64) bool
 	every     int
 	sinceSnap int
 	done      []uint64
@@ -439,7 +452,6 @@ type tileTracker struct {
 func newTileTracker(prog *plan.Program, opts Options, tiles *tileSet, st *Stats) (*tileTracker, error) {
 	tr := &tileTracker{
 		cfg:     opts.Checkpoint,
-		onTuple: opts.OnTuple,
 		every:   1,
 		snapped: -1,
 		done:    make([]uint64, (tiles.n+63)/64),
@@ -470,14 +482,14 @@ func (tr *tileTracker) skip(t int) bool {
 // snapshots reports whether the run hands snapshots to a receiver.
 func (tr *tileTracker) snapshots() bool { return tr.cfg != nil && tr.cfg.OnSnapshot != nil }
 
-// commit delivers completed tile t's logged survivors to OnTuple, then
-// folds the tile's counter delta (the worker's cumulative stats minus its
-// baseline) into the committed set and advances the baseline; every
-// `every` commits it snapshots. stop reports that OnTuple asked to stop
-// the run; the tile commits whole regardless. A snapshot error aborts the
-// run.
-func (tr *tileTracker) commit(tile int, log *survivorLog, cur, prev *Stats) (stop bool, err error) {
-	stop, due := tr.deliverAndCommit(tile, log, cur, prev)
+// commit delivers completed tile t's logged survivors to deliver, the
+// committing worker's own callback, then folds the tile's counter delta
+// (the worker's cumulative stats minus its baseline) into the committed
+// set and advances the baseline; every `every` commits it snapshots. stop
+// reports that deliver asked to stop the run; the tile commits whole
+// regardless. A snapshot error aborts the run.
+func (tr *tileTracker) commit(tile int, log *survivorLog, deliver func([]int64) bool, cur, prev *Stats) (stop bool, err error) {
+	stop, due := tr.deliverAndCommit(tile, log, deliver, cur, prev)
 	if due {
 		err = tr.snapshot()
 	}
@@ -485,12 +497,12 @@ func (tr *tileTracker) commit(tile int, log *survivorLog, cur, prev *Stats) (sto
 }
 
 // deliverAndCommit is commit's part under the shared gate, released by
-// defer so a panicking OnTuple cannot wedge later snapshots. due reports
+// defer so a panicking callback cannot wedge later snapshots. due reports
 // that a snapshot is owed; it is taken after the gate is released.
-func (tr *tileTracker) deliverAndCommit(tile int, log *survivorLog, cur, prev *Stats) (stop, due bool) {
+func (tr *tileTracker) deliverAndCommit(tile int, log *survivorLog, deliver func([]int64) bool, cur, prev *Stats) (stop, due bool) {
 	tr.gate.RLock()
 	defer tr.gate.RUnlock()
-	stop = !log.drain(tr.onTuple)
+	stop = !log.drain(deliver)
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	tr.base.MergeDelta(cur, prev)

@@ -216,6 +216,124 @@ func TestParallelTupleSetMatches(t *testing.T) {
 	}
 }
 
+// tupleLog is the state of one per-worker callback: the tuples it was
+// handed and how often it was entered while already in use. busy is
+// deliberately unsynchronized, so two goroutines inside add at once are a
+// data race the race detector reports, besides the overlap add may see.
+type tupleLog struct {
+	busy     bool
+	overlaps int
+	tuples   [][]int64
+}
+
+func (l *tupleLog) add(tu []int64) bool {
+	if l.busy {
+		l.overlaps++
+	}
+	l.busy = true
+	l.tuples = append(l.tuples, append([]int64(nil), tu...))
+	l.busy = false
+	return true
+}
+
+// midSnapshot runs a sweep checkpointed after every tile and returns the
+// first snapshot that covers at least half of the tiles, as a resume state.
+func midSnapshot(t *testing.T, e Engine) *ResumeState {
+	t.Helper()
+	var mid *Snapshot
+	_, err := e.Run(Options{Workers: 2, Checkpoint: &CheckpointConfig{EveryTiles: 1, OnSnapshot: func(s *Snapshot) error {
+		if mid == nil && 2*s.Completed >= s.Tiles {
+			mid = snapshotCopy(s)
+		}
+		return nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid == nil || mid.Completed == mid.Tiles {
+		t.Fatalf("%s: no mid-run snapshot (got %+v)", e.Name(), mid)
+	}
+	return &ResumeState{SplitDepth: mid.SplitDepth, Tiles: mid.Tiles, Done: mid.Done, TileStats: mid.TileStats}
+}
+
+// TestNewOnTupleContract pins Options.NewOnTuple on every backend, at one
+// and four workers, scalar and chunked, in a plain run, a run
+// checkpointed after every tile, and a run resumed from a mid-run
+// snapshot. No function it makes is entered by two goroutines, at most
+// max(1, Workers) are made, their calls sum to the survivors the run
+// delivered, and they receive the set an OnTuple run delivers. Setting
+// both callbacks is an error.
+func TestNewOnTupleContract(t *testing.T) {
+	prog := parallelTestSpace(t)
+	for _, e := range allBackends(t, prog) {
+		both := Options{OnTuple: func([]int64) bool { return true }, NewOnTuple: func() func([]int64) bool { return nil }}
+		if st, err := e.Run(both); err == nil || st != nil {
+			t.Errorf("%s: a run with OnTuple and NewOnTuple returned %v, %v; want an error", e.Name(), st, err)
+		}
+		resume := midSnapshot(t, e)
+		for _, workers := range []int{1, 4} {
+			for _, chunk := range []int{1, 64} {
+				for _, mode := range []string{"plain", "checkpoint", "resume"} {
+					label := fmt.Sprintf("%s workers=%d chunk=%d %s", e.Name(), workers, chunk, mode)
+					opts := Options{Workers: workers, ChunkSize: chunk}
+					var already int64 // survivors the resumed snapshot delivered
+					switch mode {
+					case "checkpoint":
+						opts.Checkpoint = &CheckpointConfig{EveryTiles: 1, OnSnapshot: func(*Snapshot) error { return nil }}
+					case "resume":
+						opts.Resume = resume
+						already = resume.TileStats.Survivors
+					}
+
+					var mu sync.Mutex
+					var want [][]int64
+					ref := opts
+					ref.OnTuple = func(tu []int64) bool {
+						mu.Lock()
+						want = append(want, append([]int64(nil), tu...))
+						mu.Unlock()
+						return true
+					}
+					if _, err := e.Run(ref); err != nil {
+						t.Fatalf("%s: OnTuple run: %v", label, err)
+					}
+
+					var logs []*tupleLog
+					opts.NewOnTuple = func() func([]int64) bool {
+						l := &tupleLog{}
+						mu.Lock()
+						logs = append(logs, l)
+						mu.Unlock()
+						return l.add
+					}
+					st, err := e.Run(opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if len(logs) > max(1, workers) {
+						t.Errorf("%s: %d functions made, want at most %d", label, len(logs), max(1, workers))
+					}
+					var got [][]int64
+					for _, l := range logs {
+						if l.overlaps > 0 {
+							t.Errorf("%s: a function was entered %d times while in use", label, l.overlaps)
+						}
+						got = append(got, l.tuples...)
+					}
+					if int64(len(got)) != st.Survivors-already {
+						t.Errorf("%s: %d calls, but the run delivered %d survivors", label, len(got), st.Survivors-already)
+					}
+					sortTuples(got)
+					sortTuples(want)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: per-worker functions got %d tuples, OnTuple %d; the sets differ", label, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestParallelEdgeSpaces covers the degenerate tilings: empty outermost
 // domain, empty inner domain, a single-tuple space, and a
 // prelude-rejected space, all at Workers: 8.

@@ -18,6 +18,13 @@
 // The last two are the "statistical search methods" the paper's conclusion
 // schedules as future work. Multi-objective (performance x energy) search
 // lives in pareto.go.
+//
+// The exhaustive strategy and RunPareto score survivors on the
+// enumeration's own workers. Each worker keeps its own top-K heap or
+// Pareto front and objective-call count (engine.Options.NewOnTuple), so
+// scoring a survivor takes no lock and writes nothing another worker
+// reads; the parts are merged at each checkpoint snapshot and once the
+// run ends.
 package autotune
 
 import (
@@ -39,7 +46,10 @@ import (
 )
 
 // Objective scores a surviving tuple; higher is better. Implementations
-// must be safe for concurrent calls when Options.Workers > 1.
+// must be safe for concurrent calls when Options.Workers > 1: the
+// exhaustive strategy and RunPareto call it on every enumeration worker at
+// once. An objective that writes shared memory on every call (a lock, an
+// atomic counter) serializes those workers on it.
 type Objective func(tuple []int64) float64
 
 // Strategy selects the search mode.
@@ -251,36 +261,76 @@ type exhaustiveExtra struct {
 	Evaluated int64    `json:"evaluated"`
 }
 
+// workerSet holds one T per delivering goroutine of a run (see
+// engine.Options.NewOnTuple). Workers add theirs as they start, under the
+// lock; each then updates its own T without one.
+type workerSet[T any] struct {
+	mu   sync.Mutex
+	list []*T
+}
+
+// add registers a new T and returns it.
+func (w *workerSet[T]) add() *T {
+	v := new(T)
+	w.mu.Lock()
+	w.list = append(w.list, v)
+	w.mu.Unlock()
+	return v
+}
+
+// all returns every registered T. Their state is unguarded, so read it
+// only while no worker delivers: during a checkpoint snapshot, or after
+// the run.
+func (w *workerSet[T]) all() []*T {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.list
+}
+
+// shard is one delivering goroutine's part of an exhaustive run: its own
+// top-K and objective-call count.
+type shard struct {
+	best  resultHeap
+	evals int64
+}
+
+// mergeShards folds shards into one top-K and objective-call count.
+func mergeShards(shards []*shard, k int) (resultHeap, int64) {
+	var best resultHeap
+	var evals int64
+	for _, sh := range shards {
+		evals += sh.evals
+		for _, r := range sh.best {
+			best.offer(r.Tuple, r.Score, k)
+		}
+	}
+	return best, evals
+}
+
 func (t *Tuner) runExhaustive(ctx context.Context, opts Options) (*Report, error) {
 	eng, err := engine.NewCompiled(t.Prog)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		mu    sync.Mutex
-		best  resultHeap
-		evals int64
-	)
+	var shards workerSet[shard]
+	base := shards.add() // a resumed checkpoint's payload
 	eopts := engine.Options{
 		Workers:    opts.Workers,
 		SplitDepth: opts.SplitDepth,
 		ChunkSize:  opts.ChunkSize,
-		OnTuple: func(tuple []int64) bool {
-			score := t.Objective(tuple)
-			mu.Lock()
-			defer mu.Unlock()
-			evals++
-			best.offer(tuple, score, opts.TopK)
-			return true
+		NewOnTuple: func() func([]int64) bool {
+			sh := shards.add()
+			return func(tuple []int64) bool {
+				sh.evals++
+				sh.best.offer(tuple, t.Objective(tuple), opts.TopK)
+				return true
+			}
 		},
 	}
-	// The engine takes a snapshot only once every in-flight delivery has
-	// committed, so best and evals then cover exactly the snapshot's
-	// tiles; taking mu cannot deadlock against OnTuple, which never waits
-	// on a snapshot.
+	// The engine takes a snapshot only while no worker delivers, so the
+	// shards then cover exactly the snapshot's tiles.
 	file, err := opts.checkpoint().Attach(&eopts, t.Prog, eng.Name(), func() (json.RawMessage, error) {
-		mu.Lock()
-		defer mu.Unlock()
+		best, evals := mergeShards(shards.all(), opts.TopK)
 		return json.Marshal(exhaustiveExtra{Best: best.sorted(), Evaluated: evals})
 	})
 	if err != nil {
@@ -291,19 +341,17 @@ func (t *Tuner) runExhaustive(ctx context.Context, opts Options) (*Report, error
 		if err := json.Unmarshal(file.Extra, &ex); err != nil {
 			return nil, fmt.Errorf("autotune: checkpoint %s has a corrupt tuner payload: %w", opts.ResumePath, err)
 		}
-		evals = ex.Evaluated
+		base.evals = ex.Evaluated
 		for _, r := range ex.Best {
-			best.offer(r.Tuple, r.Score, opts.TopK)
+			base.best.offer(r.Tuple, r.Score, opts.TopK)
 		}
 	}
 	st, err := eng.RunContext(ctx, eopts)
-	var rep *Report
-	if st != nil {
-		mu.Lock()
-		rep = &Report{Best: best.sorted(), Stats: st, Evaluated: evals, Survivors: st.Survivors}
-		mu.Unlock()
+	if st == nil {
+		return nil, err
 	}
-	return rep, err
+	best, evals := mergeShards(shards.all(), opts.TopK)
+	return &Report{Best: best.sorted(), Stats: st, Evaluated: evals, Survivors: st.Survivors}, err
 }
 
 func (t *Tuner) runRandomSample(ctx context.Context, opts Options) (*Report, error) {

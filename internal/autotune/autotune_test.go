@@ -52,13 +52,25 @@ func TestExhaustiveFindsOptimum(t *testing.T) {
 	if rep.Best[0].Score < rep.Best[1].Score || rep.Best[1].Score < rep.Best[2].Score {
 		t.Error("Best not sorted descending")
 	}
-	// Parallel run agrees on the winner.
-	rep2, err := tuner.Run(Options{Strategy: Exhaustive, TopK: 1, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep2.Best[0].Tuple, want) {
-		t.Errorf("parallel best = %v", rep2.Best[0].Tuple)
+	// Every worker count and chunk size agrees on the counts, the winner
+	// and the top-K scores: per-worker shards merge to the same ranking.
+	for _, workers := range []int{1, 2, 8} {
+		for _, chunk := range []int{1, 64} {
+			label := fmt.Sprintf("workers=%d chunk=%d", workers, chunk)
+			rep2, err := tuner.Run(Options{Strategy: Exhaustive, TopK: 3, Workers: workers, ChunkSize: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep2.Survivors != rep.Survivors || rep2.Evaluated != rep2.Survivors {
+				t.Errorf("%s: %d survivors, %d evaluated; want %d each", label, rep2.Survivors, rep2.Evaluated, rep.Survivors)
+			}
+			if !reflect.DeepEqual(scores(rep2.Best), scores(rep.Best)) {
+				t.Errorf("%s: top-K scores %v, want %v", label, scores(rep2.Best), scores(rep.Best))
+			}
+			if !reflect.DeepEqual(rep2.Best[0].Tuple, want) {
+				t.Errorf("%s: best = %v, want %v", label, rep2.Best[0].Tuple, want)
+			}
+		}
 	}
 }
 

@@ -125,7 +125,7 @@ func main() {
 				k, _ := kernelsim.FromTuple(tuple)
 				return kernelsim.EstimateGEMMPower(dev, k, prob).GFLOPSPerWatt
 			},
-		}, autotune.Options{})
+		}, cli.TuneOptions(sweep, run))
 		if err != nil {
 			fail(err)
 		}

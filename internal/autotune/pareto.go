@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,7 +24,8 @@ type MultiResult struct {
 
 // MultiReport is the outcome of a multi-objective run.
 type MultiReport struct {
-	// Front is the Pareto front, sorted descending by the first objective.
+	// Front is the Pareto front, sorted descending by the first objective;
+	// ties go to the smaller tuple in declaration order.
 	Front []MultiResult
 	// Names labels the objectives (for rendering).
 	Names     []string
@@ -56,9 +58,49 @@ func Dominates(a, b []float64) bool {
 	return strict
 }
 
-// RunPareto enumerates the space, scores every survivor under each
-// objective, and returns the Pareto front. Objective functions must be
-// safe for concurrent use when opts.Workers > 1.
+// paretoFront is a running Pareto front: the non-dominated set of every
+// scored tuple offered to it, one member per score vector. It is one
+// worker's front during a run and the merged front after it.
+type paretoFront struct {
+	members []MultiResult
+	scores  []float64 // the candidate being scored
+	evals   int64
+}
+
+// consider offers a scored tuple. A candidate enters if no member
+// dominates it, evicting the members it dominates. Among tuples with
+// equal score vectors the smallest in declaration order is kept, so the
+// merged front does not depend on which worker saw which tuple first:
+// flag-only variants that tie exactly would otherwise flood the front.
+// consider copies what it keeps.
+func (f *paretoFront) consider(tuple []int64, scores []float64) {
+	for i := range f.members {
+		m := &f.members[i]
+		if Dominates(m.Scores, scores) {
+			return
+		}
+		if equalScores(m.Scores, scores) {
+			if slices.Compare(tuple, m.Tuple) < 0 {
+				copy(m.Tuple, tuple)
+			}
+			return
+		}
+	}
+	kept := f.members[:0]
+	for _, m := range f.members {
+		if !Dominates(scores, m.Scores) {
+			kept = append(kept, m)
+		}
+	}
+	f.members = append(kept, MultiResult{Tuple: slices.Clone(tuple), Scores: slices.Clone(scores)})
+}
+
+// RunPareto enumerates the space with opts.Workers, SplitDepth and
+// ChunkSize, scores every survivor under each objective, and returns the
+// Pareto front. Each worker keeps its own front without a lock, and the
+// fronts are merged once the run ends; the result is identical at every
+// worker count and chunk size. Objective functions must be safe for
+// concurrent use when opts.Workers > 1.
 func (t *Tuner) RunPareto(objectives map[string]Objective, opts Options) (*MultiReport, error) {
 	if len(objectives) == 0 {
 		return nil, fmt.Errorf("autotune: no objectives")
@@ -80,50 +122,46 @@ func (t *Tuner) RunPareto(objectives map[string]Objective, opts Options) (*Multi
 	if err != nil {
 		return nil, err
 	}
-	// Maintain the running front online: a candidate enters if no front
-	// member dominates it, evicting any members it dominates. The front
-	// stays small in practice, so the scan cost is negligible next to the
-	// objective evaluations.
-	var front []MultiResult
-	var evals int64
-	consider := func(tuple []int64) bool {
-		scores := make([]float64, len(objs))
-		for i, o := range objs {
-			scores[i] = o(tuple)
-		}
-		evals++
-		for _, m := range front {
-			if Dominates(m.Scores, scores) {
+	// The fronts stay small in practice, so scanning one per candidate
+	// costs little next to the objective evaluations.
+	var fronts workerSet[paretoFront]
+	st, err := eng.Run(engine.Options{
+		Workers:    opts.Workers,
+		SplitDepth: opts.SplitDepth,
+		ChunkSize:  opts.ChunkSize,
+		NewOnTuple: func() func([]int64) bool {
+			f := fronts.add()
+			f.scores = make([]float64, len(objs))
+			return func(tuple []int64) bool {
+				for i, o := range objs {
+					f.scores[i] = o(tuple)
+				}
+				f.evals++
+				f.consider(tuple, f.scores)
 				return true
 			}
-			if equalScores(m.Scores, scores) {
-				// Keep one representative per score vector: flag-only
-				// variants that tie exactly would otherwise flood the
-				// front (the enumeration order makes the kept one
-				// deterministic).
-				return true
-			}
-		}
-		kept := front[:0]
-		for _, m := range front {
-			if !Dominates(scores, m.Scores) {
-				kept = append(kept, m)
-			}
-		}
-		front = kept
-		cp := make([]int64, len(tuple))
-		copy(cp, tuple)
-		front = append(front, MultiResult{Tuple: cp, Scores: scores})
-		return true
-	}
-	st, err := eng.Run(engine.Options{OnTuple: consider})
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(front, func(i, j int) bool { return front[i].Scores[0] > front[j].Scores[0] })
+	var merged paretoFront
+	for _, f := range fronts.all() {
+		merged.evals += f.evals
+		for _, m := range f.members {
+			merged.consider(m.Tuple, m.Scores)
+		}
+	}
+	front := merged.members
+	sort.Slice(front, func(i, j int) bool {
+		if a, b := front[i].Scores[0], front[j].Scores[0]; a != b {
+			return a > b
+		}
+		return slices.Compare(front[i].Tuple, front[j].Tuple) < 0
+	})
 	return &MultiReport{
 		Front: front, Names: names, Stats: st,
-		Survivors: st.Survivors, Evaluated: evals,
+		Survivors: st.Survivors, Evaluated: merged.evals,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/device"
@@ -28,9 +29,38 @@ func TestDominates(t *testing.T) {
 	}
 }
 
+// paretoSchedules are the enumeration settings every Pareto test runs
+// under; the front must not depend on them.
+var paretoSchedules = []Options{
+	{Workers: 1}, {Workers: 1, ChunkSize: 64}, {Workers: 4}, {Workers: 4, ChunkSize: 64},
+}
+
+// runParetoSchedules runs RunPareto under every paretoSchedules entry,
+// requires identical reports, and returns the first.
+func runParetoSchedules(t *testing.T, tuner *Tuner, objectives map[string]Objective) *MultiReport {
+	t.Helper()
+	var first *MultiReport
+	for _, opts := range paretoSchedules {
+		rep, err := tuner.RunPareto(objectives, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = rep
+			continue
+		}
+		if !reflect.DeepEqual(rep.Front, first.Front) || rep.Evaluated != first.Evaluated || rep.Survivors != first.Survivors {
+			t.Fatalf("workers=%d chunk=%d: front %v (%d of %d evaluated), want %v (%d of %d)",
+				opts.Workers, opts.ChunkSize, rep.Front, rep.Evaluated, rep.Survivors, first.Front, first.Evaluated, first.Survivors)
+		}
+	}
+	return first
+}
+
 // A synthetic two-objective space with a known front: maximize x and
 // maximize -x simultaneously over x in [0, 10) — every point is
-// non-dominated. Then maximize (x, x): only x=9 survives.
+// non-dominated. Then maximize (x, x): only x=9 survives. Then score
+// every x alike: the one representative kept is the smallest tuple.
 func TestRunParetoKnownFronts(t *testing.T) {
 	s := space.New()
 	s.Range("x", expr.IntLit(0), expr.IntLit(10))
@@ -38,13 +68,10 @@ func TestRunParetoKnownFronts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tuner.RunPareto(map[string]Objective{
+	rep := runParetoSchedules(t, tuner, map[string]Objective{
 		"up":   func(tu []int64) float64 { return float64(tu[0]) },
 		"down": func(tu []int64) float64 { return -float64(tu[0]) },
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rep.Front) != 10 {
 		t.Errorf("pure trade-off front = %d, want 10", len(rep.Front))
 	}
@@ -56,19 +83,23 @@ func TestRunParetoKnownFronts(t *testing.T) {
 		t.Errorf("front head = %v, want x=0 (best 'down')", rep.Front[0].Tuple)
 	}
 
-	rep2, err := tuner.RunPareto(map[string]Objective{
+	rep2 := runParetoSchedules(t, tuner, map[string]Objective{
 		"a": func(tu []int64) float64 { return float64(tu[0]) },
 		"b": func(tu []int64) float64 { return float64(tu[0]) },
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rep2.Front) != 1 || rep2.Front[0].Tuple[0] != 9 {
 		t.Errorf("aligned objectives front = %+v, want single x=9", rep2.Front)
 	}
 	out := rep2.Render([]string{"x"})
 	if out == "" {
 		t.Error("empty render")
+	}
+
+	rep3 := runParetoSchedules(t, tuner, map[string]Objective{
+		"flat": func([]int64) float64 { return 1 },
+	})
+	if len(rep3.Front) != 1 || rep3.Front[0].Tuple[0] != 0 {
+		t.Errorf("flat objective front = %+v, want single x=0", rep3.Front)
 	}
 }
 
@@ -94,10 +125,7 @@ func TestParetoFrontIsCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tuner.RunPareto(map[string]Objective{"near2": f1, "near9": f2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runParetoSchedules(t, tuner, map[string]Objective{"near2": f1, "near9": f2})
 	if len(rep.Front) < 3 {
 		t.Fatalf("front unexpectedly small: %d", len(rep.Front))
 	}

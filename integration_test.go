@@ -158,6 +158,21 @@ constraint hard dead:       i > 100
 		}
 	}
 
+	// A string that does not fold away is E003 at the declaration that
+	// holds it, and the passes that need a plan are skipped.
+	strSpec := filepath.Join(dir, "strings.bst")
+	if err := os.WriteFile(strSpec, []byte(stringSpecs["list"]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range []string{"spacegen", "beast"} {
+		out := runBinExpectExit(t, 2, filepath.Join(dir, tool), "-spec", strSpec, "-lint")
+		for _, want := range []string{strSpec + ":2:1: error[E003] iterator y:", "lint: 1 error(s), 0 warning(s)"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s -lint output missing %q:\n%s", tool, want, out)
+			}
+		}
+	}
+
 	spacegen := filepath.Join(dir, "spacegen")
 	clean := filepath.Join(dir, "clean.bst")
 	if err := os.WriteFile(clean, []byte("i = range(1, 10)\nj = range(1, 10)\nconstraint hard c: i * j > 50\n"), 0o644); err != nil {
@@ -178,6 +193,51 @@ constraint hard dead:       i > 100
 		t.Errorf("want W104 without -Werror:\n%s", out)
 	}
 	runBinExpectExit(t, 2, spacegen, "-spec", warn, "-lint", "-Werror")
+}
+
+// stringSpecs hold strings that do not fold away at plan time: a list of
+// strings, an operator folding cannot apply, and a string setting ordered
+// against an iterator.
+var stringSpecs = map[string]string{
+	"list": "x = range(0, 4)\ny = [\"p\", \"q\"]\nconstraint hard c: y == \"p\" and x > 1\n",
+	"fold": "setting mode = \"abc\"\nx = range(0, 4)\nlet y = mode + 1\nconstraint hard c: x > y\n",
+	"cmp":  "setting mode = \"abc\"\nx = range(0, 4)\nconstraint hard c: mode < x\n",
+}
+
+// TestCmdStringSpecsFailAtPlanTime: each string spec fails in plan.Compile
+// with one message, naming the entity and its line:col, on every backend
+// and schedule of `beast -count` and in both generators.
+func TestCmdStringSpecsFailAtPlanTime(t *testing.T) {
+	dir := t.TempDir()
+	beastBin, spacegen := buildCmd(t, dir, "beast"), buildCmd(t, dir, "spacegen")
+	wantMsg := map[string]string{
+		"list": `plan: iterator y at 2:1: string literal "p" cannot be compiled`,
+		"fold": `plan: derived variable y at 3:5: expr: invalid operand types for "+": str, int`,
+		"cmp":  `plan: constraint c at 3:17: string literal "abc" cannot be compiled`,
+	}
+	for name, src := range stringSpecs {
+		spec := filepath.Join(dir, name+".bst")
+		if err := os.WriteFile(spec, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var runs [][]string
+		for _, eng := range []string{"interp", "vm", "compiled"} {
+			for _, sched := range [][]string{{"-workers", "1"}, {"-workers", "2"}, {"-checkpoint", filepath.Join(dir, name+".ckpt")}} {
+				runs = append(runs, append([]string{beastBin, "-spec", spec, "-count", "-engine", eng}, sched...))
+			}
+		}
+		for _, lang := range []string{"c", "go"} {
+			runs = append(runs, []string{spacegen, "-spec", spec, "-lang", lang})
+		}
+		for _, run := range runs {
+			out := runBinExpectExit(t, 1, run[0], run[1:]...)
+			lines := strings.Split(strings.TrimSpace(out), "\n")
+			last := lines[len(lines)-1]
+			if _, msg, _ := strings.Cut(last, ": "); msg != wantMsg[name] || strings.Contains(out, "panic") {
+				t.Errorf("%s %v: message %q, want %q\n%s", name, run[1:], msg, wantMsg[name], out)
+			}
+		}
+	}
 }
 
 func TestCmdVerifyFlag(t *testing.T) {

@@ -18,6 +18,8 @@
 //
 //	E001  unsatisfiable constraint (set): provably rejects every tuple
 //	E002  empty iterator domain: the space has zero tuples
+//	E003  string that does not fold away at plan time: the spec cannot
+//	      be planned, so the other passes are skipped
 //	W101  dead constraint: provably never rejects (wasted evaluations)
 //	W102  duplicate constraint: identical rejection predicate
 //	W103  subsumed constraint: rejects a subset of another's rejections
@@ -30,6 +32,7 @@
 package analyze
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -152,9 +155,10 @@ type context struct {
 }
 
 // Analyze runs every pass over s and returns the findings, ordered by
-// source position then code. The error return is reserved for specs that
-// fail to compile at all (cycles, unbound names); such specs cannot be
-// analyzed.
+// source position then code. A spec whose strings do not fold away
+// (*plan.TypeError) yields its one E003 finding, since the passes need a
+// plan. The error return is reserved for specs that fail to compile
+// otherwise (cycles, unbound names); such specs cannot be analyzed.
 func Analyze(s *space.Space, opts Options) (*Report, error) {
 	base, err := plan.Compile(s, plan.Options{
 		DisableReorder:    true,
@@ -162,6 +166,13 @@ func Analyze(s *space.Space, opts Options) (*Report, error) {
 		DisableNarrowing:  true,
 		DisableTabulation: true,
 	})
+	var te *plan.TypeError
+	if errors.As(err, &te) {
+		return &Report{Diags: []Diagnostic{{
+			Code: "E003", Severity: Error, Name: te.Name, Span: te.Pos,
+			Message: fmt.Sprintf("%s %s: %v; strings must fold away at plan time", te.Entity, te.Name, te.Err),
+		}}}, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
 	}

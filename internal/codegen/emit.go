@@ -131,11 +131,10 @@ func lanename(id string) string {
 
 // genChunkSize resolves a requested chunk size for code emission: 0 or 1
 // mean scalar, larger sizes clamp to 64 so the survivor mask is a single
-// word, and programs whose innermost loop the planner marked ineligible
-// (or that have no loops) fall back to scalar silently — the emitted
-// code is semantically identical either way.
+// word, and programs that have no loops fall back to scalar silently —
+// the emitted code is semantically identical either way.
 func genChunkSize(n int, prog *plan.Program) int {
-	if n <= 1 || prog.Vector == nil || !prog.Vector.Eligible {
+	if n <= 1 || prog.Vector == nil {
 		return 0
 	}
 	return min(n, 64)
@@ -161,10 +160,8 @@ func intLit(v int64, paren bool) string {
 // division).
 func (e *emitter) body(striped bool) error {
 	// String settings fold away; only ints are emitted.
-	for _, s := range e.prog.Settings {
-		if s.V.K != expr.Str {
-			e.w("%s;", e.d.decl("const i64", e.ident(s.Name), intLit(s.V.I, false)))
-		}
+	for _, s := range e.prog.IntSettings() {
+		e.w("%s;", e.d.decl("const i64", e.ident(s.Name), intLit(s.V.I, false)))
 	}
 	e.blank()
 	for _, st := range e.prog.Prelude {
@@ -618,9 +615,6 @@ func (e *emitter) expr(x expr.Expr) (string, error) {
 	}
 	switch n := x.(type) {
 	case *expr.Lit:
-		if n.V.K == expr.Str {
-			return "", &NotTranslatableError{Reason: fmt.Sprintf("string literal %s survived folding", n.V)}
-		}
 		return intLit(n.V.I, true), nil
 	case *expr.Ref:
 		if sub, ok := e.laneSub[n.Name]; ok {
@@ -959,7 +953,7 @@ func asRange(d space.DomainExpr) (*space.RangeDomain, bool) {
 	vals := make([]int64, len(l.Elems))
 	for i, e := range l.Elems {
 		lit, ok := e.(*expr.Lit)
-		if !ok || lit.V.K == expr.Str {
+		if !ok {
 			return nil, false
 		}
 		vals[i] = lit.V.I

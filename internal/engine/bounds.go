@@ -42,11 +42,8 @@ type compiledProbe struct {
 // true) into an expr.IntFn.
 type boundLowering func(e expr.Expr, probe bool) (expr.IntFn, error)
 
-// compileBound is the compiled and VM backends' lowering; str maps the
-// program's string slots (plan.Program.StringSlots).
-func compileBound(str map[int]string) boundLowering {
-	return func(e expr.Expr, _ bool) (expr.IntFn, error) { return expr.CompileInt(e, str) }
-}
+// compileBound is the compiled and VM backends' lowering.
+func compileBound(e expr.Expr, _ bool) (expr.IntFn, error) { return expr.CompileInt(e) }
 
 // boxedBounds is the interpreter's lowering: eval evaluates an
 // expression against its environment, and bind binds the loop variable
@@ -59,14 +56,7 @@ func boxedBounds(eval func(expr.Expr) expr.Value, bind func(int64), slot int) bo
 				return b2i(eval(e).Truthy())
 			}, nil
 		}
-		return func([]int64) int64 {
-			v := eval(e)
-			i, ok := v.AsInt()
-			if !ok {
-				panic(&expr.TypeError{Op: "bound", A: v})
-			}
-			return i
-		}, nil
+		return func([]int64) int64 { return eval(e).I }, nil
 	}
 }
 

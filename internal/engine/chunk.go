@@ -97,13 +97,13 @@ type chunker struct {
 }
 
 // newChunker returns the chunker of prog's innermost loop, or nil when
-// opts asks for scalar stepping or the plan marks the loop ineligible.
+// opts asks for scalar stepping or the program has no loops.
 // The backend sets ev, and host on deferred checks, before the first
 // push.
 func newChunker(prog *plan.Program, opts Options, out *sink, tabx *tabExec) *chunker {
 	v := prog.Vector
 	size := normChunk(opts.ChunkSize)
-	if size == 1 || v == nil || !v.Eligible {
+	if size == 1 || v == nil {
 		return nil
 	}
 	c := &chunker{

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -21,11 +20,6 @@ type interpLanes struct {
 	size      int
 	arena     [][]int64
 	cursor    int
-	// refNames lists the non-resident names the innermost expressions
-	// read; each loop entry verifies they hold numeric values before
-	// chunking (a string — possible only under -no-fold — falls back to
-	// the scalar path before any counter moves).
-	refNames []string
 }
 
 // attachLanes gives ch the state's lane evaluator and host checks.
@@ -46,33 +40,14 @@ func (s *interpState) attachLanes(ch *chunker) {
 		ev.laneOf[name] = li
 	}
 	for i := range ev.steps {
-		st := &ev.steps[i]
-		if st.Expr == nil {
+		if st := &ev.steps[i]; st.Expr == nil {
 			// Deferred check: env values pass through unconverted.
 			cn := st.Constraint
 			ch.steps[i].host = func() bool { return cn.Fn(s.deferredArgs(cn.DeclaredDeps)) }
-			continue
-		}
-		for _, dep := range expr.Deps(st.Expr) {
-			if _, resident := ev.laneOf[dep]; !resident && !slices.Contains(ev.refNames, dep) {
-				ev.refNames = append(ev.refNames, dep)
-			}
 		}
 	}
 	ch.ev = ev
-	s.chunk, s.lanes = ch, ev
-}
-
-// ready reports whether the innermost loop can run chunked for the
-// current outer bindings: every non-resident operand must be numeric.
-func (e *interpLanes) ready() bool {
-	for _, name := range e.refNames {
-		v, ok := e.env[name]
-		if !ok || v.K == expr.Str {
-			return false
-		}
-	}
-	return true
+	s.chunk = ch
 }
 
 func (e *interpLanes) evalStep(i, k int) []int64 {
@@ -102,7 +77,7 @@ func (e *interpLanes) buf(k int) []int64 {
 // eval walks x once, computing all k lanes per node. Semantics match
 // evalMap over numeric values: truthiness is nonzero, equality and
 // ordering compare by value, and/or select their operands, arithmetic is
-// total. String operands cannot appear (ready + plan eligibility).
+// total. A planned expression holds no string.
 func (e *interpLanes) eval(x expr.Expr, k int) []int64 {
 	switch n := x.(type) {
 	case *expr.Lit:

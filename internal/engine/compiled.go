@@ -15,17 +15,13 @@ import (
 // indirect call per compiled node. This is the repository's stand-in for the
 // standard C the paper's translator emits (§XI.D): like the generated C it
 // removes all interpretation overhead from the hot loop, which is where the
-// paper's 250× speedup over the Python front end comes from.
-//
-// Compilation requires a *specialized* program: all string-valued settings
-// folded out of expressions (the planner does this by default). String
-// values surviving in expressions are reported as errors at construction.
+// paper's 250× speedup over the Python front end comes from. The planner
+// folds every string away, so every planned expression compiles.
 type Compiled struct {
 	prog     *plan.Program
 	loops    []compiledLoop
 	prelude  []compiledStep
 	settings map[int]expr.Value // slot -> original value (strings for hosts)
-	str      map[int]string     // string setting slots, which no expression may read
 	initInts []slotInit
 }
 
@@ -78,11 +74,11 @@ func (d *hostDom) Iterate(r []int64, yield func(int64) bool) bool {
 }
 
 // hostArgs boxes the register values of slots for a host callback;
-// string settings, which have no register value, pass through as set.
+// settings pass through as set, strings included.
 func hostArgs(r []int64, slots []int, settings map[int]expr.Value) []expr.Value {
 	args := make([]expr.Value, len(slots))
 	for i, s := range slots {
-		if v, ok := settings[s]; ok && v.K == expr.Str {
+		if v, ok := settings[s]; ok {
 			args[i] = v
 		} else {
 			args[i] = expr.IntVal(r[s])
@@ -110,15 +106,11 @@ type compiledLoop struct {
 	bounds *compiledBounds
 }
 
-// NewCompiled compiles prog; it fails if expressions still contain string
-// values (run the planner with folding enabled) or other untranslatable
-// nodes.
+// NewCompiled compiles prog.
 func NewCompiled(prog *plan.Program) (*Compiled, error) {
-	c := &Compiled{prog: prog, settings: prog.SettingBySlot(), str: prog.StringSlots()}
-	for _, s := range prog.Settings {
-		if s.V.K != expr.Str {
-			c.initInts = append(c.initInts, slotInit{slot: s.Slot, v: s.V.I})
-		}
+	c := &Compiled{prog: prog, settings: prog.SettingBySlot()}
+	for _, s := range prog.IntSettings() {
+		c.initInts = append(c.initInts, slotInit{slot: s.Slot, v: s.V.I})
 	}
 	var err error
 	c.prelude, err = c.compileSteps(prog.Prelude)
@@ -128,7 +120,7 @@ func NewCompiled(prog *plan.Program) (*Compiled, error) {
 	for _, lp := range prog.Loops {
 		cl := compiledLoop{slot: lp.Slot}
 		if lp.Iter.Kind == space.ExprIter {
-			dom, derr := space.CompileDomain(lp.Domain, c.str)
+			dom, derr := space.CompileDomain(lp.Domain)
 			if derr != nil {
 				return nil, fmt.Errorf("engine: iterator %s: %w", lp.Iter.Name, derr)
 			}
@@ -136,7 +128,7 @@ func NewCompiled(prog *plan.Program) (*Compiled, error) {
 			if rd, ok := dom.(*space.IntRange); ok {
 				cl.rng = rd
 				if lp.Bounds != nil {
-					cl.bounds, err = lowerLoopBounds(lp.Bounds, lp.Slot, compileBound(c.str))
+					cl.bounds, err = lowerLoopBounds(lp.Bounds, lp.Slot, compileBound)
 					if err != nil {
 						return nil, fmt.Errorf("engine: loop %s bounds: %w", lp.Iter.Name, err)
 					}
@@ -174,7 +166,7 @@ func (c *Compiled) compileSteps(steps []plan.Step) ([]compiledStep, error) {
 		if cs.check && st.Constraint.Deferred() {
 			cs.deferredFn = deferredCheck(st, c.settings)
 		} else {
-			fn, err := expr.CompileInt(st.Expr, c.str)
+			fn, err := expr.CompileInt(st.Expr)
 			if err != nil {
 				return nil, fmt.Errorf("step %s: %w", st.Name, err)
 			}

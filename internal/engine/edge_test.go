@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -324,34 +326,28 @@ func TestParallelHostIterators(t *testing.T) {
 	}
 }
 
-// The engines surface expression type errors as errors, not panics.
+// TestTypeErrorSurfacedAsError: a string that does not fold is a plan
+// error, never a panic or a run-time error: ordering a string setting
+// against an iterator fails plan.Compile with a *plan.TypeError naming the
+// constraint, with folding on and off. A string comparison folds, so every
+// backend runs it, in a check or in a conditional domain, at every
+// schedule, also when tiling prunes every prefix above the level that
+// reads it.
 func TestTypeErrorSurfacedAsError(t *testing.T) {
 	s := space.New()
 	s.StrSetting("mode", "abc")
 	s.Range("x", expr.IntLit(0), expr.IntLit(3))
-	// Ordering a string against an int is a type error; folding is
-	// disabled so it survives to run time (interp only — the compiled
-	// backends reject string programs at construction).
 	s.Constrain("bad", space.Soft, expr.Lt(expr.NewRef("mode"), expr.NewRef("x")))
-	prog, err := plan.Compile(s, plan.Options{DisableFolding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewInterp(prog).Run(Options{}); err == nil {
-		t.Error("expected a type error from the interpreter")
-	}
-	if _, err := NewCompiled(prog); err == nil {
-		t.Error("expected the compiler to reject string expressions")
-	}
-	if _, err := NewVM(prog).Run(Options{}); err == nil {
-		t.Error("expected the VM to reject string expressions")
+	for _, noFold := range []bool{false, true} {
+		_, err := plan.Compile(s, plan.Options{DisableFolding: noFold})
+		var te *plan.TypeError
+		if !errors.As(err, &te) || te.Entity != "constraint" || te.Name != "bad" {
+			t.Errorf("no-fold=%v: want a TypeError naming constraint bad, got %v", noFold, err)
+		}
 	}
 
-	// A string comparison raises no type error, so the interpreter
-	// evaluates it, in a check or in a conditional domain. The VM rejects
-	// it at every worker count: a tiled run compiles the prefix levels it
-	// sits on into its level streams.
 	isABC := expr.Eq(expr.NewRef("mode"), expr.StrLit("abc"))
+	spaces := map[string]*space.Space{}
 	for _, inCheck := range []bool{true, false} {
 		s2 := space.New()
 		s2.StrSetting("mode", "abc")
@@ -362,36 +358,26 @@ func TestTypeErrorSurfacedAsError(t *testing.T) {
 			s2.DomainIter("x", space.NewCond(isABC, space.NewIntList(1, 2), space.NewIntList(3)))
 		}
 		s2.Range("y", expr.IntLit(0), expr.IntLit(3))
-		prog2, err := plan.Compile(s2, plan.Options{DisableFolding: true, DisableReorder: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := NewInterp(prog2).Run(Options{Workers: 2}); err != nil {
-			t.Errorf("check=%v: interpreter: %v", inCheck, err)
-		}
-		for _, workers := range []int{1, 2} {
-			if _, err := NewVM(prog2).Run(Options{Workers: workers}); err == nil {
-				t.Errorf("check=%v workers=%d: expected the VM to reject a string comparison", inCheck, workers)
-			}
-		}
+		spaces[fmt.Sprintf("check=%v", inCheck)] = s2
 	}
-
-	// Tiling prunes every x, so no tiled run reaches the level that reads
-	// the string; the VM must reject the program all the same.
 	s3 := space.New()
 	s3.StrSetting("mode", "abc")
 	s3.Range("x", expr.IntLit(0), expr.IntLit(3))
 	s3.Constrain("none", space.Hard, expr.Ge(expr.NewRef("x"), expr.IntLit(0)))
 	s3.Range("y", expr.IntLit(0), expr.IntLit(3))
 	s3.Constrain("str", space.Soft, expr.And(isABC, expr.Gt(expr.NewRef("y"), expr.IntLit(1))))
-	prog3, err := plan.Compile(s3, plan.Options{DisableFolding: true, DisableReorder: true, DisableNarrowing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []Options{{Workers: 1}, {Workers: 2}, {Workers: 1, Checkpoint: &CheckpointConfig{}}} {
-		if _, err := NewVM(prog3).Run(opts); err == nil {
-			t.Errorf("pruned level, workers=%d checkpoint=%v: expected the VM to reject a string comparison",
-				opts.Workers, opts.Checkpoint != nil)
+	spaces["pruned level"] = s3
+	for name, sp := range spaces {
+		prog, err := plan.Compile(sp, plan.Options{DisableFolding: true, DisableReorder: true, DisableNarrowing: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := runStats(t, NewInterp(prog), Options{})
+		for _, e := range allBackends(t, prog) {
+			for _, opts := range []Options{{Workers: 1}, {Workers: 2}, {Workers: 1, Checkpoint: &CheckpointConfig{}}} {
+				requireStatsEqual(t, fmt.Sprintf("%s %s workers=%d checkpoint=%v", name, e.Name(), opts.Workers, opts.Checkpoint != nil),
+					runStats(t, e, opts), want)
+			}
 		}
 	}
 }

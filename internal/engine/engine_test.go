@@ -235,27 +235,66 @@ func TestLimitAndStop(t *testing.T) {
 	}
 }
 
+// TestFoldingAblationPreservesSurvivors: testSpace, which reads a string
+// setting, must deliver the naive enumeration's survivors on every
+// backend with folding on and off. Strings fold either way, so all three
+// backends run the unfolded plan too.
 func TestFoldingAblationPreservesSurvivors(t *testing.T) {
-	s := testSpace(t)
-	progF, err := plan.Compile(s, plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	progN, err := plan.Compile(s, plan.Options{DisableFolding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only the interpreter can run an unfolded program (strings survive).
-	a, err := NewInterp(progF).Run(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewInterp(progN).Run(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Survivors != b.Survivors {
-		t.Errorf("folding changed survivors: %d vs %d", a.Survivors, b.Survivors)
+	requireNaiveSurvivors(t, "testSpace", testSpace(t))
+}
+
+// stringSpace compares string settings the way gemm.Space does: in a
+// conditional domain, in setting-factor derived variables, in a
+// string-valued derived variable that reads an int setting, and in
+// constraints; a host iterator and a host constraint read a string
+// setting as set.
+func stringSpace(precision, arithmetic string, n int64) *space.Space {
+	ref, lit, str := expr.NewRef, expr.IntLit, expr.StrLit
+	s := space.New()
+	s.StrSetting("precision", precision)
+	s.StrSetting("arithmetic", arithmetic)
+	s.IntSetting("n", n)
+	s.Range("a", lit(1), expr.Add(ref("n"), lit(1)))
+	s.DomainIter("vec", space.NewCond(expr.Eq(ref("precision"), str("double")),
+		space.NewCond(expr.Eq(ref("arithmetic"), str("real")), space.NewRange(lit(1), lit(3)), space.NewIntList(1)),
+		space.NewRangeStep(lit(1), lit(5), lit(3))))
+	s.RangeStep("b", ref("a"), lit(17), ref("a"))
+	s.DeferredIter("h", []string{"arithmetic", "a"}, func(args []expr.Value) space.DomainExpr {
+		if args[0].S == "complex" {
+			return space.NewIntList(0, args[1].I)
+		}
+		return space.NewIntList(0)
+	})
+	s.Derived("regs", expr.Mul(expr.Mul(ref("a"), ref("b")), expr.Mul(
+		expr.If(expr.Eq(ref("precision"), str("double")), lit(2), lit(1)),
+		expr.If(expr.Eq(ref("arithmetic"), str("complex")), lit(2), lit(1)))))
+	s.Derived("tag", expr.Add(ref("precision"), ref("arithmetic")))
+	s.Derived("size", expr.If(expr.Gt(ref("n"), lit(4)), str("big"), str("small")))
+	s.Constrain("too_many", space.Hard, expr.Gt(ref("regs"), lit(64)))
+	s.Constrain("vec_fit", space.Soft, expr.And(expr.Eq(ref("tag"), str("doublecomplex")), expr.Ne(expr.Mod(ref("b"), ref("vec")), lit(0))))
+	s.Constrain("order", space.Correctness, expr.And(expr.Lt(ref("arithmetic"), ref("precision")), expr.Eq(ref("a"), ref("b"))))
+	s.Constrain("big_h", space.Soft, expr.And(expr.Eq(ref("size"), str("big")), expr.Gt(ref("h"), ref("n"))))
+	s.DeferredConstraint("host", space.Soft, []string{"precision", "a"}, func(args []expr.Value) bool {
+		return args[0].S == "double" && args[1].I == 3
+	})
+	return s
+}
+
+// TestStringSettingsMatchNaive: spaces that compare string settings in
+// domains, derived variables and constraints deliver the naive
+// enumeration's survivors on every backend, schedule and folding mode.
+func TestStringSettingsMatchNaive(t *testing.T) {
+	for _, c := range []struct {
+		precision, arithmetic string
+		n                     int64
+	}{
+		{"double", "complex", 6},
+		{"double", "real", 3},
+		{"single", "complex", 8},
+		{"single", "real", 5},
+	} {
+		requireNaiveSurvivors(t, fmt.Sprintf("%s/%s/n=%d", c.precision, c.arithmetic, c.n),
+			stringSpace(c.precision, c.arithmetic, c.n))
 	}
 }
 

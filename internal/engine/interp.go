@@ -17,8 +17,8 @@ import (
 //     §XI.B attributes Python's loop overhead to exactly this ("Python's
 //     access to variables is through associative array lookup; there is one
 //     array per lexical scope");
-//   - every operator application dispatches on the node type and re-checks
-//     operand kinds, as CPython's eval loop does per opcode;
+//   - every operator application dispatches on the node type and unboxes
+//     its operands, as CPython's eval loop does per opcode;
 //   - under ProtoWhile even the loop condition and increment run through
 //     this machinery, and under ProtoRange the whole iteration list is
 //     materialized first, reproducing the Figure 17 variants.
@@ -52,7 +52,8 @@ type ienv map[string]expr.Value
 // evalMap walks the expression tree against the associative environment.
 // This duplicates expr.Expr.Eval on purpose: the slot-based Eval is the
 // specialized path the compiled backends build on, while this walker is the
-// dynamic-language cost model.
+// dynamic-language cost model. A planned expression holds no string, so
+// every operand unboxes to its integer payload.
 func evalMap(e expr.Expr, env ienv) expr.Value {
 	switch n := e.(type) {
 	case *expr.Lit:
@@ -68,11 +69,7 @@ func evalMap(e expr.Expr, env ienv) expr.Value {
 		if n.Op == expr.OpNot {
 			return expr.BoolVal(!v.Truthy())
 		}
-		i, ok := v.AsInt()
-		if !ok {
-			panic(&expr.TypeError{Op: "-", A: v})
-		}
-		return expr.IntVal(-i)
+		return expr.IntVal(-v.I)
 	case *expr.Binary:
 		switch n.Op {
 		case expr.OpAnd:
@@ -89,7 +86,7 @@ func evalMap(e expr.Expr, env ienv) expr.Value {
 			return evalMap(n.R, env)
 		}
 		l, r := evalMap(n.L, env), evalMap(n.R, env)
-		return applyBinary(n.Op, l, r)
+		return applyBinary(n.Op, l.I, r.I)
 	case *expr.Ternary:
 		if evalMap(n.Cond, env).Truthy() {
 			return evalMap(n.Then, env)
@@ -98,25 +95,16 @@ func evalMap(e expr.Expr, env ienv) expr.Value {
 	case *expr.Call:
 		switch n.Fn {
 		case "min", "max":
-			best, ok := evalMap(n.Args[0], env).AsInt()
-			if !ok {
-				panic(&expr.TypeError{Op: n.Fn, A: evalMap(n.Args[0], env)})
-			}
+			best := evalMap(n.Args[0], env).I
 			for _, a := range n.Args[1:] {
-				v, ok := evalMap(a, env).AsInt()
-				if !ok {
-					panic(&expr.TypeError{Op: n.Fn, A: evalMap(a, env)})
-				}
+				v := evalMap(a, env).I
 				if (n.Fn == "min" && v < best) || (n.Fn == "max" && v > best) {
 					best = v
 				}
 			}
 			return expr.IntVal(best)
 		case "abs":
-			v, ok := evalMap(n.Args[0], env).AsInt()
-			if !ok {
-				panic(&expr.TypeError{Op: "abs", A: evalMap(n.Args[0], env)})
-			}
+			v := evalMap(n.Args[0], env).I
 			if v < 0 {
 				v = -v
 			}
@@ -124,11 +112,7 @@ func evalMap(e expr.Expr, env ienv) expr.Value {
 		}
 		panic(fmt.Sprintf("interp: unknown builtin %q", n.Fn))
 	case *expr.Table2D:
-		row, ok1 := evalMap(n.Row, env).AsInt()
-		col, ok2 := evalMap(n.Col, env).AsInt()
-		if !ok1 || !ok2 {
-			panic(&expr.TypeError{Op: "[]", A: evalMap(n.Row, env)})
-		}
+		row, col := evalMap(n.Row, env).I, evalMap(n.Col, env).I
 		if row < 0 || row >= int64(len(n.Data)) {
 			return expr.IntVal(n.Default)
 		}
@@ -142,50 +126,30 @@ func evalMap(e expr.Expr, env ienv) expr.Value {
 	}
 }
 
-func applyBinary(op expr.Op, l, r expr.Value) expr.Value {
+func applyBinary(op expr.Op, l, r int64) expr.Value {
 	switch op {
 	case expr.OpEq:
-		return expr.BoolVal(l.Equal(r))
+		return expr.BoolVal(l == r)
 	case expr.OpNe:
-		return expr.BoolVal(!l.Equal(r))
-	case expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-		c, ok := l.Compare(r)
-		if !ok {
-			panic(&expr.TypeError{Op: op.String(), A: l, B: r})
-		}
-		switch op {
-		case expr.OpLt:
-			return expr.BoolVal(c < 0)
-		case expr.OpLe:
-			return expr.BoolVal(c <= 0)
-		case expr.OpGt:
-			return expr.BoolVal(c > 0)
-		default:
-			return expr.BoolVal(c >= 0)
-		}
+		return expr.BoolVal(l != r)
+	case expr.OpLt:
+		return expr.BoolVal(l < r)
+	case expr.OpLe:
+		return expr.BoolVal(l <= r)
+	case expr.OpGt:
+		return expr.BoolVal(l > r)
+	case expr.OpGe:
+		return expr.BoolVal(l >= r)
 	case expr.OpAdd:
-		if l.K == expr.Str || r.K == expr.Str {
-			if l.K == expr.Str && r.K == expr.Str {
-				return expr.StrVal(l.S + r.S)
-			}
-			panic(&expr.TypeError{Op: "+", A: l, B: r})
-		}
-		return expr.IntVal(l.I + r.I)
-	}
-	li, lok := l.AsInt()
-	ri, rok := r.AsInt()
-	if !lok || !rok {
-		panic(&expr.TypeError{Op: op.String(), A: l, B: r})
-	}
-	switch op {
+		return expr.IntVal(l + r)
 	case expr.OpSub:
-		return expr.IntVal(li - ri)
+		return expr.IntVal(l - r)
 	case expr.OpMul:
-		return expr.IntVal(li * ri)
+		return expr.IntVal(l * r)
 	case expr.OpDiv:
-		return expr.IntVal(expr.FloorDiv(li, ri))
+		return expr.IntVal(expr.FloorDiv(l, r))
 	case expr.OpMod:
-		return expr.IntVal(expr.FloorMod(li, ri))
+		return expr.IntVal(expr.FloorMod(l, r))
 	}
 	panic(fmt.Sprintf("interp: bad binary op %v", op))
 }
@@ -214,11 +178,7 @@ func iterateMap(d space.DomainExpr, env ienv, yield func(int64) bool) bool {
 		return true
 	case *space.ListDomain:
 		for _, e := range n.Elems {
-			v, ok := evalMap(e, env).AsInt()
-			if !ok {
-				panic(&expr.TypeError{Op: "list element", A: evalMap(e, env)})
-			}
-			if !yield(v) {
+			if !yield(evalMap(e, env).I) {
 				return false
 			}
 		}
@@ -250,10 +210,8 @@ func iterateMap(d space.DomainExpr, env ienv, yield func(int64) bool) bool {
 }
 
 func spanMap(r *space.RangeDomain, env ienv) (start, stop, step int64, ok bool) {
-	s, ok1 := evalMap(r.Start, env).AsInt()
-	e, ok2 := evalMap(r.Stop, env).AsInt()
-	st, ok3 := evalMap(r.Step, env).AsInt()
-	if !ok1 || !ok2 || !ok3 || st == 0 {
+	s, e, st := evalMap(r.Start, env).I, evalMap(r.Stop, env).I, evalMap(r.Step, env).I
+	if st == 0 {
 		return 0, 0, 0, false
 	}
 	return s, e, st, true
@@ -268,13 +226,12 @@ type interpState struct {
 	opts   Options
 	ctl    *runCtl
 	out    sink
-	depth  int          // prefix depth the worker resumes below
-	last   int          // deepest level it enumerates
-	leaf   func(int64)  // non-nil on a tiling level (see backend)
-	chunk  *chunker     // non-nil when the innermost loop may run chunked
-	lanes  *interpLanes // chunk's evaluator
-	tabx   *tabExec     // non-nil when the plan tabulated constraints
-	tabIdx [][]int      // per-depth step → table index (-1 expression path)
+	depth  int         // prefix depth the worker resumes below
+	last   int         // deepest level it enumerates
+	leaf   func(int64) // non-nil on a tiling level (see backend)
+	chunk  *chunker    // non-nil when the innermost loop runs chunked
+	tabx   *tabExec    // non-nil when the plan tabulated constraints
+	tabIdx [][]int     // per-depth step → table index (-1 expression path)
 
 	// Per-depth narrowing bounds, lowered once to closures over env, and
 	// the register file their probes read trial values from; both nil
@@ -487,7 +444,7 @@ func (s *interpState) body(d int, v int64) bool {
 // protocols model per-iteration control that chunking replaces, and
 // they are property-tested to leave every counter unchanged.
 func (s *interpState) loop(d int) bool {
-	if ch := s.chunk; ch != nil && d == ch.depth && s.lanes.ready() {
+	if ch := s.chunk; ch != nil && d == ch.depth {
 		ch.begin()
 		return s.each(d, ch.yield) && ch.flush()
 	}

@@ -135,14 +135,13 @@ func TestTabulateSkipsUnamortizedBinary(t *testing.T) {
 	}
 }
 
-// TestStringChecksStayBoxed: the planner's censuses, draws and table rows
-// run on int64 registers, which hold no strings. With folding off, a
-// constraint that reads a string gets the host constraints' fixed
-// estimate (Pass 0.5, no samples, not exact), and an innermost check that
-// reads one keeps the expression path: it is not tabulated, and every
-// counter matches the DisableTabulation run. The int check beside it
-// still gets a census and a table.
-func TestStringChecksStayBoxed(t *testing.T) {
+// TestStringChecksFoldAway: with folding off, a check that compares a
+// string setting still folds at plan time, so nothing about it stays
+// boxed. Both string checks get exact censuses, like the int check
+// beside them; same_b and u, the innermost checks, are tabulated; and
+// every backend, scalar and chunked, evaluates chunks and matches the
+// DisableTabulation run's counters.
+func TestStringChecksFoldAway(t *testing.T) {
 	ref, lit := expr.NewRef, expr.IntLit
 	s := space.New()
 	s.StrSetting("mode", "nn")
@@ -160,14 +159,10 @@ func TestStringChecksStayBoxed(t *testing.T) {
 	if prog.Reorder == nil {
 		t.Fatal("no reorder info")
 	}
-	for _, name := range []string{"mode_a", "same_b"} {
-		est, ok := prog.Reorder.SelectivityOf(name)
-		if !ok || est.Pass != 0.5 || est.Samples != 0 || est.Exact {
-			t.Errorf("%s: want Pass 0.5, Samples 0, Exact false; got %+v (found %v)", name, est, ok)
+	for name, samples := range map[string]int{"mode_a": 8, "same_b": 128, "u": 128} {
+		if est, ok := prog.Reorder.SelectivityOf(name); !ok || !est.Exact || est.Samples != samples {
+			t.Errorf("%s: want an exact census of %d values, got %+v (found %v)", name, samples, est, ok)
 		}
-	}
-	if est, _ := prog.Reorder.SelectivityOf("u"); !est.Exact || est.Samples != 128 {
-		t.Errorf("u: want an exact census of 128 values, got %+v", est)
 	}
 
 	opts := verified(plan.Options{DisableFolding: true, DisableReorder: true})
@@ -180,21 +175,29 @@ func TestStringChecksStayBoxed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := progOn.Tab
-	if tab == nil {
-		t.Fatal("the int check was not tabulated")
+	if progOn.Tab == nil {
+		t.Fatal("nothing was tabulated")
 	}
-	for _, tb := range tab.Tables {
-		if tb.Name != "u" {
-			t.Errorf("check %s was tabulated", tb.Name)
-		}
+	var tabled []string
+	for _, tb := range progOn.Tab.Tables {
+		tabled = append(tabled, tb.Name)
 	}
-	for _, chunk := range []int{1, 64} {
-		on := runStats(t, NewInterp(progOn), Options{ChunkSize: chunk})
-		off := runStats(t, NewInterp(progOff), Options{ChunkSize: chunk})
-		requireStatsEqual(t, fmt.Sprintf("chunk=%d", chunk), on, off)
-		if on.TabulatedChecks == 0 {
-			t.Errorf("chunk=%d: the int check's table was never used", chunk)
+	if sort.Strings(tabled); !reflect.DeepEqual(tabled, []string{"same_b", "u"}) {
+		t.Errorf("tabulated %v, want [same_b u]", tabled)
+	}
+	engOff := allBackends(t, progOff)
+	for i, e := range allBackends(t, progOn) {
+		for _, chunk := range []int{1, 64} {
+			label := fmt.Sprintf("%s chunk=%d", e.Name(), chunk)
+			on := runStats(t, e, Options{ChunkSize: chunk})
+			off := runStats(t, engOff[i], Options{ChunkSize: chunk})
+			requireStatsEqual(t, label, on, off)
+			if on.TabulatedChecks == 0 {
+				t.Errorf("%s: no table was used", label)
+			}
+			if chunk > 1 && on.ChunksEvaluated == 0 {
+				t.Errorf("%s: the innermost loop ran scalar", label)
+			}
 		}
 	}
 }

@@ -144,7 +144,6 @@ type vmAssembler struct {
 	vm       *VM
 	code     *vmCode
 	settings map[int]expr.Value
-	str      map[int]string // string setting slots, which no expression may read
 	protocol Protocol
 	// temp register bases
 	stopT, stepT, posT []int32
@@ -197,7 +196,6 @@ func (vm *VM) compile(opts Options, depth int, leaf bool) (*vmCode, error) {
 		vm:       vm,
 		code:     &vmCode{nregs: prog.NumSlots() + 3*n},
 		settings: prog.SettingBySlot(),
-		str:      prog.StringSlots(),
 		protocol: opts.Protocol,
 		stopT:    make([]int32, n),
 		stepT:    make([]int32, n),
@@ -217,9 +215,9 @@ func (vm *VM) compile(opts Options, depth int, leaf bool) (*vmCode, error) {
 	for _, lp := range prog.Loops {
 		a.code.loopSlots = append(a.code.loopSlots, int32(lp.Slot))
 	}
-	// Compile the innermost loop's lane programs when chunking is on, the
-	// plan marked the loop eligible, and this stream runs that loop.
-	if v := prog.Vector; normChunk(opts.ChunkSize) > 1 && v != nil && v.Eligible && depth < n {
+	// Compile the innermost loop's lane programs when chunking is on and
+	// this stream runs that loop.
+	if v := prog.Vector; normChunk(opts.ChunkSize) > 1 && v != nil && depth < n {
 		tabIdx := tabStepIndex(prog, v.Depth)
 		steps := prog.Loops[v.Depth].Steps
 		a.code.lanes = make([][]instr, len(steps))
@@ -249,15 +247,6 @@ func (vm *VM) compile(opts Options, depth int, leaf bool) (*vmCode, error) {
 		a.emitLoop(depth)
 	}
 	a.emit(instr{op: opHalt})
-	if leaf {
-		// Tiling may prune every prefix, and then no stream compiles the
-		// levels below this one. Vet the program by the int64 rule every
-		// stream compiles with, which the compiled backend applies
-		// whole, so a tiled run rejects what a sequential run rejects.
-		if _, err := NewCompiled(prog); err != nil {
-			a.fail(err)
-		}
-	}
 	if a.err != nil {
 		return nil, a.err
 	}
@@ -325,16 +314,8 @@ func (a *vmAssembler) laneProgram(e expr.Expr) []instr {
 func (a *vmAssembler) emitExpr(e expr.Expr) {
 	switch n := e.(type) {
 	case *expr.Lit:
-		if err := expr.IntLeafError(n, a.str); err != nil {
-			a.fail(fmt.Errorf("vm: %w", err))
-			return
-		}
 		a.emit(instr{op: opPushC, a: a.constIdx(n.V.I)})
 	case *expr.Ref:
-		if err := expr.IntLeafError(n, a.str); err != nil {
-			a.fail(fmt.Errorf("vm: %w", err))
-			return
-		}
 		if a.laneOf != nil && a.laneOf[n.Slot] >= 0 {
 			a.emit(instr{op: opLane, a: int32(a.laneOf[n.Slot])})
 			return
@@ -498,7 +479,7 @@ func (a *vmAssembler) emitLoop(d int) {
 		if lp.Iter.Kind != space.ExprIter {
 			a.code.hostDoms[d] = &hostDom{iter: lp.Iter, argSlots: lp.ArgSlots, settings: a.settings}
 		} else {
-			dom, err := space.CompileDomain(lp.Domain, a.str)
+			dom, err := space.CompileDomain(lp.Domain)
 			if err != nil {
 				a.fail(fmt.Errorf("vm: iterator %s: %w", lp.Iter.Name, err))
 				return
@@ -528,7 +509,7 @@ func (a *vmAssembler) emitLoop(d int) {
 	a.emitExpr(rangeDomain.Step)
 	a.emit(instr{op: opForPrep, a: varReg, b: a.stopT[d], c: a.stepT[d]})
 	if lp.Bounds != nil {
-		cb, err := lowerLoopBounds(lp.Bounds, lp.Slot, compileBound(a.str))
+		cb, err := lowerLoopBounds(lp.Bounds, lp.Slot, compileBound)
 		if err != nil {
 			a.fail(fmt.Errorf("vm: loop %s bounds: %w", lp.Iter.Name, err))
 			return
@@ -657,10 +638,8 @@ func newVMExec(vm *VM, code *vmCode, opts Options, ctl *runCtl) *vmExec {
 			x.collect[d] = func(v int64) bool { x.bufs[d] = append(x.bufs[d], v); return true }
 		}
 	}
-	for _, s := range vm.prog.Settings {
-		if s.V.K != expr.Str {
-			x.reg[s.Slot] = s.V.I
-		}
+	for _, s := range vm.prog.IntSettings() {
+		x.reg[s.Slot] = s.V.I
 	}
 	x.out = newSink(vm.prog, opts, ctl, x.stats, x.reg, nil)
 	if vm.prog.Tab != nil {

@@ -46,11 +46,13 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// TypeError is panicked by Eval when an operation is applied to operands of
-// incompatible kinds (for example, ordering a string against an integer).
-// Spaces built through the validated front ends cannot trigger it at
-// enumeration time; engines recover it at their top level and surface it as
-// an ordinary error.
+// TypeError is panicked by Eval, and by Fold when it evaluates constant
+// operands, when an operation is applied to operands of incompatible kinds
+// (for example, adding an integer to a string). The planner reports a
+// fold-time one as an error and rejects every string that survives
+// folding, so no planned expression raises it. At enumeration time only a
+// deferred iterator's host-built domain can (a list of strings), and
+// engines surface that as an ordinary error.
 type TypeError struct {
 	Op   string
 	A, B Value

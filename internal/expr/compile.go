@@ -11,14 +11,11 @@ type IntFn func(r []int64) int64
 // CompileInt lowers a bound expression to an IntFn. The closure returns
 // what Eval returns, read through AsInt with booleans as 0/1, whenever
 // every slot the expression reads holds an integer or a boolean
-// (FuzzCompileInt checks this).
-//
-// str maps the slots that hold strings to their names. A register has no
-// value for them, so an expression that reads one does not compile (see
-// IntLeafError); nor does a string literal, an unbound reference or an
-// unknown node.
-func CompileInt(e Expr, str map[int]string) (IntFn, error) {
-	if err := IntLeafError(e, str); err != nil {
+// (FuzzCompileInt checks this). A string literal, an unbound reference
+// and an unknown node do not compile; the planner rejects every program
+// whose steps or domains do not, so no register ever holds a string.
+func CompileInt(e Expr) (IntFn, error) {
+	if err := intLeafError(e); err != nil {
 		return nil, err
 	}
 	switch n := e.(type) {
@@ -29,7 +26,7 @@ func CompileInt(e Expr, str map[int]string) (IntFn, error) {
 		slot := n.Slot
 		return func(r []int64) int64 { return r[slot] }, nil
 	case *Unary:
-		x, err := CompileInt(n.X, str)
+		x, err := CompileInt(n.X)
 		if err != nil {
 			return nil, err
 		}
@@ -41,25 +38,25 @@ func CompileInt(e Expr, str map[int]string) (IntFn, error) {
 		}
 		return nil, fmt.Errorf("bad unary op %v", n.Op)
 	case *Binary:
-		l, err := CompileInt(n.L, str)
+		l, err := CompileInt(n.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := CompileInt(n.R, str)
+		r, err := CompileInt(n.R)
 		if err != nil {
 			return nil, err
 		}
 		return compileBinary(n.Op, l, r)
 	case *Ternary:
-		cond, err := CompileInt(n.Cond, str)
+		cond, err := CompileInt(n.Cond)
 		if err != nil {
 			return nil, err
 		}
-		then, err := CompileInt(n.Then, str)
+		then, err := CompileInt(n.Then)
 		if err != nil {
 			return nil, err
 		}
-		els, err := CompileInt(n.Else, str)
+		els, err := CompileInt(n.Else)
 		if err != nil {
 			return nil, err
 		}
@@ -70,13 +67,13 @@ func CompileInt(e Expr, str map[int]string) (IntFn, error) {
 			return els(r)
 		}, nil
 	case *Call:
-		return compileCall(n, str)
+		return compileCall(n)
 	case *Table2D:
-		row, err := CompileInt(n.Row, str)
+		row, err := CompileInt(n.Row)
 		if err != nil {
 			return nil, err
 		}
-		col, err := CompileInt(n.Col, str)
+		col, err := CompileInt(n.Col)
 		if err != nil {
 			return nil, err
 		}
@@ -96,34 +93,27 @@ func CompileInt(e Expr, str map[int]string) (IntFn, error) {
 	return nil, fmt.Errorf("unsupported expression type %T", e)
 }
 
-// IntLeafError returns why a literal or a reference cannot be read from
-// an int64 register file, and nil for every other node: a string literal,
-// an unbound reference, or a reference to one of the str slots. Folding
-// (the planner default) removes string settings from expressions, so
-// reaching a string here means folding was off or a derived variable is
-// string-valued. The VM, which compiles to bytecode rather than closures,
-// applies the same rule.
-func IntLeafError(e Expr, str map[int]string) error {
+// intLeafError returns why a literal or a reference cannot be read from
+// an int64 register file, and nil for every other node: a string literal
+// or an unbound reference.
+func intLeafError(e Expr) error {
 	switch n := e.(type) {
 	case *Lit:
 		if n.V.K == Str {
-			return fmt.Errorf("string literal %s cannot be compiled; specialize the program first", n.V)
+			return fmt.Errorf("string literal %s cannot be compiled", n.V)
 		}
 	case *Ref:
 		if n.Slot < 0 {
 			return fmt.Errorf("unbound reference %q", n.Name)
 		}
-		if name, ok := str[n.Slot]; ok {
-			return fmt.Errorf("expression reads string value %q; specialize the program first (enable folding)", name)
-		}
 	}
 	return nil
 }
 
-func compileCall(n *Call, str map[int]string) (IntFn, error) {
+func compileCall(n *Call) (IntFn, error) {
 	args := make([]IntFn, len(n.Args))
 	for i, a := range n.Args {
-		fn, err := CompileInt(a, str)
+		fn, err := CompileInt(a)
 		if err != nil {
 			return nil, err
 		}

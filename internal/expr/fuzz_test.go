@@ -140,7 +140,7 @@ func FuzzCompileInt(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, code []byte, x, y, z int64) {
 		e := (&fuzzDecoder{b: code}).expr(fuzzDepth)
-		fn, err := CompileInt(e, nil)
+		fn, err := CompileInt(e)
 		if err != nil {
 			t.Fatalf("%s does not compile: %v", e, err)
 		}
@@ -155,21 +155,21 @@ func FuzzCompileInt(f *testing.F) {
 	})
 }
 
-// TestCompileIntRejectsStrings: a string literal, an unbound reference and
-// a reference to a string slot do not compile.
+// TestCompileIntRejectsStrings: a string literal and an unbound reference
+// do not compile, wherever they sit. The planner relies on this to reject
+// every string that survives folding.
 func TestCompileIntRejectsStrings(t *testing.T) {
-	str := map[int]string{1: "mode"}
 	for _, e := range []Expr{
 		Eq(&Ref{Name: "x", Slot: 0}, StrLit("a")),
 		Add(NewRef("x"), IntLit(1)),
-		Lt(&Ref{Name: "x", Slot: 0}, &Ref{Name: "mode", Slot: 1}),
-		MinOf(IntLit(1), &Table2D{Name: "T", Row: &Ref{Name: "mode", Slot: 1}, Col: IntLit(0)}),
+		MinOf(IntLit(1), &Table2D{Name: "T", Row: StrLit("mode"), Col: IntLit(0)}),
+		If(&Ref{Name: "x", Slot: 0}, StrLit("big"), IntLit(0)),
 	} {
-		if _, err := CompileInt(e, str); err == nil {
+		if _, err := CompileInt(e); err == nil {
 			t.Errorf("%s compiled", e)
 		}
 	}
-	if _, err := CompileInt(Lt(&Ref{Name: "x", Slot: 0}, IntLit(3)), str); err != nil {
+	if _, err := CompileInt(Lt(&Ref{Name: "x", Slot: 0}, IntLit(3))); err != nil {
 		t.Errorf("an int expression failed to compile: %v", err)
 	}
 }

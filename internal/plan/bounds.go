@@ -34,9 +34,9 @@
 // The interval analysis is saturating int64 arithmetic over value
 // ranges; it is sound as long as runtime expression values do not wrap
 // int64, which holds for every space the repo builds (DESIGN.md §7
-// records the caveat). Taint (possible string values) excludes an
-// expression from all of this, exactly as in optimize.go.
-// Options.DisableNarrowing skips the whole pass.
+// records the caveat). Planned expressions hold no strings (place folds
+// them away), so every one takes part. Options.DisableNarrowing skips
+// the whole pass.
 package plan
 
 import (
@@ -105,39 +105,11 @@ func compileBounds(prog *Program) {
 	}
 }
 
-// newBoundsCtx seeds an interval/taint context with everything known
-// before the outermost loop opens: setting values and prelude assignments.
-// Loop levels are bound one at a time with bindLoop, outermost first.
+// newBoundsCtx seeds an interval context with everything known before
+// the outermost loop opens: setting values and prelude assignments. Loop
+// levels are bound one at a time with bindLoop, outermost first.
 func newBoundsCtx(prog *Program) *boundsCtx {
-	bc := &boundsCtx{
-		prog:     prog,
-		taint:    make(map[int]bool),
-		slotIval: make(map[int]ival),
-	}
-	// Slot taint, as in optimize.go: string settings, then assignments
-	// whose expression may produce a string, in definition-before-use
-	// order.
-	for _, s := range prog.Settings {
-		if s.V.K == expr.Str {
-			bc.taint[s.Slot] = true
-		} else {
-			bc.slotIval[s.Slot] = ival{s.V.I, s.V.I}
-		}
-	}
-	markAssigns := func(steps []Step) {
-		for i := range steps {
-			st := &steps[i]
-			if st.Kind == AssignStep && st.Expr != nil && bc.taintExpr(st.Expr) {
-				bc.taint[st.Slot] = true
-			}
-		}
-	}
-	markAssigns(prog.Prelude)
-	for _, lp := range prog.Loops {
-		markAssigns(lp.Steps)
-	}
-
-	// Prelude intervals.
+	bc := settingsCtx(prog)
 	for i := range prog.Prelude {
 		st := &prog.Prelude[i]
 		if st.Kind == AssignStep && st.Expr != nil {
@@ -166,11 +138,18 @@ func (bc *boundsCtx) bindLoop(lp *Loop) {
 type boundsCtx struct {
 	prog *Program
 
-	// taint marks slots that may hold a string value.
-	taint map[int]bool
-
 	// slotIval maps every bound slot to a sound value interval.
 	slotIval map[int]ival
+}
+
+// settingsCtx returns an interval context with each integer setting
+// pinned to its value.
+func settingsCtx(prog *Program) *boundsCtx {
+	bc := &boundsCtx{prog: prog, slotIval: make(map[int]ival)}
+	for _, s := range prog.IntSettings() {
+		bc.slotIval[s.Slot] = ival{s.V.I, s.V.I}
+	}
+	return bc
 }
 
 // tryNarrow attempts to compile the leading checks of loop d into bounds.
@@ -233,14 +212,14 @@ scan:
 
 // absorbCheck tries to turn one check step into a bound group. The
 // predicate rejects when true; it absorbs when, after inlining same-depth
-// assignments, it is an untainted disjunction whose terms each solve
+// assignments, it is a disjunction whose terms each solve
 // symbolically or prove monotone. nil means the check must stay as-is.
 func (bc *boundsCtx) absorbCheck(st *Step, subst map[int]expr.Expr, xSlot int) *BoundGroup {
 	if st.Expr == nil || st.Constraint.Deferred() {
 		return nil
 	}
 	pred := bc.substSlots(st.Expr, subst)
-	if bc.taintExpr(pred) || !refsSlot(pred, xSlot) {
+	if !refsSlot(pred, xSlot) {
 		return nil
 	}
 	// Or distributes over rejection: the predicate rejects iff some
@@ -625,9 +604,6 @@ func iDivPos(a, b ival) ival {
 func (bc *boundsCtx) intervalOf(e expr.Expr) ival {
 	switch n := e.(type) {
 	case *expr.Lit:
-		if n.V.K == expr.Str {
-			return topIval
-		}
 		return ival{n.V.I, n.V.I}
 	case *expr.Ref:
 		if iv, ok := bc.slotIval[n.Slot]; ok {
@@ -738,34 +714,6 @@ func (bc *boundsCtx) domainIval(d space.DomainExpr) ival {
 }
 
 // --- expression helpers ----------------------------------------------------
-
-// taintExpr reports whether e could evaluate to a string; unknown node
-// kinds are conservatively tainted, which also keeps substSlots honest
-// (it cannot rewrite inside nodes it does not know).
-func (bc *boundsCtx) taintExpr(e expr.Expr) bool {
-	switch n := e.(type) {
-	case *expr.Lit:
-		return n.V.K == expr.Str
-	case *expr.Ref:
-		return bc.taint[n.Slot]
-	case *expr.Unary:
-		return bc.taintExpr(n.X)
-	case *expr.Binary:
-		return bc.taintExpr(n.L) || bc.taintExpr(n.R)
-	case *expr.Ternary:
-		return bc.taintExpr(n.Cond) || bc.taintExpr(n.Then) || bc.taintExpr(n.Else)
-	case *expr.Call:
-		for _, a := range n.Args {
-			if bc.taintExpr(a) {
-				return true
-			}
-		}
-		return false
-	case *expr.Table2D:
-		return bc.taintExpr(n.Row) || bc.taintExpr(n.Col)
-	}
-	return true
-}
 
 // substSlots replaces references to substituted slots with their
 // (already substituted) defining expressions.

@@ -6,8 +6,7 @@
 // interval arithmetic.
 //
 // Soundness inherits from boundsCtx: saturating int64 arithmetic over
-// value ranges, with string-capable ("tainted") expressions excluded from
-// every judgement. Prove answers TriTrue/TriFalse only when the interval
+// value ranges of string-free planned expressions. Prove answers TriTrue/TriFalse only when the interval
 // analysis decides the predicate for *every* environment the loop nest
 // can produce; everything else is TriUnknown.
 package plan
@@ -68,10 +67,6 @@ func (iv *Intervals) Domain(d space.DomainExpr) (lo, hi int64) {
 	return r.lo, r.hi
 }
 
-// Tainted reports whether e could evaluate to a string, which excludes it
-// from interval reasoning.
-func (iv *Intervals) Tainted(e expr.Expr) bool { return iv.bc.taintExpr(e) }
-
 // Prove decides the truthiness of a bound predicate over all environments
 // admitted by the slot intervals.
 func (iv *Intervals) Prove(e expr.Expr) Tri { return iv.bc.prove(e) }
@@ -117,7 +112,7 @@ func triOr(a, b Tri) Tri {
 
 // prove is the three-valued evaluator: comparisons decide on disjoint or
 // pinned intervals, logical connectives compose three-valued, and any
-// other untainted expression decides by whether its interval excludes or
+// other expression decides by whether its interval excludes or
 // pins zero. The Int/Bool kind distinction is unobservable (DESIGN.md),
 // so interval reasoning over bool-valued subtrees is sound.
 func (bc *boundsCtx) prove(e expr.Expr) Tri {
@@ -133,9 +128,6 @@ func (bc *boundsCtx) prove(e expr.Expr) Tri {
 		case expr.OpOr:
 			return triOr(bc.prove(n.L), bc.prove(n.R))
 		case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-			if bc.taintExpr(n.L) || bc.taintExpr(n.R) {
-				return TriUnknown
-			}
 			return proveCmp(n.Op, bc.intervalOf(n.L), bc.intervalOf(n.R))
 		}
 	case *expr.Ternary:
@@ -148,9 +140,6 @@ func (bc *boundsCtx) prove(e expr.Expr) Tri {
 		if t, f := bc.prove(n.Then), bc.prove(n.Else); t == f {
 			return t
 		}
-		return TriUnknown
-	}
-	if bc.taintExpr(e) {
 		return TriUnknown
 	}
 	r := bc.intervalOf(e)

@@ -5,10 +5,10 @@
 // The paper's hoisting moves whole constraints to the outermost loop at
 // which their variables are bound; this pass applies the same idea one
 // level down, to the subexpressions *inside* constraints and derived
-// variables. Identical taint-free subtrees that occur more than once — or
-// once, but at a shallower natural depth than the step that contains them
-// — are computed a single time into a synthetic temp slot ("$t0", "$t1",
-// ...) assigned at the outermost loop level at which all of their free
+// variables. Identical subtrees that occur more than once — or once, but
+// at a shallower natural depth than the step that contains them — are
+// computed a single time into a synthetic temp slot ("$t0", "$t1", ...)
+// assigned at the outermost loop level at which all of their free
 // variables are bound, provided no check step sits between that level and
 // the use: pruning in between would make the hoisted evaluation run on
 // iterations the original never saw (hoistSafe). Every engine executes temp
@@ -19,20 +19,20 @@
 //
 // Soundness rests on two properties of the value model (DESIGN.md):
 // integer arithmetic is total (floor division and modulo return 0 on a
-// zero divisor) and the only runtime type error is a string meeting an
-// arithmetic operator. A "taint" analysis marks every subtree that could
-// evaluate to a string; tainted subtrees are never simplified, never
-// shared, and never hoisted, which makes eager evaluation of every temp
-// panic-free. The Int/Bool kind distinction is unobservable (both coerce
-// through Truthy/AsInt/Equal/Compare identically), so simplifications may
-// freely trade one for the other.
+// zero divisor), and a planned expression holds no string (place folds
+// every string away and rejects what does not fold), so no evaluation can
+// raise a type error and eager evaluation of every temp is panic-free.
+// The Int/Bool kind distinction is unobservable (both coerce through
+// Truthy/AsInt/Equal/Compare identically), so simplifications may freely
+// trade one for the other.
 //
 // Temps are created only at strict positions — places that are evaluated
 // unconditionally whenever their step runs. The right operand of and/or
 // and the branches of a ternary are conditional: hoisting them would
 // evaluate code the original program might skip, which is harmless for
-// taint-free trees but would distort the evaluation-count statistics the
-// ablation measures. Options.DisableCSE skips the whole pass.
+// pure total expressions but would distort the evaluation-count
+// statistics the ablation measures. Options.DisableCSE skips the whole
+// pass.
 package plan
 
 import (
@@ -48,8 +48,6 @@ func optimize(prog *Program) {
 	o := &optimizer{
 		prog:        prog,
 		depthBySlot: make(map[int]int),
-		taintSlot:   make(map[int]bool),
-		taintMemo:   make(map[expr.Expr]bool),
 		canon:       NewCanon(),
 		depthMemo:   make(map[expr.Expr]int),
 		count:       make(map[string]int),
@@ -69,10 +67,6 @@ type optimizer struct {
 	// variables and loop-body assigns at depth d.
 	depthBySlot map[int]int
 
-	// taintSlot marks slots that may hold a string value.
-	taintSlot map[int]bool
-
-	taintMemo map[expr.Expr]bool
 	canon     *Canon
 	depthMemo map[expr.Expr]int
 
@@ -110,9 +104,6 @@ func (o *optimizer) eachStep(fn func(depth, idx int, st *Step)) {
 func (o *optimizer) run() {
 	for _, s := range o.prog.Settings {
 		o.depthBySlot[s.Slot] = -1
-		if s.V.K == expr.Str {
-			o.taintSlot[s.Slot] = true
-		}
 	}
 	for d, lp := range o.prog.Loops {
 		o.depthBySlot[lp.Slot] = d
@@ -120,13 +111,6 @@ func (o *optimizer) run() {
 	o.eachStep(func(depth, _ int, st *Step) {
 		if st.Kind == AssignStep {
 			o.depthBySlot[st.Slot] = depth
-		}
-	})
-	// Slot taint propagates in step order; definition-before-use order
-	// guarantees a referenced slot's taint is final when it is read.
-	o.eachStep(func(_, _ int, st *Step) {
-		if st.Kind == AssignStep && st.Expr != nil && o.tainted(st.Expr) {
-			o.taintSlot[st.Slot] = true
 		}
 	})
 	o.eachStep(func(_, _ int, st *Step) {
@@ -234,42 +218,7 @@ func (o *optimizer) stepsAt(depth int) int {
 	return len(o.prog.Loops[depth].Steps)
 }
 
-// --- taint, canonical keys, natural depth ---------------------------------
-
-// tainted reports whether e could evaluate to a string value (the only
-// source of runtime type errors). Unknown node kinds are conservatively
-// tainted, which excludes them from every transformation.
-func (o *optimizer) tainted(e expr.Expr) bool {
-	if v, ok := o.taintMemo[e]; ok {
-		return v
-	}
-	var v bool
-	switch n := e.(type) {
-	case *expr.Lit:
-		v = n.V.K == expr.Str
-	case *expr.Ref:
-		v = o.taintSlot[n.Slot]
-	case *expr.Unary:
-		v = o.tainted(n.X)
-	case *expr.Binary:
-		v = o.tainted(n.L) || o.tainted(n.R)
-	case *expr.Ternary:
-		v = o.tainted(n.Cond) || o.tainted(n.Then) || o.tainted(n.Else)
-	case *expr.Call:
-		for _, a := range n.Args {
-			if o.tainted(a) {
-				v = true
-				break
-			}
-		}
-	case *expr.Table2D:
-		v = o.tainted(n.Row) || o.tainted(n.Col)
-	default:
-		v = true
-	}
-	o.taintMemo[e] = v
-	return v
-}
+// --- canonical keys, natural depth ----------------------------------------
 
 // key returns a canonical string for e: structurally identical bound
 // subtrees produce equal keys (see canon.go; the analyzer shares the
@@ -322,19 +271,18 @@ func (o *optimizer) depth(e expr.Expr) int {
 
 // --- algebraic simplification ---------------------------------------------
 
-// simplify folds constant subtrees and applies kind-safe identities. Every
-// rule that drops an operand's evaluation, or lets an operand's value pass
-// through where the original coerced it, requires that operand taint-free:
-// expressions are pure and integer arithmetic is total, so eliding a
-// taint-free evaluation can neither change observable state nor skip a
-// panic the original would have raised.
+// simplify folds constant subtrees and applies kind-safe identities. A
+// rule may drop an operand's evaluation, or let an operand's value pass
+// through where the original coerced it: planned expressions are pure,
+// total and string-free, so eliding an evaluation can neither change
+// observable state nor skip a panic the original would have raised.
 func (o *optimizer) simplify(e expr.Expr) expr.Expr {
 	switch n := e.(type) {
 	case *expr.Lit, *expr.Ref:
 		return e
 	case *expr.Unary:
 		x := o.simplify(n.X)
-		if inner, ok := x.(*expr.Unary); ok && n.Op == expr.OpNeg && inner.Op == expr.OpNeg && !o.tainted(inner.X) {
+		if inner, ok := x.(*expr.Unary); ok && n.Op == expr.OpNeg && inner.Op == expr.OpNeg {
 			return inner.X
 		}
 		return o.foldIfConst(&expr.Unary{Op: n.Op, X: x})
@@ -349,7 +297,7 @@ func (o *optimizer) simplify(e expr.Expr) expr.Expr {
 			return o.simplify(n.Else)
 		}
 		t, f := o.simplify(n.Then), o.simplify(n.Else)
-		if !o.tainted(c) && o.key(t) == o.key(f) {
+		if o.key(t) == o.key(f) {
 			return t
 		}
 		return &expr.Ternary{Cond: c, Then: t, Else: f}
@@ -358,7 +306,7 @@ func (o *optimizer) simplify(e expr.Expr) expr.Expr {
 		for i, a := range n.Args {
 			args[i] = o.simplify(a)
 		}
-		if (n.Fn == "min" || n.Fn == "max") && len(args) == 1 && !o.tainted(args[0]) {
+		if (n.Fn == "min" || n.Fn == "max") && len(args) == 1 {
 			return args[0]
 		}
 		return o.foldIfConst(&expr.Call{Fn: n.Fn, Args: args})
@@ -381,38 +329,38 @@ func (o *optimizer) simplifyBinary(op expr.Op, l, r expr.Expr) expr.Expr {
 	}
 	switch op {
 	case expr.OpMul:
-		if isInt(ll, lconst, 1) && !o.tainted(r) {
+		if isInt(ll, lconst, 1) {
 			return r
 		}
-		if isInt(rl, rconst, 1) && !o.tainted(l) {
+		if isInt(rl, rconst, 1) {
 			return l
 		}
-		if (isInt(ll, lconst, 0) && !o.tainted(r)) || (isInt(rl, rconst, 0) && !o.tainted(l)) {
+		if (isInt(ll, lconst, 0)) || (isInt(rl, rconst, 0)) {
 			return expr.IntLit(0)
 		}
 	case expr.OpAdd:
-		if isInt(ll, lconst, 0) && !o.tainted(r) {
+		if isInt(ll, lconst, 0) {
 			return r
 		}
-		if isInt(rl, rconst, 0) && !o.tainted(l) {
+		if isInt(rl, rconst, 0) {
 			return l
 		}
 	case expr.OpSub:
-		if isInt(rl, rconst, 0) && !o.tainted(l) {
+		if isInt(rl, rconst, 0) {
 			return l
 		}
 	case expr.OpDiv:
-		if isInt(rl, rconst, 1) && !o.tainted(l) {
+		if isInt(rl, rconst, 1) {
 			return l
 		}
-		if isInt(ll, lconst, 0) && !o.tainted(r) {
+		if isInt(ll, lconst, 0) {
 			return expr.IntLit(0) // floor division is total: 0/x == 0 even at x == 0
 		}
 	case expr.OpMod:
-		if isInt(rl, rconst, 1) && !o.tainted(l) {
+		if isInt(rl, rconst, 1) {
 			return expr.IntLit(0)
 		}
-		if isInt(ll, lconst, 0) && !o.tainted(r) {
+		if isInt(ll, lconst, 0) {
 			return expr.IntLit(0)
 		}
 	case expr.OpAnd:
@@ -422,8 +370,8 @@ func (o *optimizer) simplifyBinary(op expr.Op, l, r expr.Expr) expr.Expr {
 			}
 			return r
 		}
-		// x and <falsy>: both outcomes are falsy and non-string.
-		if rconst && !rl.V.Truthy() && !o.tainted(l) {
+		// x and <falsy>: both outcomes are falsy.
+		if rconst && !rl.V.Truthy() {
 			return expr.IntLit(0)
 		}
 	case expr.OpOr:
@@ -433,15 +381,15 @@ func (o *optimizer) simplifyBinary(op expr.Op, l, r expr.Expr) expr.Expr {
 			}
 			return r
 		}
-		if rconst && !rl.V.Truthy() && !o.tainted(l) {
+		if rconst && !rl.V.Truthy() {
 			return l
 		}
 	case expr.OpEq, expr.OpLe, expr.OpGe:
-		if !o.tainted(l) && !o.tainted(r) && o.key(l) == o.key(r) {
+		if o.key(l) == o.key(r) {
 			return expr.BoolLit(true)
 		}
 	case expr.OpNe, expr.OpLt, expr.OpGt:
-		if !o.tainted(l) && !o.tainted(r) && o.key(l) == o.key(r) {
+		if o.key(l) == o.key(r) {
 			return expr.BoolLit(false)
 		}
 	}
@@ -449,8 +397,6 @@ func (o *optimizer) simplifyBinary(op expr.Op, l, r expr.Expr) expr.Expr {
 }
 
 // foldIfConst evaluates e when all of its immediate children are literals.
-// Evaluation errors (a string meeting arithmetic) leave e unfolded; the
-// engines surface the error at run time exactly as before.
 func (o *optimizer) foldIfConst(e expr.Expr) expr.Expr {
 	lit := func(x expr.Expr) bool { _, ok := x.(*expr.Lit); return ok }
 	all := false
@@ -480,7 +426,7 @@ func (o *optimizer) foldIfConst(e expr.Expr) expr.Expr {
 
 // --- CSE and loop-invariant motion ----------------------------------------
 
-// countNodes tallies every taint-free non-leaf subtree occurrence.
+// countNodes tallies every non-leaf subtree occurrence.
 func (o *optimizer) countNodes(e expr.Expr) {
 	switch n := e.(type) {
 	case *expr.Lit, *expr.Ref:
@@ -502,50 +448,46 @@ func (o *optimizer) countNodes(e expr.Expr) {
 		o.countNodes(n.Row)
 		o.countNodes(n.Col)
 	}
-	if !o.tainted(e) {
-		o.count[o.key(e)]++
-	}
+	o.count[o.key(e)]++
 }
 
 // rewrite replaces qualifying subtrees of e with temp references. strict
 // marks positions evaluated unconditionally whenever the step runs;
 // useDepth is the loop depth of the step (or temp definition) being
-// rewritten. A taint-free non-leaf subtree becomes a temp when it already
-// has one, or when it sits in a strict position and either occurs at
-// least twice program-wide or is invariant at this depth.
+// rewritten. A non-leaf subtree becomes a temp when it already has one,
+// or when it sits in a strict position and either occurs at least twice
+// program-wide or is invariant at this depth.
 func (o *optimizer) rewrite(e expr.Expr, strict bool, useDepth int) expr.Expr {
 	switch e.(type) {
 	case *expr.Lit, *expr.Ref:
 		return e
 	}
-	if !o.tainted(e) {
-		k := o.key(e)
-		if ref, ok := o.temps[k]; ok {
-			if o.depthBySlot[ref.Slot] <= useDepth {
-				return ref
-			}
-			// The temp is assigned deeper than this site evaluates (bound
-			// expressions run at the parent level's tail, before the body
-			// that defines the temp): keep the subtree inline.
-			return o.rewriteChildren(e, strict, useDepth)
+	k := o.key(e)
+	if ref, ok := o.temps[k]; ok {
+		if o.depthBySlot[ref.Slot] <= useDepth {
+			return ref
 		}
-		if strict {
-			t := o.depth(e)
-			if o.count[k] >= 2 {
-				// Shared subtree: hoist to its natural depth when the
-				// path there is check-free, otherwise define it right
-				// here — still shared, never evaluated on iterations
-				// pruning would have skipped.
-				if t < useDepth && !o.hoistSafe(t) {
-					t = useDepth
-				}
-				return o.makeTemp(k, e, t)
+		// The temp is assigned deeper than this site evaluates (bound
+		// expressions run at the parent level's tail, before the body
+		// that defines the temp): keep the subtree inline.
+		return o.rewriteChildren(e, strict, useDepth)
+	}
+	if strict {
+		t := o.depth(e)
+		if o.count[k] >= 2 {
+			// Shared subtree: hoist to its natural depth when the
+			// path there is check-free, otherwise define it right
+			// here — still shared, never evaluated on iterations
+			// pruning would have skipped.
+			if t < useDepth && !o.hoistSafe(t) {
+				t = useDepth
 			}
-			if t < useDepth && o.hoistSafe(t) {
-				// Single-use invariant: only worth a temp when hoisting
-				// is guaranteed profitable.
-				return o.makeTemp(k, e, t)
-			}
+			return o.makeTemp(k, e, t)
+		}
+		if t < useDepth && o.hoistSafe(t) {
+			// Single-use invariant: only worth a temp when hoisting
+			// is guaranteed profitable.
+			return o.makeTemp(k, e, t)
 		}
 	}
 	return o.rewriteChildren(e, strict, useDepth)

@@ -196,20 +196,32 @@ func TestSimplifyIdentities(t *testing.T) {
 	}
 }
 
-func TestStringTaintBlocksSharing(t *testing.T) {
+// TestStringComparisonsFoldBeforeCSE: a repeated string comparison folds
+// before the optimizer runs, with folding on and off, so no temp or step
+// reads the string setting: both checks become constant-false prelude
+// checks.
+func TestStringComparisonsFoldBeforeCSE(t *testing.T) {
 	s := space.New()
 	s.StrSetting("mode", "fast")
 	s.Range("a", expr.IntLit(1), expr.IntLit(4))
 	dup := func() expr.Expr { return expr.Eq(expr.NewRef("mode"), expr.StrLit("slow")) }
 	s.Constrain("k1", space.Hard, expr.And(dup(), expr.Gt(expr.NewRef("a"), expr.IntLit(2))))
 	s.Constrain("k2", space.Hard, expr.And(dup(), expr.Gt(expr.NewRef("a"), expr.IntLit(3))))
-	prog, err := Compile(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, td := range prog.Temps {
-		if strings.Contains(td.Expr.String(), "mode") {
-			t.Errorf("string-tainted subtree became a temp: %s = %s", td.Name, td.Expr)
+	for _, noFold := range []bool{false, true} {
+		prog, err := Compile(s, Options{DisableFolding: noFold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prog.Temps) != 0 {
+			t.Errorf("no-fold=%v: temps %+v, want none", noFold, prog.Temps)
+		}
+		for _, st := range prog.Prelude {
+			if lit, ok := st.Expr.(*expr.Lit); !ok || lit.V.Truthy() {
+				t.Errorf("no-fold=%v: prelude step %s = %s, want a constant false check", noFold, st.Name, st.Expr)
+			}
+		}
+		if len(prog.Prelude) != 2 {
+			t.Errorf("no-fold=%v: %d prelude steps, want k1 and k2\n%s", noFold, len(prog.Prelude), prog.Describe())
 		}
 	}
 }

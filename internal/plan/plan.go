@@ -3,12 +3,13 @@
 // dependency-DAG construction, level sets, loop ordering — plus plan-time
 // specialization (settings and setting-only derived variables fold to
 // constants, as the paper's translator does when it burns precision and
-// transposition into the generated C) and constraint hoisting: every
-// constraint and derived variable is attached to the outermost loop at which
-// all of its dependencies are bound, so failing tuples are cut before inner
-// loops open. Hoisting is the mechanism behind the paper's aggressive
-// pruning speed; Options.DisableHoisting exists to measure exactly that
-// (the ablation benchmark).
+// transposition into the generated C; strings always fold, so every
+// Program is int64-only) and constraint hoisting: every constraint and
+// derived variable is attached to the outermost loop at which all of its
+// dependencies are bound, so failing tuples are cut before inner loops
+// open. Hoisting is the mechanism behind the paper's aggressive pruning
+// speed; Options.DisableHoisting exists to measure exactly that (the
+// ablation benchmark).
 package plan
 
 import (
@@ -208,10 +209,12 @@ type Options struct {
 	// counts explode. Exists for the hoisting ablation.
 	DisableHoisting bool
 
-	// DisableFolding skips plan-time constant propagation of settings into
-	// expressions. Exists for the folding ablation; deferred and closure
-	// host functions still receive setting values through their argument
-	// slots either way.
+	// DisableFolding skips plan-time constant propagation of integer
+	// settings, and of derived variables with integer values, into
+	// expressions. Exists for the folding ablation. Strings fold either
+	// way: no string reaches a Program. Deferred and closure host
+	// functions still receive setting values through their argument slots
+	// either way.
 	DisableFolding bool
 
 	// DisableCSE skips the plan-time expression optimizer (optimize.go):
@@ -381,49 +384,62 @@ func runPasses(prog *Program, opts Options) {
 // the dependency DAG, the loop order opts dictates, slot binding, and the
 // placement of every derived variable and constraint at its loop. Only
 // opts.DisableFolding, opts.DisableHoisting and opts.Order affect it.
+//
+// Strings end here. Every string-valued setting and derived variable
+// folds, and every bound step, loop domain and range bound must compile
+// to int64 closures (expr.CompileInt, space.CompileDomain), so every
+// Program place returns is int64-only by construction. A string that
+// survives folding, or an operator that folding applies to constants of
+// the wrong kind, is a *TypeError naming the entity.
 func place(s *space.Space, opts Options) (*Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	folded, err := foldConstants(s, opts.DisableFolding)
+	if err != nil {
+		return nil, err
+	}
+	isConst := func(name string) bool { _, ok := folded[name]; return ok }
 
-	// Plan-time specialization: start from the settings and repeatedly
-	// fold derived variables whose dependencies are all constants.
-	folded := make(map[string]expr.Value)
-	if !opts.DisableFolding {
-		for k, v := range s.ConstMap() {
-			folded[k] = v
+	// Fold every live entity once; the DAG, placement and binding below
+	// read these forms.
+	doms := make(map[string]space.DomainExpr)
+	exprs := make(map[string]expr.Expr)
+	for _, it := range s.Iterators() {
+		if it.Kind == space.ExprIter {
+			if doms[it.Name], err = foldEntity(it.Domain.Fold, folded); err != nil {
+				return nil, &TypeError{Entity: "iterator", Name: it.Name, Pos: it.Pos, Err: err}
+			}
 		}
-		for changed := true; changed; {
-			changed = false
-			for _, d := range s.DerivedVars() {
-				if _, done := folded[d.Name]; done {
-					continue
-				}
-				f := d.Expr.Fold(folded)
-				if lit, ok := f.(*expr.Lit); ok {
-					folded[d.Name] = lit.V
-					changed = true
-				}
+	}
+	liveDerived := make([]*space.Derived, 0, len(s.DerivedVars()))
+	for _, d := range s.DerivedVars() {
+		if isConst(d.Name) {
+			continue
+		}
+		liveDerived = append(liveDerived, d)
+		if exprs[d.Name], err = foldEntity(d.Expr.Fold, folded); err != nil {
+			return nil, &TypeError{Entity: "derived variable", Name: d.Name, Pos: d.Pos, Err: err}
+		}
+	}
+	for _, c := range s.Constraints() {
+		if !c.Deferred() {
+			if exprs[c.Name], err = foldEntity(c.Pred.Fold, folded); err != nil {
+				return nil, &TypeError{Entity: "constraint", Name: c.Name, Pos: c.Pos, Err: err}
 			}
 		}
 	}
 
 	// Dependency DAG over the non-constant entities.
 	g := dag.New()
-	isConst := func(name string) bool { _, ok := folded[name]; return ok }
 	isSetting := func(name string) bool {
 		k, ok := s.Kind(name)
 		return ok && k == space.SettingNode
 	}
-	liveDerived := make([]*space.Derived, 0, len(s.DerivedVars()))
 	for _, it := range s.Iterators() {
 		g.AddVertex(it.Name, "iterator")
 	}
-	for _, d := range s.DerivedVars() {
-		if isConst(d.Name) {
-			continue
-		}
-		liveDerived = append(liveDerived, d)
+	for _, d := range liveDerived {
 		g.AddVertex(d.Name, "derived")
 	}
 	for _, c := range s.Constraints() {
@@ -442,19 +458,19 @@ func place(s *space.Space, opts Options) (*Program, error) {
 		// dependency lists as DAG edges even when a dependency folded to a
 		// constant elsewhere: the host function still receives the value.
 		if it.Kind == space.ExprIter {
-			addDeps(it.Name, space.DomainDeps(it.Domain.Fold(folded)))
+			addDeps(it.Name, space.DomainDeps(doms[it.Name]))
 		} else {
 			addDeps(it.Name, it.Deps())
 		}
 	}
 	for _, d := range liveDerived {
-		addDeps(d.Name, expr.Deps(d.Expr.Fold(folded)))
+		addDeps(d.Name, expr.Deps(exprs[d.Name]))
 	}
 	for _, c := range s.Constraints() {
 		if c.Deferred() {
 			addDeps(c.Name, c.Deps())
 		} else {
-			addDeps(c.Name, expr.Deps(c.Pred.Fold(folded)))
+			addDeps(c.Name, expr.Deps(exprs[c.Name]))
 		}
 	}
 	if err := g.Validate(); err != nil {
@@ -495,6 +511,46 @@ func place(s *space.Space, opts Options) (*Program, error) {
 		scope.Declare(d.Name)
 	}
 
+	// Bind every folded form, in declaration order so that the first
+	// entity a TypeError names does not depend on the loop order, and
+	// check that it compiles to int64 closures.
+	for _, it := range s.Iterators() {
+		if it.Kind != space.ExprIter {
+			continue
+		}
+		bound, err := doms[it.Name].Bind(scope)
+		if err != nil {
+			return nil, fmt.Errorf("plan: iterator %s: %w", it.Name, err)
+		}
+		if _, err := space.CompileDomain(bound); err != nil {
+			return nil, &TypeError{Entity: "iterator", Name: it.Name, Pos: it.Pos, Err: err}
+		}
+		doms[it.Name] = bound
+	}
+	bindExpr := func(entity, name string, pos space.Pos) error {
+		bound, err := expr.Bind(exprs[name], scope)
+		if err != nil {
+			return fmt.Errorf("plan: %s %s: %w", entity, name, err)
+		}
+		if _, err := expr.CompileInt(bound); err != nil {
+			return &TypeError{Entity: entity, Name: name, Pos: pos, Err: err}
+		}
+		exprs[name] = bound
+		return nil
+	}
+	for _, d := range liveDerived {
+		if err := bindExpr("derived variable", d.Name, d.Pos); err != nil {
+			return nil, err
+		}
+	}
+	for _, c := range s.Constraints() {
+		if !c.Deferred() {
+			if err := bindExpr("constraint", c.Name, c.Pos); err != nil {
+				return nil, err
+			}
+		}
+	}
+
 	// depthOf: the outermost loop index at which a name's value is
 	// available. Settings and folded constants are available at depth -1
 	// (the prelude).
@@ -513,24 +569,22 @@ func place(s *space.Space, opts Options) (*Program, error) {
 			return p, nil
 		}
 		// Derived variable: max over dependencies.
-		for _, d := range liveDerived {
-			if d.Name != name {
-				continue
-			}
-			depth := -1
-			for _, dep := range expr.Deps(d.Expr.Fold(folded)) {
-				dd, err := depthOf(dep)
-				if err != nil {
-					return 0, err
-				}
-				if dd > depth {
-					depth = dd
-				}
-			}
-			depthMemo[name] = depth
-			return depth, nil
+		e, ok := exprs[name]
+		if !ok {
+			return 0, fmt.Errorf("plan: unknown name %q in dependency chain", name)
 		}
-		return 0, fmt.Errorf("plan: unknown name %q in dependency chain", name)
+		depth := -1
+		for _, dep := range expr.Deps(e) {
+			dd, err := depthOf(dep)
+			if err != nil {
+				return 0, err
+			}
+			if dd > depth {
+				depth = dd
+			}
+		}
+		depthMemo[name] = depth
+		return depth, nil
 	}
 
 	prog := &Program{
@@ -542,7 +596,7 @@ func place(s *space.Space, opts Options) (*Program, error) {
 	prog.Settings = inits
 	prog.Loops = loops
 
-	// Bind loop domains and argument slots.
+	// Loop domains and argument slots.
 	argSlotsFor := func(deps []string) ([]int, error) {
 		slots := make([]int, len(deps))
 		for i, dep := range deps {
@@ -556,20 +610,15 @@ func place(s *space.Space, opts Options) (*Program, error) {
 	}
 	for _, lp := range loops {
 		it := lp.Iter
-		switch it.Kind {
-		case space.ExprIter:
-			bound, err := it.Domain.Fold(folded).Bind(scope)
-			if err != nil {
-				return nil, fmt.Errorf("plan: iterator %s: %w", it.Name, err)
-			}
-			lp.Domain = bound
-		default:
-			slots, err := argSlotsFor(it.DeclaredDeps)
-			if err != nil {
-				return nil, fmt.Errorf("plan: iterator %s: %w", it.Name, err)
-			}
-			lp.ArgSlots = slots
+		if it.Kind == space.ExprIter {
+			lp.Domain = doms[it.Name]
+			continue
 		}
+		slots, err := argSlotsFor(it.DeclaredDeps)
+		if err != nil {
+			return nil, fmt.Errorf("plan: iterator %s: %w", it.Name, err)
+		}
+		lp.ArgSlots = slots
 	}
 
 	// Place derived variables and constraints. Process in topological
@@ -597,17 +646,13 @@ func place(s *space.Space, opts Options) (*Program, error) {
 	}
 	innermost := len(loops) - 1
 	for _, name := range topo {
-		if d, ok := derivedByName[name]; ok {
+		if _, ok := derivedByName[name]; ok {
 			depth, err := depthOf(name)
 			if err != nil {
 				return nil, err
 			}
 			slot, _ := scope.Slot(name)
-			bound, err := expr.Bind(d.Expr.Fold(folded), scope)
-			if err != nil {
-				return nil, fmt.Errorf("plan: derived %s: %w", name, err)
-			}
-			attach(depth, Step{Kind: AssignStep, Name: name, Slot: slot, Expr: bound, StatsID: -1})
+			attach(depth, Step{Kind: AssignStep, Name: name, Slot: slot, Expr: exprs[name], StatsID: -1})
 			continue
 		}
 		c, ok := constraintByName[name]
@@ -616,10 +661,11 @@ func place(s *space.Space, opts Options) (*Program, error) {
 		}
 		// Placement depth comes from the folded dependency set: a
 		// predicate whose setting-dependent branch folds away can hoist
-		// past the dependencies that vanished with it.
+		// past the dependencies that vanished with it. Binding keeps the
+		// names, so the bound form reads the same set.
 		cdeps := c.Deps()
 		if !c.Deferred() {
-			cdeps = expr.Deps(c.Pred.Fold(folded))
+			cdeps = expr.Deps(exprs[name])
 		}
 		depth := -1
 		for _, dep := range cdeps {
@@ -643,16 +689,84 @@ func place(s *space.Space, opts Options) (*Program, error) {
 			}
 			st.ArgSlots = slots
 		} else {
-			bound, err := expr.Bind(c.Pred.Fold(folded), scope)
-			if err != nil {
-				return nil, fmt.Errorf("plan: constraint %s: %w", name, err)
-			}
-			st.Expr = bound
+			st.Expr = exprs[name]
 		}
 		attach(depth, st)
 	}
 	return prog, nil
 }
+
+// foldConstants is plan-time specialization: starting from the settings,
+// it repeatedly folds derived variables whose dependencies are all
+// constants, as the paper's translator burns precision and transposition
+// into its C. String values never outlive this: with disable set it keeps
+// only the string-valued constants, so DisableFolding governs integer
+// constants alone.
+func foldConstants(s *space.Space, disable bool) (map[string]expr.Value, error) {
+	folded := s.ConstMap()
+	for changed := true; changed; {
+		changed = false
+		for _, d := range s.DerivedVars() {
+			if _, done := folded[d.Name]; done {
+				continue
+			}
+			f, err := foldEntity(d.Expr.Fold, folded)
+			if err != nil {
+				return nil, &TypeError{Entity: "derived variable", Name: d.Name, Pos: d.Pos, Err: err}
+			}
+			if lit, ok := f.(*expr.Lit); ok {
+				folded[d.Name] = lit.V
+				changed = true
+			}
+		}
+	}
+	if disable {
+		for name, v := range folded {
+			if v.K != expr.Str {
+				delete(folded, name)
+			}
+		}
+	}
+	return folded, nil
+}
+
+// foldEntity runs fold over consts, returning an operator applied to
+// constants of the wrong kind (`mode + 1` with a string mode) as the
+// *expr.TypeError instead of the panic Eval raises.
+func foldEntity[T any](fold func(map[string]expr.Value) T, consts map[string]expr.Value) (out T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			te, ok := r.(*expr.TypeError)
+			if !ok {
+				panic(r)
+			}
+			err = te
+		}
+	}()
+	return fold(consts), nil
+}
+
+// TypeError is the error Compile returns for a spec whose strings do not
+// end at plan time: folding applied an operator to constants of the wrong
+// kind, or a step, a loop domain or a range bound still holds a string
+// after folding (a list of strings, a string setting compared with an
+// iterator). Err is the *expr.TypeError or the int64 compiler's error.
+type TypeError struct {
+	Entity string // "iterator", "derived variable" or "constraint"
+	Name   string
+	Pos    space.Pos
+	Err    error
+}
+
+func (e *TypeError) Error() string {
+	at := ""
+	if e.Pos.Known() {
+		at = " at " + e.Pos.String()
+	}
+	return fmt.Sprintf("plan: %s %s%s: %v", e.Entity, e.Name, at, e.Err)
+}
+
+func (e *TypeError) Unwrap() error { return e.Err }
 
 // chooseOrder returns the loop order: a stable topological order of the
 // iterators, or the validated user-specified order.
@@ -717,9 +831,6 @@ const DefaultLoopCard = 8
 // many levels are worth tiling).
 func (p *Program) EstimateLoopCards() []int64 {
 	env := p.NewEnv()
-	// Prelude assignments depend only on settings; a type error here (an
-	// unfolded string program) just leaves the affected estimates at the
-	// default.
 	runPreludeAssigns(p, env)
 	dynamic := dynamicNames(p)
 	cards := make([]int64, len(p.Loops))
@@ -739,54 +850,34 @@ func (p *Program) EstimateLoopCards() []int64 {
 			continue
 		}
 		// Counting stops at 1<<22; beyond this any estimate saturates.
-		if n, ok := envDomainLen(lp.Domain, env, 1<<22); ok {
-			cards[i] = int64(n)
-		}
+		cards[i] = int64(envDomainLen(lp.Domain, env, 1<<22))
 	}
 	return cards
 }
 
 // envDomainLen returns how many values d yields in env before a walk
 // capped at limit stops: by arithmetic for a range whose walk does not
-// wrap int64 (rangeLen), by walking otherwise. ok is false when evaluating
-// the domain panics; n then counts the values yielded before the panic.
-// Static domains are sized this way, against the prelude environment.
-func envDomainLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64, ok bool) {
+// wrap int64 (rangeLen), by walking otherwise. Static domains are sized
+// this way, against the prelude environment.
+func envDomainLen(d space.DomainExpr, env *expr.Env, limit uint64) uint64 {
 	if rd, isRange := d.(*space.RangeDomain); isRange {
-		if start, stop, step, valid := safeSpan(rd, env); valid {
+		if start, stop, step, valid := rd.Span(env); valid {
 			if n, wraps := rangeLen(start, stop, step, limit); !wraps {
-				return n, true
+				return n
 			}
 		}
 	}
 	return envWalkLen(d, env, limit)
 }
 
-// safeSpan evaluates a range's bounds; ok is false for an empty-by-
-// definition range (zero step, non-integer bound) and for bounds that fail
-// to evaluate.
-func safeSpan(rd *space.RangeDomain, env *expr.Env) (start, stop, step int64, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	return rd.Span(env)
-}
-
 // envWalkLen is envDomainLen by walking, a function of its own for the
 // reason walkLen is.
-func envWalkLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
+func envWalkLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64) {
 	d.Iterate(env, func(int64) bool {
 		n++
 		return n < limit
 	})
-	return n, true
+	return n
 }
 
 // ChooseSplitDepth picks the prefix depth K for the parallel scheduler:
@@ -872,8 +963,8 @@ func (p *Program) NewEnv() *expr.Env {
 }
 
 // SettingBySlot returns the prefilled setting values keyed by slot; engines
-// that run on raw int64 environments use it to recover string-valued setting
-// arguments for deferred host functions.
+// that run on raw int64 environments pass them to host functions as set,
+// strings included.
 func (p *Program) SettingBySlot() map[int]expr.Value {
 	out := make(map[int]expr.Value, len(p.Settings))
 	for _, s := range p.Settings {
@@ -882,14 +973,13 @@ func (p *Program) SettingBySlot() map[int]expr.Value {
 	return out
 }
 
-// StringSlots maps the slots of string-valued settings to their names. An
-// int64 register file has no value for them, so expr.CompileInt rejects
-// any expression that reads one.
-func (p *Program) StringSlots() map[int]string {
-	out := make(map[int]string)
+// IntSettings returns the settings an int64 register file holds: all but
+// the strings, which no planned expression reads (place folds them all).
+func (p *Program) IntSettings() []SettingInit {
+	out := make([]SettingInit, 0, len(p.Settings))
 	for _, s := range p.Settings {
-		if s.V.K == expr.Str {
-			out[s.Slot] = s.Name
+		if s.V.K != expr.Str {
+			out = append(out, s)
 		}
 	}
 	return out

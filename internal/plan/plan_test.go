@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -143,17 +145,18 @@ func TestDisableFolding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Folded) != 0 {
-		t.Errorf("folded = %v, want none", prog.FoldedNames())
+	// Strings fold whatever the option says; the int setting n does not.
+	if got := prog.FoldedNames(); !reflect.DeepEqual(got, []string{"mode"}) {
+		t.Errorf("folded = %v, want [mode]", got)
 	}
 	// const_d becomes a real prelude assignment.
 	if d := stepDepth(prog, "const_d"); d != -1 {
 		t.Errorf("const_d at depth %d, want prelude", d)
 	}
-	// k_mode now depends on mode (a setting slot) and c: innermost loop
-	// reading c is depth 2.
-	if d := stepDepth(prog, "k_mode"); d != 2 {
-		t.Errorf("k_mode at depth %d, want 2", d)
+	// mode == "off" folds to False, so k_mode's predicate reads nothing
+	// and lands in the prelude, as with folding on.
+	if d := stepDepth(prog, "k_mode"); d != -1 {
+		t.Errorf("k_mode at depth %d, want -1 (prelude)", d)
 	}
 }
 
@@ -369,5 +372,95 @@ func TestChooseSplitDepth(t *testing.T) {
 	}
 	if got := ChooseSplitDepth(prog, 8); got != 0 {
 		t.Errorf("empty program split depth = %d, want 0", got)
+	}
+}
+
+// TestFoldTypeErrors: an operator that folding applies to a string
+// setting and an integer is a *TypeError naming the entity and its
+// position, not a panic, wherever the expression sits and whatever
+// DisableFolding says.
+func TestFoldTypeErrors(t *testing.T) {
+	mode := func() expr.Expr { return expr.NewRef("mode") }
+	bad := map[string]func() expr.Expr{
+		"mode + 1":     func() expr.Expr { return expr.Add(mode(), expr.IntLit(1)) },
+		"min(mode, 1)": func() expr.Expr { return expr.MinOf(mode(), expr.IntLit(1)) },
+		"abs(mode)":    func() expr.Expr { return expr.Abs(mode()) },
+		"T[mode][0]": func() expr.Expr {
+			return &expr.Table2D{Name: "T", Data: [][]int64{{1, 2}}, Row: mode(), Col: expr.IntLit(0), Default: -1}
+		},
+	}
+	pos := space.Pos{Line: 3, Col: 5}
+	for text, e := range bad {
+		for _, place := range []string{"derived variable", "constraint", "iterator"} {
+			s := space.New()
+			s.StrSetting("mode", "abc")
+			s.Range("x", expr.IntLit(0), expr.IntLit(4))
+			switch place {
+			case "derived variable":
+				s.Derived("bad", e()).Pos = pos
+				s.Constrain("c", space.Hard, expr.Gt(expr.NewRef("x"), expr.NewRef("bad")))
+			case "constraint":
+				s.Constrain("bad", space.Hard, expr.Gt(expr.NewRef("x"), e())).Pos = pos
+			case "iterator":
+				s.Range("bad", expr.IntLit(0), e()).Pos = pos
+			}
+			for _, noFold := range []bool{false, true} {
+				label := fmt.Sprintf("%s in a %s, no-fold=%v", text, place, noFold)
+				_, err := Compile(s, Options{DisableFolding: noFold})
+				var te *TypeError
+				var ee *expr.TypeError
+				if !errors.As(err, &te) || !errors.As(err, &ee) {
+					t.Errorf("%s: want a TypeError wrapping expr's, got %v", label, err)
+					continue
+				}
+				if te.Entity != place || te.Name != "bad" || te.Pos != pos {
+					t.Errorf("%s: error names %s %s at %s", label, te.Entity, te.Name, te.Pos)
+				}
+				if want := "plan: " + place + " bad at 3:5: expr: invalid operand types"; !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("%s: message %q, want prefix %q", label, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUnfoldedStringsRejected: a string left in a step, a loop domain or a
+// range bound after folding is a *TypeError naming the first such entity
+// in declaration order (iterators, derived variables, constraints), with
+// folding on and off, whatever the loop order.
+func TestUnfoldedStringsRejected(t *testing.T) {
+	ref, lit, str := expr.NewRef, expr.IntLit, expr.StrLit
+	cases := []struct {
+		name   string
+		build  func(s *space.Space)
+		entity string
+	}{
+		{"string list", func(s *space.Space) {
+			s.DomainIter("bad", space.NewList(str("p"), str("q")))
+			s.Constrain("c", space.Hard, expr.And(expr.Eq(ref("bad"), str("p")), expr.Gt(ref("x"), lit(1))))
+		}, "iterator"},
+		{"string against iterator", func(s *space.Space) {
+			s.Constrain("bad", space.Hard, expr.Lt(ref("mode"), ref("x")))
+		}, "constraint"},
+		{"string range bound", func(s *space.Space) {
+			s.Range("bad", lit(0), expr.If(expr.Gt(ref("x"), lit(1)), str("a"), lit(3)))
+		}, "iterator"},
+		{"iterator-dependent string", func(s *space.Space) {
+			s.Derived("bad", expr.If(expr.Gt(ref("x"), lit(1)), str("a"), str("b")))
+			s.Constrain("c", space.Hard, expr.Eq(ref("bad"), str("a")))
+		}, "derived variable"},
+	}
+	for _, c := range cases {
+		s := space.New()
+		s.StrSetting("mode", "abc")
+		s.Range("x", lit(0), lit(4))
+		c.build(s)
+		for _, opts := range []Options{{}, {DisableFolding: true}, {DisableReorder: true}} {
+			_, err := Compile(s, opts)
+			var te *TypeError
+			if !errors.As(err, &te) || te.Entity != c.entity || te.Name != "bad" {
+				t.Errorf("%s %+v: want a TypeError naming %s bad, got %v", c.name, opts, c.entity, err)
+			}
+		}
 	}
 }

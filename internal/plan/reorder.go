@@ -254,10 +254,7 @@ func allCheckSteps(p *Program) []Step {
 // The estimate is nil for constraints with no iterator dependencies
 // (prelude checks — order-irrelevant) and for steps with no expression.
 //
-// Censuses and draws run on int64 register files (see intCompiler), so a
-// constraint is estimated only when its predicate, its support domains
-// and its feeding assignments all compile; one that reads a string value
-// gets reorderDeferredSel, as a host constraint does.
+// Censuses and draws run on int64 register files (see intCompiler).
 //
 // Constraints whose support cardinalities multiply to at most
 // reorderExactCap are grouped by support set and each set is walked once,
@@ -269,7 +266,7 @@ func estimateSelectivities(p *Program, steps []Step, cards map[string]int64) []*
 	out := make([]*SelectivityEstimate, len(steps))
 	env := p.NewEnv()
 	runPreludeAssigns(p, env)
-	ic := newIntCompiler(p, env)
+	ic := newIntCompiler(env)
 	groups := make(map[uint64]*census)
 	var order []*census
 	for i, st := range steps {
@@ -318,12 +315,8 @@ func estimateSelectivities(p *Program, steps []Step, cards map[string]int64) []*
 			est.Pass = reorderDeferredSel
 			continue
 		}
-		pred, err := expr.CompileInt(st.Expr, ic.str)
-		levels, ok := ic.levels(support, anc)
-		if err != nil || !ok {
-			est.Pass = reorderDeferredSel
-			continue
-		}
+		pred := compileInt(st.Expr)
+		levels := ic.levels(support, anc)
 
 		// Expected product of the support cardinalities decides exact vs MC.
 		product := int64(1)
@@ -375,40 +368,37 @@ func ancestorSet(p *Program, name string) map[string]bool {
 
 // intCompiler compiles a program's loop domains and assignment steps to
 // int64 closures (expr.CompileInt), each at most once. Every closure runs
-// on a copy of regs, the register image of the settings and the prelude
-// (see registerImage), and none may read a slot of str.
+// on a copy of regs, the register image of the settings and the prelude.
+// No expression reads a string setting's register: place folds them all.
 type intCompiler struct {
 	regs    []int64
-	str     map[int]string
-	doms    map[int]space.IntDomain // by loop slot; nil when it does not compile
-	assigns map[int]expr.IntFn      // by target slot; nil when it does not compile
+	doms    map[int]space.IntDomain // by loop slot
+	assigns map[int]expr.IntFn      // by target slot
 }
 
 // newIntCompiler returns a compiler whose register image is env, the
 // settings with the prelude's assignments applied.
-func newIntCompiler(p *Program, env *expr.Env) *intCompiler {
-	regs, str := registerImage(p, env)
+func newIntCompiler(env *expr.Env) *intCompiler {
+	regs := make([]int64, len(env.Slots))
+	for i, v := range env.Slots {
+		regs[i] = v.I
+	}
 	return &intCompiler{
-		regs: regs, str: str,
+		regs:    regs,
 		doms:    make(map[int]space.IntDomain),
 		assigns: make(map[int]expr.IntFn),
 	}
 }
 
-// registerImage converts an environment to an int64 register file. It
-// also returns the slots holding strings, which a register cannot hold,
-// keyed to their names.
-func registerImage(p *Program, env *expr.Env) (regs []int64, str map[int]string) {
-	regs = make([]int64, len(env.Slots))
-	str = make(map[int]string)
-	for i, v := range env.Slots {
-		if v.K == expr.Str {
-			str[i] = p.Scope.Name(i)
-		} else {
-			regs[i] = v.I
-		}
+// compileInt compiles a planned expression. place rejects every step and
+// domain that does not compile, and the passes after it build expressions
+// from compiled ones, so an error here is a planner bug.
+func compileInt(e expr.Expr) expr.IntFn {
+	fn, err := expr.CompileInt(e)
+	if err != nil {
+		panic(fmt.Sprintf("plan: planned expression %s does not compile: %v", e, err))
 	}
-	return regs, str
+	return fn
 }
 
 // intAssign is a compiled assignment step.
@@ -424,29 +414,23 @@ func runIntAssigns(assigns []intAssign, r []int64) {
 	}
 }
 
-// assign compiles one assignment step; ok is false when it does not
-// compile.
-func (ic *intCompiler) assign(st *Step) (a intAssign, ok bool) {
+// assign compiles one assignment step.
+func (ic *intCompiler) assign(st *Step) intAssign {
 	fn, seen := ic.assigns[st.Slot]
 	if !seen {
-		fn, _ = expr.CompileInt(st.Expr, ic.str)
+		fn = compileInt(st.Expr)
 		ic.assigns[st.Slot] = fn
 	}
-	return intAssign{slot: st.Slot, fn: fn}, fn != nil
+	return intAssign{slot: st.Slot, fn: fn}
 }
 
-// compileAssigns compiles assignment steps; ok is false when one does not
-// compile.
-func (ic *intCompiler) compileAssigns(steps []Step) ([]intAssign, bool) {
+// compileAssigns compiles assignment steps.
+func (ic *intCompiler) compileAssigns(steps []Step) []intAssign {
 	var out []intAssign
 	for i := range steps {
-		a, ok := ic.assign(&steps[i])
-		if !ok {
-			return nil, false
-		}
-		out = append(out, a)
+		out = append(out, ic.assign(&steps[i]))
 	}
-	return out, true
+	return out
 }
 
 // intLevel is one compiled support level of a census walk or a Monte
@@ -459,31 +443,27 @@ type intLevel struct {
 }
 
 // levels compiles support's domains and, per level, the assignment steps
-// named in feeds, in body order; ok is false when one does not compile.
-func (ic *intCompiler) levels(support []*Loop, feeds map[string]bool) ([]intLevel, bool) {
+// named in feeds, in body order.
+func (ic *intCompiler) levels(support []*Loop, feeds map[string]bool) []intLevel {
 	out := make([]intLevel, len(support))
 	for i, lp := range support {
 		dom, seen := ic.doms[lp.Slot]
 		if !seen {
-			dom, _ = space.CompileDomain(lp.Domain, ic.str)
+			var err error
+			if dom, err = space.CompileDomain(lp.Domain); err != nil {
+				panic(fmt.Sprintf("plan: planned domain %s does not compile: %v", lp.Domain, err))
+			}
 			ic.doms[lp.Slot] = dom
-		}
-		if dom == nil {
-			return nil, false
 		}
 		lv := intLevel{slot: lp.Slot, dom: dom}
 		for j := range lp.Steps {
 			if st := &lp.Steps[j]; st.Kind == AssignStep && feeds[st.Name] {
-				a, ok := ic.assign(st)
-				if !ok {
-					return nil, false
-				}
-				lv.assigns = append(lv.assigns, a)
+				lv.assigns = append(lv.assigns, ic.assign(st))
 			}
 		}
 		out[i] = lv
 	}
-	return out, true
+	return out
 }
 
 // setPass turns pass/total counts into the estimate's pass rate.
@@ -521,8 +501,7 @@ type censusMember struct {
 // A set with more than reorderWalkCap leaves is not walked: each member is
 // sampled by sampleSelectivity instead.
 func (c *census) run(ic *intCompiler) {
-	// Every member's levels compiled, so their union does.
-	levels, _ := ic.levels(c.support, c.feeds)
+	levels := ic.levels(c.support, c.feeds)
 	if c.leaves(ic, levels) > reorderWalkCap {
 		for _, m := range c.members {
 			sampleSelectivity(ic, m.name, m.pred, levels, m.est)
@@ -733,20 +712,13 @@ func walkLen(d space.IntDomain, r []int64, limit uint64) (n uint64) {
 	return n
 }
 
-// reorderBoundsCtx builds an interval/taint context and a full inlining
+// reorderBoundsCtx builds an interval context and a full inlining
 // substitution (every derived variable rewritten down to settings and
 // iterator slots) for narrowability analysis. Unlike compileBounds' per-depth
 // subst, full inlining is order-independent: the same predicate form is
 // tested no matter where a candidate order places the constraint.
 func reorderBoundsCtx(p *Program) (*boundsCtx, map[int]expr.Expr) {
-	bc := &boundsCtx{prog: p, taint: make(map[int]bool), slotIval: make(map[int]ival)}
-	for _, s := range p.Settings {
-		if s.V.K == expr.Str {
-			bc.taint[s.Slot] = true
-		} else {
-			bc.slotIval[s.Slot] = ival{s.V.I, s.V.I}
-		}
-	}
+	bc := settingsCtx(p)
 	subst := make(map[int]expr.Expr)
 	add := func(steps []Step) {
 		for i := range steps {
@@ -756,9 +728,6 @@ func reorderBoundsCtx(p *Program) (*boundsCtx, map[int]expr.Expr) {
 			}
 			e := bc.substSlots(st.Expr, subst)
 			subst[st.Slot] = e
-			if bc.taintExpr(e) {
-				bc.taint[st.Slot] = true
-			}
 			bc.slotIval[st.Slot] = bc.intervalOf(e)
 		}
 	}
@@ -842,16 +811,11 @@ func estimateCompiledVisits(p *Program, sel map[string]float64) float64 {
 	return cost
 }
 
-// runPreludeAssigns evaluates the prelude's assignment steps. A type
-// error, possible in an unfolded string program, leaves the slot as it
-// was.
+// runPreludeAssigns evaluates the prelude's assignment steps.
 func runPreludeAssigns(p *Program, env *expr.Env) {
 	for i := range p.Prelude {
 		if st := &p.Prelude[i]; st.Kind == AssignStep {
-			func() {
-				defer func() { _ = recover() }()
-				env.Slots[st.Slot] = st.Expr.Eval(env)
-			}()
+			env.Slots[st.Slot] = st.Expr.Eval(env)
 		}
 	}
 }

@@ -90,7 +90,7 @@ type Table struct {
 
 	// kill, inner and outer are Pred, InnerSupport and OuterSupport
 	// compiled to int64 closures (expr.CompileInt). Rows are built from
-	// them, so a check that does not compile is not tabulated.
+	// them.
 	kill         expr.IntFn
 	inner, outer []intAssign
 }
@@ -192,16 +192,16 @@ func dynamicNames(prog *Program) map[string]bool {
 }
 
 // staticLen sizes a domain against the prelude environment when none of
-// its dependencies are nest-bound. ok is false for dynamic, panicking, or
-// oversized (more than maxTabVals values) domains.
+// its dependencies are nest-bound. ok is false for dynamic or oversized
+// (more than maxTabVals values) domains.
 func staticLen(d space.DomainExpr, dynamic map[string]bool, env *expr.Env) (n int, ok bool) {
 	for _, dep := range space.DomainDeps(d) {
 		if dynamic[dep] {
 			return 0, false
 		}
 	}
-	m, ok := envDomainLen(d, env, maxTabVals+1)
-	if !ok || m > maxTabVals {
+	m := envDomainLen(d, env, maxTabVals+1)
+	if m > maxTabVals {
 		return 0, false
 	}
 	return int(m), true
@@ -243,7 +243,7 @@ func tabulate(prog *Program, budget int64) {
 	if !ok || len(vals) == 0 {
 		return
 	}
-	ic := newIntCompiler(prog, env)
+	ic := newIntCompiler(env)
 	tb := &Tabulation{
 		Depth:     depth,
 		InnerName: inner.Iter.Name,
@@ -383,12 +383,6 @@ func tabulate(prog *Program, budget int64) {
 			continue
 		}
 		outerSup, innerSup := collectSupport(support)
-		kill, kerr := expr.CompileInt(st.Expr, ic.str)
-		outerFns, ook := ic.compileAssigns(outerSup)
-		innerFns, iok := ic.compileAssigns(innerSup)
-		if kerr != nil || !ook || !iok {
-			continue // reads a string value: keep the expression path
-		}
 		t := &Table{
 			Name:         st.Name,
 			StatsID:      st.StatsID,
@@ -396,9 +390,9 @@ func tabulate(prog *Program, budget int64) {
 			InnerSupport: innerSup,
 			OuterSupport: outerSup,
 			RowWords:     rowWords,
-			kill:         kill,
-			inner:        innerFns,
-			outer:        outerFns,
+			kill:         compileInt(st.Expr),
+			inner:        ic.compileAssigns(innerSup),
+			outer:        ic.compileAssigns(outerSup),
 		}
 		if outer == "" {
 			t.Kind = UnaryTable

@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"repro/internal/expr"
-	"repro/internal/space"
-)
+import "repro/internal/space"
 
 // VectorLayout describes how the innermost loop can be evaluated in
 // chunks: which environment slots become per-lane arrays (the loop
@@ -26,21 +23,14 @@ type VectorLayout struct {
 	// LaneOf maps environment slot -> lane index, -1 for slots that are
 	// not lane-resident. Indexed by slot; len == Program.NumSlots().
 	LaneOf []int
-
-	// Eligible reports whether every innermost expression step is
-	// statically chunkable: expression-only steps over int arithmetic.
-	// A string literal anywhere in an innermost step expression (possible
-	// only under -no-fold in the interpreter) clears it, and engines then
-	// fall back to scalar stepping regardless of the requested chunk
-	// size. Deferred (host) constraints do not clear it — they are
-	// evaluated per surviving lane inside the chunk.
-	Eligible bool
 }
 
 // computeVector builds the innermost-chunk layout and marks each
-// innermost step that can be evaluated over a whole chunk at once
-// (Step.Vec). Called at the end of Compile, after bounds compilation and
-// the expression optimizer, so CSE temps are included in the lane set.
+// innermost step that is evaluated over a whole chunk at once (Step.Vec):
+// every step but a deferred (host) check, which runs per surviving lane
+// inside the chunk. Called at the end of Compile, after bounds
+// compilation and the expression optimizer, so CSE temps are included in
+// the lane set.
 func computeVector(prog *Program) {
 	if len(prog.Loops) == 0 {
 		return
@@ -48,9 +38,8 @@ func computeVector(prog *Program) {
 	depth := len(prog.Loops) - 1
 	inner := prog.Loops[depth]
 	v := &VectorLayout{
-		Depth:    depth,
-		LaneOf:   make([]int, prog.NumSlots()),
-		Eligible: true,
+		Depth:  depth,
+		LaneOf: make([]int, prog.NumSlots()),
 	}
 	for i := range v.LaneOf {
 		v.LaneOf[i] = -1
@@ -65,58 +54,12 @@ func computeVector(prog *Program) {
 	addLane(inner.Slot)
 	for i := range inner.Steps {
 		st := &inner.Steps[i]
-		switch st.Kind {
-		case AssignStep:
-			st.Vec = exprChunkable(st.Expr)
-			if !st.Vec {
-				v.Eligible = false
-			}
+		st.Vec = st.Kind == AssignStep || !st.Constraint.Deferred()
+		if st.Kind == AssignStep {
 			addLane(st.Slot)
-		case CheckStep:
-			if st.Constraint.Deferred() {
-				// Host predicate: runs per live lane, never vectorized.
-				st.Vec = false
-				continue
-			}
-			st.Vec = exprChunkable(st.Expr)
-			if !st.Vec {
-				v.Eligible = false
-			}
 		}
 	}
 	prog.Vector = v
-}
-
-// exprChunkable reports whether e can be evaluated lane-wise over int64
-// arrays: true unless a string literal appears (string-typed Refs are a
-// run-time property and are handled by the interpreter's dynamic check).
-func exprChunkable(e expr.Expr) bool {
-	switch n := e.(type) {
-	case *expr.Lit:
-		return n.V.K == expr.Int || n.V.K == expr.Bool
-	case *expr.Ref:
-		return true
-	case *expr.Unary:
-		return exprChunkable(n.X)
-	case *expr.Binary:
-		return exprChunkable(n.L) && exprChunkable(n.R)
-	case *expr.Ternary:
-		return exprChunkable(n.Cond) && exprChunkable(n.Then) && exprChunkable(n.Else)
-	case *expr.Call:
-		if !expr.KnownBuiltin(n.Fn) {
-			return false
-		}
-		for _, a := range n.Args {
-			if !exprChunkable(a) {
-				return false
-			}
-		}
-		return true
-	case *expr.Table2D:
-		return exprChunkable(n.Row) && exprChunkable(n.Col)
-	default:
-		return false
-	}
 }
 
 // InnermostList reports whether the innermost loop's domain requires

@@ -475,20 +475,19 @@ func (d *intAlgebra) Iterate(r []int64, yield func(int64) bool) bool {
 }
 
 // CompileDomain lowers a bound domain to an IntDomain with
-// expr.CompileInt; str maps the slots that hold strings to their names,
-// and a domain that reads one does not compile.
-func CompileDomain(d DomainExpr, str map[int]string) (IntDomain, error) {
+// expr.CompileInt.
+func CompileDomain(d DomainExpr) (IntDomain, error) {
 	switch n := d.(type) {
 	case *RangeDomain:
-		start, err := expr.CompileInt(n.Start, str)
+		start, err := expr.CompileInt(n.Start)
 		if err != nil {
 			return nil, err
 		}
-		stop, err := expr.CompileInt(n.Stop, str)
+		stop, err := expr.CompileInt(n.Stop)
 		if err != nil {
 			return nil, err
 		}
-		step, err := expr.CompileInt(n.Step, str)
+		step, err := expr.CompileInt(n.Step)
 		if err != nil {
 			return nil, err
 		}
@@ -496,7 +495,7 @@ func CompileDomain(d DomainExpr, str map[int]string) (IntDomain, error) {
 	case *ListDomain:
 		elems := make([]expr.IntFn, len(n.Elems))
 		for i, e := range n.Elems {
-			fn, err := expr.CompileInt(e, str)
+			fn, err := expr.CompileInt(e)
 			if err != nil {
 				return nil, err
 			}
@@ -504,25 +503,25 @@ func CompileDomain(d DomainExpr, str map[int]string) (IntDomain, error) {
 		}
 		return &intList{elems: elems}, nil
 	case *CondDomain:
-		cond, err := expr.CompileInt(n.Cond, str)
+		cond, err := expr.CompileInt(n.Cond)
 		if err != nil {
 			return nil, err
 		}
-		then, err := CompileDomain(n.Then, str)
+		then, err := CompileDomain(n.Then)
 		if err != nil {
 			return nil, err
 		}
-		els, err := CompileDomain(n.Else, str)
+		els, err := CompileDomain(n.Else)
 		if err != nil {
 			return nil, err
 		}
 		return &intCond{cond: cond, then: then, els: els}, nil
 	case *AlgebraDomain:
-		l, err := CompileDomain(n.L, str)
+		l, err := CompileDomain(n.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := CompileDomain(n.R, str)
+		r, err := CompileDomain(n.R)
 		if err != nil {
 			return nil, err
 		}

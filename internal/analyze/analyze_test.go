@@ -62,6 +62,23 @@ constraint hard need_small: i >= 3
 	}
 }
 
+// TestUnfoldedStringSpec: a string that does not fold away cannot be
+// planned, so the analyzer reports it as the one E003 error at the
+// declaration that holds it instead of failing.
+func TestUnfoldedStringSpec(t *testing.T) {
+	for src, want := range map[string]wantDiag{
+		"x = range(0, 4)\ny = [\"p\", \"q\"]\nconstraint hard c: y == \"p\" and x > 1\n":        {"E003", "y", 2, 1},
+		"setting mode = \"abc\"\nx = range(0, 4)\nlet y = mode + 1\nconstraint hard c: x > y\n": {"E003", "y", 3, 5},
+		"setting mode = \"abc\"\nx = range(0, 4)\nconstraint hard c: mode < x\n":                {"E003", "c", 3, 17},
+	} {
+		rep := lintSpec(t, src)
+		checkDiags(t, rep, []wantDiag{want})
+		if !rep.Fails(false) {
+			t.Errorf("E003 does not fail the lint:\n%s", rep.Render("spec"))
+		}
+	}
+}
+
 func TestTautologicalSpec(t *testing.T) {
 	// The predicate can never be true over i in [1,9]: a dead constraint.
 	rep := lintSpec(t, `i = range(1, 10)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/families"
 	"repro/internal/plan"
 	"repro/internal/space"
 )
@@ -439,5 +440,65 @@ func TestTempAndNarrowAblationParity(t *testing.T) {
 	}
 	if baseStats.TotalIterationsSkipped() == 0 {
 		t.Error("narrowing did not fire on the Ne-collapsed loop")
+	}
+}
+
+// TestOptimizerNeverAddsWork: the expression optimizer only removes work.
+// On every GEMM variant and on samples of the other families, the default
+// plan evaluates no more expression nodes (Stats.ExprOps) than the
+// DisableCSE plan, and finds the same survivors with the same visits and
+// kills. GEMM's reshape equalities pin loops to one value (see
+// plan.BoundGroup.Pinned); a temp hoisted above such a loop runs on every
+// iteration of the level it lands on while its use runs at most once.
+func TestOptimizerNeverAddsWork(t *testing.T) {
+	type entry struct {
+		name  string
+		build func() (*space.Space, error)
+	}
+	var corpus []entry
+	for _, name := range families.GEMMNames() {
+		corpus = append(corpus, entry{"gemm/" + name, func() (*space.Space, error) { return families.GEMM(name, 32) }})
+	}
+	for _, n := range []int64{1, 7, 64, 257, 512} {
+		corpus = append(corpus, entry{fmt.Sprintf("batched/%d", n), func() (*space.Space, error) { return families.Batched(n) }})
+	}
+	for _, sc := range [][2]int64{{33, 4}, {129, 4}, {257, 8}} {
+		corpus = append(corpus, entry{fmt.Sprintf("stencil/%d/%d", sc[0], sc[1]),
+			func() (*space.Space, error) { return families.Stencil(sc[0], sc[1]) }})
+	}
+	corpus = append(corpus, entry{"dense/1024", func() (*space.Space, error) { return families.Dense(1024) }})
+	for _, c := range corpus {
+		var ops [2]int64
+		var tuples [2][][]int64
+		var stats [2]*Stats
+		for i, opts := range []plan.Options{{}, {DisableCSE: true}} {
+			s, err := c.build()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			prog, err := plan.Compile(s, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			comp, err := NewCompiled(prog)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if tuples[i], stats[i], err = CollectTuples(comp, 0); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			ops[i] = stats[i].ExprOps(prog)
+		}
+		if ops[0] > ops[1] {
+			t.Errorf("%s: ExprOps %d with the optimizer, %d without (%.2fx)",
+				c.name, ops[0], ops[1], float64(ops[0])/float64(ops[1]))
+		}
+		if !reflect.DeepEqual(tuples[0], tuples[1]) {
+			t.Errorf("%s: survivors differ (%d with the optimizer, %d without)", c.name, len(tuples[0]), len(tuples[1]))
+		}
+		if !reflect.DeepEqual(stats[0].LoopVisits, stats[1].LoopVisits) || !reflect.DeepEqual(stats[0].Kills, stats[1].Kills) {
+			t.Errorf("%s: visits %v kills %v with the optimizer, visits %v kills %v without",
+				c.name, stats[0].LoopVisits, stats[0].Kills, stats[1].LoopVisits, stats[1].Kills)
+		}
 	}
 }

@@ -57,6 +57,20 @@ type LoopBounds struct {
 	TempRefs int
 }
 
+// pinned reports whether some group pins the loop to at most one value per
+// entry; a nil recipe pins nothing.
+func (lb *LoopBounds) pinned() bool {
+	if lb == nil {
+		return false
+	}
+	for i := range lb.Groups {
+		if lb.Groups[i].Pinned {
+			return true
+		}
+	}
+	return false
+}
+
 // BoundGroup is the absorbed form of one constraint check.
 type BoundGroup struct {
 	// StatsID and Name identify the source constraint; iterations the
@@ -77,6 +91,12 @@ type BoundGroup struct {
 	// original check as a residual guard, so it can only ever end the
 	// group list.
 	Full bool
+
+	// Pinned reports that the group admits at most one value per loop
+	// entry: it absorbed an equality whose solve inverts no floor
+	// division (see absorbDisjunct). The expression optimizer never
+	// hoists a temp above such a loop (hoistSafe).
+	Pinned bool
 }
 
 // Probe is one monotone rejection predicate: Pred is a comparison with
@@ -286,6 +306,12 @@ func (bc *boundsCtx) absorbDisjunct(g *BoundGroup, e expr.Expr, xSlot int) bool 
 		if bc.solveInto(scratch, l, r, true, xSlot) && bc.solveInto(scratch, l, r, false, xSlot) {
 			g.Lo = append(g.Lo, scratch.Lo...)
 			g.Hi = append(g.Hi, scratch.Hi...)
+			// The solve is exact, so the bounds admit exactly the x with
+			// l == r. Every step it inverts but floor division is
+			// injective in x, so without one that is at most one value.
+			if !invertsDiv(l, xSlot) {
+				g.Pinned = true
+			}
 			return true
 		}
 		return false
@@ -374,6 +400,21 @@ func (bc *boundsCtx) solveIneq(a, t expr.Expr, le bool, xSlot int) (bound expr.E
 		}
 	}
 	return nil, false, false
+}
+
+// invertsDiv reports whether solveIneq's path to the loop variable inside
+// a passes a floor division: floor(L/R) == t holds for R values of L.
+func invertsDiv(a expr.Expr, xSlot int) bool {
+	switch n := a.(type) {
+	case *expr.Unary:
+		return invertsDiv(n.X, xSlot)
+	case *expr.Binary:
+		if refsSlot(n.L, xSlot) {
+			return n.Op == expr.OpDiv || invertsDiv(n.L, xSlot)
+		}
+		return invertsDiv(n.R, xSlot)
+	}
+	return false
 }
 
 // tryProbe absorbs an order comparison as a binary-search probe when the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/families"
 	"repro/internal/plan"
 	"repro/internal/space"
 )
@@ -85,9 +86,6 @@ func TestRunContextExplicitCancel(t *testing.T) {
 					if n.Add(1) == 3 {
 						cancel()
 					}
-					// Give the cancellation a moment to propagate so the
-					// sweep reliably ends early instead of racing to finish.
-					time.Sleep(time.Millisecond)
 					return true
 				},
 			})
@@ -97,6 +95,103 @@ func TestRunContextExplicitCancel(t *testing.T) {
 			}
 			if st == nil || !st.Cancelled {
 				t.Fatalf("%s: cancelled run did not set Stats.Cancelled", label)
+			}
+		}
+	}
+}
+
+// tileCounter wraps a backend and counts the tiles its pool workers start.
+type tileCounter struct {
+	backend
+	starts atomic.Int64
+}
+
+func (b *tileCounter) newWorker(opts Options, ctl *runCtl, depth int, leaf func(int64)) (tileWorker, error) {
+	w, err := b.backend.newWorker(opts, ctl, depth, leaf)
+	if err != nil || leaf != nil {
+		return w, err
+	}
+	return countedWorker{w, &b.starts}, nil
+}
+
+type countedWorker struct {
+	tileWorker
+	starts *atomic.Int64
+}
+
+func (w countedWorker) runTile(prefix []int64) error {
+	w.starts.Add(1)
+	return w.tileWorker.runTile(prefix)
+}
+
+// TestRunContextCancelReachesWorkers: a cancellation reaches busy workers
+// at their next tile or delivery, without waiting for the goroutine
+// context.AfterFunc starts, which needs a free P while every P runs a
+// worker. The delivery callback cancels at call k. Once cancel returns, a
+// run without a checkpoint delivers at most Workers × ChunkSize further
+// survivors. With one, no worker claims a tile after the cancelling
+// commit: at most the Workers-1 tiles the other workers claimed before it
+// still start.
+func TestRunContextCancelReachesWorkers(t *testing.T) {
+	s, err := families.Dense(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := plan.Compile(s, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, chunk, k = 2, 64, 20000
+	for _, e := range allBackends(t, prog) {
+		for _, ckpt := range []bool{false, true} {
+			label := fmt.Sprintf("%s checkpoint=%v", e.Name(), ckpt)
+			b := &tileCounter{backend: e.(backend)}
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls, atCancel atomic.Int64
+			var cancelled atomic.Bool
+			opts := Options{
+				Workers:    workers,
+				ChunkSize:  chunk,
+				SplitDepth: 2,
+				NewOnTuple: func() func([]int64) bool {
+					return func([]int64) bool {
+						if calls.Add(1) == k {
+							cancel()
+							atCancel.Store(calls.Load())
+							cancelled.Store(true)
+						}
+						return true
+					}
+				},
+			}
+			// Snapshots run one at a time, each after the commits it
+			// covers, so the first to see the cancellation follows the
+			// cancelling commit.
+			startsAtCommit := int64(-1)
+			if ckpt {
+				opts.Checkpoint = &CheckpointConfig{EveryTiles: 1, OnSnapshot: func(*Snapshot) error {
+					if startsAtCommit < 0 && cancelled.Load() {
+						startsAtCommit = b.starts.Load()
+					}
+					return nil
+				}}
+			}
+			st, err := runContext(ctx, prog, b, opts)
+			cancel()
+			if !errors.Is(err, context.Canceled) || st == nil || !st.Cancelled {
+				t.Fatalf("%s: err = %v, want context.Canceled with Cancelled stats", label, err)
+			}
+			if !ckpt {
+				if further := calls.Load() - atCancel.Load(); further > workers*chunk {
+					t.Errorf("%s: %d deliveries after cancel returned, want at most %d", label, further, workers*chunk)
+				}
+				continue
+			}
+			if startsAtCommit < 0 {
+				t.Fatalf("%s: no snapshot followed the cancelling commit", label)
+			}
+			if late := b.starts.Load() - startsAtCommit; late > workers-1 {
+				t.Errorf("%s: %d tiles started after the cancelling commit, want at most %d", label, late, workers-1)
 			}
 		}
 	}

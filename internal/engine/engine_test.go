@@ -298,6 +298,29 @@ func TestStringSettingsMatchNaive(t *testing.T) {
 	}
 }
 
+// TestHostReadsFoldedDerived: a deferred constraint and a host iterator
+// may name derived variables that fold to constants, an integer (k = n *
+// 2, which DisableFolding keeps live) and a string (tag, which always
+// folds). The host functions read them from prefilled slots, and every
+// backend, schedule and folding mode delivers the naive enumeration's
+// survivors.
+func TestHostReadsFoldedDerived(t *testing.T) {
+	ref, lit, str := expr.NewRef, expr.IntLit, expr.StrLit
+	s := space.New()
+	s.IntSetting("n", 4)
+	s.StrSetting("mode", "ab")
+	s.Derived("k", expr.Mul(ref("n"), lit(2)))
+	s.Derived("tag", expr.Add(ref("mode"), str("c")))
+	s.Range("x", lit(0), lit(12))
+	s.DeferredIter("h", []string{"k", "x"}, func(args []expr.Value) space.DomainExpr {
+		return space.NewIntList(0, args[0].I-args[1].I%3)
+	})
+	s.DeferredConstraint("host", space.Soft, []string{"k", "tag", "x"}, func(args []expr.Value) bool {
+		return args[1].S != "abc" || args[2].I >= args[0].I
+	})
+	requireNaiveSurvivors(t, "folded host deps", s)
+}
+
 func TestEmptySpaceAndPreludeRejection(t *testing.T) {
 	s := space.New()
 	s.IntSetting("n", 4)

@@ -56,9 +56,15 @@ func (o Op) String() string {
 type TypeError struct {
 	Op   string
 	A, B Value
+	// Unary marks an operator applied to one operand (negation, abs, a
+	// min/max argument, a list element): B is unset and not reported.
+	Unary bool
 }
 
 func (e *TypeError) Error() string {
+	if e.Unary {
+		return fmt.Sprintf("expr: invalid operand type for %q: %s", e.Op, e.A.K)
+	}
 	return fmt.Sprintf("expr: invalid operand types for %q: %s, %s", e.Op, e.A.K, e.B.K)
 }
 
@@ -148,7 +154,7 @@ func (u *Unary) Eval(env *Env) Value {
 	case OpNeg:
 		i, ok := v.AsInt()
 		if !ok {
-			panic(&TypeError{Op: "-", A: v})
+			panic(&TypeError{Op: "-", A: v, Unary: true})
 		}
 		return IntVal(-i)
 	case OpNot:
@@ -359,12 +365,12 @@ func (c *Call) Eval(env *Env) Value {
 	case "min", "max":
 		best, ok := c.Args[0].Eval(env).AsInt()
 		if !ok {
-			panic(&TypeError{Op: c.Fn, A: c.Args[0].Eval(env)})
+			panic(&TypeError{Op: c.Fn, A: c.Args[0].Eval(env), Unary: true})
 		}
 		for _, a := range c.Args[1:] {
 			v, ok := a.Eval(env).AsInt()
 			if !ok {
-				panic(&TypeError{Op: c.Fn, A: a.Eval(env)})
+				panic(&TypeError{Op: c.Fn, A: a.Eval(env), Unary: true})
 			}
 			if (c.Fn == "min" && v < best) || (c.Fn == "max" && v > best) {
 				best = v
@@ -374,7 +380,7 @@ func (c *Call) Eval(env *Env) Value {
 	case "abs":
 		v, ok := c.Args[0].Eval(env).AsInt()
 		if !ok {
-			panic(&TypeError{Op: "abs", A: c.Args[0].Eval(env)})
+			panic(&TypeError{Op: "abs", A: c.Args[0].Eval(env), Unary: true})
 		}
 		if v < 0 {
 			v = -v

@@ -378,19 +378,30 @@ func TestChooseSplitDepth(t *testing.T) {
 // TestFoldTypeErrors: an operator that folding applies to a string
 // setting and an integer is a *TypeError naming the entity and its
 // position, not a panic, wherever the expression sits and whatever
-// DisableFolding says.
+// DisableFolding says. An operator with one operand reports one kind.
 func TestFoldTypeErrors(t *testing.T) {
 	mode := func() expr.Expr { return expr.NewRef("mode") }
-	bad := map[string]func() expr.Expr{
-		"mode + 1":     func() expr.Expr { return expr.Add(mode(), expr.IntLit(1)) },
-		"min(mode, 1)": func() expr.Expr { return expr.MinOf(mode(), expr.IntLit(1)) },
-		"abs(mode)":    func() expr.Expr { return expr.Abs(mode()) },
-		"T[mode][0]": func() expr.Expr {
+	bad := map[string]struct {
+		e    func() expr.Expr
+		want string
+	}{
+		"mode + 1": {func() expr.Expr { return expr.Add(mode(), expr.IntLit(1)) },
+			`invalid operand types for "+": str, int`},
+		"min(mode, 1)": {func() expr.Expr { return expr.MinOf(mode(), expr.IntLit(1)) },
+			`invalid operand type for "min": str`},
+		"max(mode)": {func() expr.Expr { return expr.MaxOf(mode()) },
+			`invalid operand type for "max": str`},
+		"abs(mode)": {func() expr.Expr { return expr.Abs(mode()) },
+			`invalid operand type for "abs": str`},
+		"-mode": {func() expr.Expr { return expr.Neg(mode()) },
+			`invalid operand type for "-": str`},
+		"T[mode][0]": {func() expr.Expr {
 			return &expr.Table2D{Name: "T", Data: [][]int64{{1, 2}}, Row: mode(), Col: expr.IntLit(0), Default: -1}
-		},
+		}, `invalid operand types for "[]": str, int`},
 	}
 	pos := space.Pos{Line: 3, Col: 5}
-	for text, e := range bad {
+	for text, c := range bad {
+		e := c.e
 		for _, place := range []string{"derived variable", "constraint", "iterator"} {
 			s := space.New()
 			s.StrSetting("mode", "abc")
@@ -416,8 +427,8 @@ func TestFoldTypeErrors(t *testing.T) {
 				if te.Entity != place || te.Name != "bad" || te.Pos != pos {
 					t.Errorf("%s: error names %s %s at %s", label, te.Entity, te.Name, te.Pos)
 				}
-				if want := "plan: " + place + " bad at 3:5: expr: invalid operand types"; !strings.HasPrefix(err.Error(), want) {
-					t.Errorf("%s: message %q, want prefix %q", label, err, want)
+				if want := "plan: " + place + " bad at 3:5: expr: " + c.want; err.Error() != want {
+					t.Errorf("%s: message %q, want %q", label, err, want)
 				}
 			}
 		}

@@ -145,7 +145,7 @@ func (l *ListDomain) Iterate(env *expr.Env, yield func(int64) bool) bool {
 	for _, e := range l.Elems {
 		v, ok := e.Eval(env).AsInt()
 		if !ok {
-			panic(&expr.TypeError{Op: "list element", A: e.Eval(env)})
+			panic(&expr.TypeError{Op: "list element", A: e.Eval(env), Unary: true})
 		}
 		if !yield(v) {
 			return false

@@ -387,10 +387,12 @@ func csePressureSpace() *Space {
 // Stats.ExprOps — the per-run count of expression nodes the backend
 // walked — and temphits/op counts the subexpression evaluations the
 // optimizer's temps replaced. The gemm rows run the full 15-dim pruned
-// enumeration, where the shareable subtrees sit on lightly-visited
-// levels (the win shows in exprops, wall clock is at parity); the shared
-// rows put one large repeated subexpression on the innermost level, the
-// structural best case, where the interp's wall clock drops too.
+// enumeration, where narrowing has absorbed most checks and the temps
+// mostly serve loop-entry bound expressions: exprops falls by 23%
+// (1,247,804 against 1,615,220), and wall clock stays within run-to-run
+// spread of nocse. The shared rows put one large repeated
+// subexpression on the innermost level, the structural best case, where
+// the interp's wall clock drops too.
 func BenchmarkExprOptimizer(b *testing.B) {
 	spaces := []struct {
 		name  string

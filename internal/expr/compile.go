@@ -11,9 +11,14 @@ type IntFn func(r []int64) int64
 // CompileInt lowers a bound expression to an IntFn. The closure returns
 // what Eval returns, read through AsInt with booleans as 0/1, whenever
 // every slot the expression reads holds an integer or a boolean
-// (FuzzCompileInt checks this). A string literal, an unbound reference
-// and an unknown node do not compile; the planner rejects every program
-// whose steps or domains do not, so no register ever holds a string.
+// (FuzzCompileInt and TestCompileIntShapes check this). A string literal,
+// an unbound reference and an unknown node do not compile; the planner
+// rejects every program whose steps or domains do not, so no register
+// ever holds a string.
+//
+// An arithmetic or comparison node reads a register or constant operand
+// in place (compileLeafBinary); every other node, and a leaf on its own,
+// gets a closure of its own.
 func CompileInt(e Expr) (IntFn, error) {
 	if err := intLeafError(e); err != nil {
 		return nil, err
@@ -38,6 +43,9 @@ func CompileInt(e Expr) (IntFn, error) {
 		}
 		return nil, fmt.Errorf("bad unary op %v", n.Op)
 	case *Binary:
+		if inPlaceOp(n.Op) && (isLeaf(n.L) || isLeaf(n.R)) {
+			return compileLeafBinary(n)
+		}
 		l, err := CompileInt(n.L)
 		if err != nil {
 			return nil, err
@@ -192,6 +200,273 @@ func compileBinary(op Op, l, r IntFn) (IntFn, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("bad binary op %v", op)
+}
+
+// inPlaceOp reports whether compileLeafBinary compiles op: the arithmetic
+// and comparison operators. and/or keep the generic path.
+func inPlaceOp(op Op) bool {
+	switch op {
+	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		return true
+	}
+	return false
+}
+
+func isLeaf(e Expr) bool {
+	switch e.(type) {
+	case *Ref, *Lit:
+		return true
+	}
+	return false
+}
+
+// compileLeafBinary compiles an inPlaceOp node with at least one register
+// or constant operand to one closure that reads that operand in place:
+// r[slot] or the constant, with no closure of its own. The operator is
+// fixed when the closure is built, so each call costs one indirect call
+// per subtree operand and nothing more. A node of two constants is
+// evaluated once, here.
+func compileLeafBinary(n *Binary) (IntFn, error) {
+	if err := intLeafError(n.L); err != nil {
+		return nil, err
+	}
+	if err := intLeafError(n.R); err != nil {
+		return nil, err
+	}
+	op := n.Op
+	lr, lRef := n.L.(*Ref)
+	ll, lLit := n.L.(*Lit)
+	rr, rRef := n.R.(*Ref)
+	rl, rLit := n.R.(*Lit)
+	switch {
+	case lLit && rLit:
+		v := refLit(op, 0, rl.V.I)([]int64{ll.V.I})
+		return func([]int64) int64 { return v }, nil
+	case lRef && rLit:
+		return refLit(op, lr.Slot, rl.V.I), nil
+	case lRef && rRef:
+		return refRef(op, lr.Slot, rr.Slot), nil
+	case lLit && rRef:
+		return litRef(op, ll.V.I, rr.Slot), nil
+	case lRef || lLit:
+		g, err := CompileInt(n.R)
+		if err != nil {
+			return nil, err
+		}
+		if lRef {
+			return refFn(op, lr.Slot, g), nil
+		}
+		return litFn(op, ll.V.I, g), nil
+	}
+	f, err := CompileInt(n.L)
+	if err != nil {
+		return nil, err
+	}
+	if rRef {
+		return fnRef(op, f, rr.Slot), nil
+	}
+	return fnLit(op, f, rl.V.I), nil
+}
+
+// The seven operand shapes with a leaf, one closure per inPlaceOp each:
+// registers a and b are read in place, k is a constant, and f and g are
+// the compiled left and right subtrees. The closures are written out one
+// by one so that none switches on the operator when it runs.
+
+func refLit(op Op, a int, k int64) IntFn {
+	switch op {
+	case OpAdd:
+		return func(r []int64) int64 { return r[a] + k }
+	case OpSub:
+		return func(r []int64) int64 { return r[a] - k }
+	case OpMul:
+		return func(r []int64) int64 { return r[a] * k }
+	case OpDiv:
+		return func(r []int64) int64 { return FloorDiv(r[a], k) }
+	case OpMod:
+		return func(r []int64) int64 { return FloorMod(r[a], k) }
+	case OpEq:
+		return func(r []int64) int64 { return b2i(r[a] == k) }
+	case OpNe:
+		return func(r []int64) int64 { return b2i(r[a] != k) }
+	case OpLt:
+		return func(r []int64) int64 { return b2i(r[a] < k) }
+	case OpLe:
+		return func(r []int64) int64 { return b2i(r[a] <= k) }
+	case OpGt:
+		return func(r []int64) int64 { return b2i(r[a] > k) }
+	case OpGe:
+		return func(r []int64) int64 { return b2i(r[a] >= k) }
+	}
+	panic("expr: refLit: " + op.String())
+}
+
+func refRef(op Op, a, b int) IntFn {
+	switch op {
+	case OpAdd:
+		return func(r []int64) int64 { return r[a] + r[b] }
+	case OpSub:
+		return func(r []int64) int64 { return r[a] - r[b] }
+	case OpMul:
+		return func(r []int64) int64 { return r[a] * r[b] }
+	case OpDiv:
+		return func(r []int64) int64 { return FloorDiv(r[a], r[b]) }
+	case OpMod:
+		return func(r []int64) int64 { return FloorMod(r[a], r[b]) }
+	case OpEq:
+		return func(r []int64) int64 { return b2i(r[a] == r[b]) }
+	case OpNe:
+		return func(r []int64) int64 { return b2i(r[a] != r[b]) }
+	case OpLt:
+		return func(r []int64) int64 { return b2i(r[a] < r[b]) }
+	case OpLe:
+		return func(r []int64) int64 { return b2i(r[a] <= r[b]) }
+	case OpGt:
+		return func(r []int64) int64 { return b2i(r[a] > r[b]) }
+	case OpGe:
+		return func(r []int64) int64 { return b2i(r[a] >= r[b]) }
+	}
+	panic("expr: refRef: " + op.String())
+}
+
+func litRef(op Op, k int64, b int) IntFn {
+	switch op {
+	case OpAdd:
+		return func(r []int64) int64 { return k + r[b] }
+	case OpSub:
+		return func(r []int64) int64 { return k - r[b] }
+	case OpMul:
+		return func(r []int64) int64 { return k * r[b] }
+	case OpDiv:
+		return func(r []int64) int64 { return FloorDiv(k, r[b]) }
+	case OpMod:
+		return func(r []int64) int64 { return FloorMod(k, r[b]) }
+	case OpEq:
+		return func(r []int64) int64 { return b2i(k == r[b]) }
+	case OpNe:
+		return func(r []int64) int64 { return b2i(k != r[b]) }
+	case OpLt:
+		return func(r []int64) int64 { return b2i(k < r[b]) }
+	case OpLe:
+		return func(r []int64) int64 { return b2i(k <= r[b]) }
+	case OpGt:
+		return func(r []int64) int64 { return b2i(k > r[b]) }
+	case OpGe:
+		return func(r []int64) int64 { return b2i(k >= r[b]) }
+	}
+	panic("expr: litRef: " + op.String())
+}
+
+func fnLit(op Op, f IntFn, k int64) IntFn {
+	switch op {
+	case OpAdd:
+		return func(r []int64) int64 { return f(r) + k }
+	case OpSub:
+		return func(r []int64) int64 { return f(r) - k }
+	case OpMul:
+		return func(r []int64) int64 { return f(r) * k }
+	case OpDiv:
+		return func(r []int64) int64 { return FloorDiv(f(r), k) }
+	case OpMod:
+		return func(r []int64) int64 { return FloorMod(f(r), k) }
+	case OpEq:
+		return func(r []int64) int64 { return b2i(f(r) == k) }
+	case OpNe:
+		return func(r []int64) int64 { return b2i(f(r) != k) }
+	case OpLt:
+		return func(r []int64) int64 { return b2i(f(r) < k) }
+	case OpLe:
+		return func(r []int64) int64 { return b2i(f(r) <= k) }
+	case OpGt:
+		return func(r []int64) int64 { return b2i(f(r) > k) }
+	case OpGe:
+		return func(r []int64) int64 { return b2i(f(r) >= k) }
+	}
+	panic("expr: fnLit: " + op.String())
+}
+
+func fnRef(op Op, f IntFn, b int) IntFn {
+	switch op {
+	case OpAdd:
+		return func(r []int64) int64 { return f(r) + r[b] }
+	case OpSub:
+		return func(r []int64) int64 { return f(r) - r[b] }
+	case OpMul:
+		return func(r []int64) int64 { return f(r) * r[b] }
+	case OpDiv:
+		return func(r []int64) int64 { return FloorDiv(f(r), r[b]) }
+	case OpMod:
+		return func(r []int64) int64 { return FloorMod(f(r), r[b]) }
+	case OpEq:
+		return func(r []int64) int64 { return b2i(f(r) == r[b]) }
+	case OpNe:
+		return func(r []int64) int64 { return b2i(f(r) != r[b]) }
+	case OpLt:
+		return func(r []int64) int64 { return b2i(f(r) < r[b]) }
+	case OpLe:
+		return func(r []int64) int64 { return b2i(f(r) <= r[b]) }
+	case OpGt:
+		return func(r []int64) int64 { return b2i(f(r) > r[b]) }
+	case OpGe:
+		return func(r []int64) int64 { return b2i(f(r) >= r[b]) }
+	}
+	panic("expr: fnRef: " + op.String())
+}
+
+func refFn(op Op, a int, g IntFn) IntFn {
+	switch op {
+	case OpAdd:
+		return func(r []int64) int64 { return r[a] + g(r) }
+	case OpSub:
+		return func(r []int64) int64 { return r[a] - g(r) }
+	case OpMul:
+		return func(r []int64) int64 { return r[a] * g(r) }
+	case OpDiv:
+		return func(r []int64) int64 { return FloorDiv(r[a], g(r)) }
+	case OpMod:
+		return func(r []int64) int64 { return FloorMod(r[a], g(r)) }
+	case OpEq:
+		return func(r []int64) int64 { return b2i(r[a] == g(r)) }
+	case OpNe:
+		return func(r []int64) int64 { return b2i(r[a] != g(r)) }
+	case OpLt:
+		return func(r []int64) int64 { return b2i(r[a] < g(r)) }
+	case OpLe:
+		return func(r []int64) int64 { return b2i(r[a] <= g(r)) }
+	case OpGt:
+		return func(r []int64) int64 { return b2i(r[a] > g(r)) }
+	case OpGe:
+		return func(r []int64) int64 { return b2i(r[a] >= g(r)) }
+	}
+	panic("expr: refFn: " + op.String())
+}
+
+func litFn(op Op, k int64, g IntFn) IntFn {
+	switch op {
+	case OpAdd:
+		return func(r []int64) int64 { return k + g(r) }
+	case OpSub:
+		return func(r []int64) int64 { return k - g(r) }
+	case OpMul:
+		return func(r []int64) int64 { return k * g(r) }
+	case OpDiv:
+		return func(r []int64) int64 { return FloorDiv(k, g(r)) }
+	case OpMod:
+		return func(r []int64) int64 { return FloorMod(k, g(r)) }
+	case OpEq:
+		return func(r []int64) int64 { return b2i(k == g(r)) }
+	case OpNe:
+		return func(r []int64) int64 { return b2i(k != g(r)) }
+	case OpLt:
+		return func(r []int64) int64 { return b2i(k < g(r)) }
+	case OpLe:
+		return func(r []int64) int64 { return b2i(k <= g(r)) }
+	case OpGt:
+		return func(r []int64) int64 { return b2i(k > g(r)) }
+	case OpGe:
+		return func(r []int64) int64 { return b2i(k >= g(r)) }
+	}
+	panic("expr: litFn: " + op.String())
 }
 
 func b2i(b bool) int64 {

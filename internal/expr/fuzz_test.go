@@ -135,6 +135,17 @@ func FuzzCompileInt(f *testing.F) {
 		{[]byte{fzTable, fzX, fzY}, 0, math.MinInt64, 0},
 		{[]byte{fzTable, fzX, fzY}, 5, 0, 0},
 		{[]byte{fzBin, op(OpAdd), fzBin, op(OpGe), fzX, fzY, fzTrue}, 2, 2, 0},
+		// One seed per operand shape compileLeafBinary reads in place:
+		// register·constant, register·register, subtree·constant,
+		// subtree·register, register·subtree, constant·subtree and
+		// constant·register.
+		{[]byte{fzBin, op(OpSub), fzX, fzLit, lit(7)}, math.MinInt64, 0, 0},
+		{[]byte{fzBin, op(OpLt), fzX, fzY}, 1, -1, 0},
+		{[]byte{fzBin, op(OpMod), fzAbs, fzX, fzLit, lit(-7)}, 9, 0, 0},
+		{[]byte{fzBin, op(OpDiv), fzNeg, fzX, fzY}, 7, -2, 0},
+		{[]byte{fzBin, op(OpGe), fzX, fzNeg, fzY}, -1, 1, 0},
+		{[]byte{fzBin, op(OpSub), fzLit, lit(1), fzAbs, fzX}, math.MinInt64, 0, 0},
+		{[]byte{fzBin, op(OpDiv), fzLit, lit(-7), fzX}, 2, 0, 0},
 	} {
 		f.Add(seed.code, seed.x, seed.y, seed.z)
 	}
@@ -153,6 +164,56 @@ func FuzzCompileInt(f *testing.F) {
 			t.Fatalf("%s at x=%d y=%d z=%d: closure %d, Eval %d", e, x, y, z, got, want)
 		}
 	})
+}
+
+// TestCompileIntShapes: every operator of fuzzOps, compiled with each
+// operand a register, a constant or a subtree (a one-argument max over a
+// register) on either side, returns what Eval returns at the int64 edges
+// and small values, booleans included. This reaches every closure
+// compileLeafBinary writes out, one per operator and operand shape, the
+// generic path of two subtrees, and a node of two constants.
+func TestCompileIntShapes(t *testing.T) {
+	var vals []Value
+	for _, v := range []int64{math.MinInt64, -1, 0, 1, 7, math.MaxInt64} {
+		vals = append(vals, IntVal(v))
+	}
+	vals = append(vals, BoolVal(false), BoolVal(true))
+	const (
+		reg = iota
+		lit
+		sub
+	)
+	shapes := []string{"register", "constant", "subtree"}
+	operand := func(shape, slot int, v Value) Expr {
+		ref := &Ref{Name: string(rune('x' + slot)), Slot: slot}
+		switch shape {
+		case reg:
+			return ref
+		case lit:
+			return NewLit(v)
+		}
+		return MaxOf(ref)
+	}
+	for _, op := range fuzzOps {
+		for ls := range shapes {
+			for rs := range shapes {
+				for _, lv := range vals {
+					for _, rv := range vals {
+						e := Bin(op, operand(ls, 0, lv), operand(rs, 1, rv))
+						fn, err := CompileInt(e)
+						if err != nil {
+							t.Fatalf("%s does not compile: %v", e, err)
+						}
+						want, _ := e.Eval(&Env{Slots: []Value{lv, rv}}).AsInt()
+						if got := fn([]int64{lv.I, rv.I}); got != want {
+							t.Errorf("%s (%s %s %s) at x=%s y=%s: closure %d, Eval %d",
+								e, shapes[ls], op, shapes[rs], lv, rv, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestCompileIntRejectsStrings: a string literal and an unbound reference

@@ -317,10 +317,20 @@ type rangeShape struct {
 }
 
 // rangeShapes covers the range forms the arithmetic sizers must agree
-// with a walk on.
+// with a walk on. The shapes that read v (slot 0, which holds 0) mix
+// literal bounds, which CompileDomain keeps as constants, with computed
+// ones, which it compiles to closures.
 func rangeShapes() []rangeShape {
 	lit := expr.IntLit
+	v := &expr.Ref{Name: "v", Slot: 0}
 	return []rangeShape{
+		{"computed start, literal stop and step", v, lit(10), lit(3), false, false},
+		{"literal start and step, computed stop", lit(-4), expr.Add(v, lit(9)), lit(2), false, false},
+		{"literal start and stop, computed negative step", lit(10), lit(-5), expr.Sub(v, lit(3)), false, false},
+		{"computed bounds, literal negative step", expr.Add(v, lit(7)), expr.Sub(v, lit(2)), lit(-2), false, false},
+		{"computed bounds, literal zero step", v, expr.Add(v, lit(5)), lit(0), false, false},
+		{"literal bounds, computed zero step", lit(0), lit(5), expr.Mul(v, lit(4)), false, false},
+		{"computed bounds and step", v, expr.Add(v, lit(20)), expr.Add(v, lit(6)), false, false},
 		{"ascending", lit(0), lit(10), lit(1), false, false},
 		{"ascending, step does not divide span", lit(3), lit(100), lit(7), false, false},
 		{"descending", lit(10), lit(0), lit(-1), false, false},
@@ -377,8 +387,10 @@ func TestPickMatchesMaterialized(t *testing.T) {
 }
 
 // TestDomainLenMatchesWalk: the sizers must count what a capped walk
-// counts, for every range shape a plan can hold. The string shapes never
-// reach them: place rejects a domain that does not compile.
+// counts, and the compiled domain must yield the values
+// RangeDomain.Iterate yields, for every range shape a plan can hold. The
+// string shapes never reach them: place rejects a domain that does not
+// compile.
 func TestDomainLenMatchesWalk(t *testing.T) {
 	env := expr.NewEnv(1)
 	r := make([]int64, 1)
@@ -390,6 +402,18 @@ func TestDomainLenMatchesWalk(t *testing.T) {
 		cd, err := space.CompileDomain(d)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
+		}
+		var want, got []int64
+		d.Iterate(env, func(v int64) bool {
+			want = append(want, v)
+			return len(want) < 64
+		})
+		cd.Iterate(r, func(v int64) bool {
+			got = append(got, v)
+			return len(got) < 64
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: compiled domain yields %v, RangeDomain.Iterate %v", c.name, got, want)
 		}
 		for _, limit := range []uint64{1, 2, 7, reorderMatCap} {
 			var walked uint64

@@ -137,6 +137,16 @@ static i64 beast_max(i64 a, i64 b) { return a > b ? a : b; }
 static i64 beast_abs(i64 a) { return a < 0 && a != INT64_MIN ? -a : a; }
 `
 
+const cNarrow = `
+/* Loop-entry narrowing over the ascending range lo, lo+step, ... < hi,
+ * in uint64_t because hi - lo may exceed INT64_MAX: beast_count is the
+ * number of values, beast_nth value i (i < the count). */
+static uint64_t beast_count(i64 lo, i64 hi, i64 step) {
+    return hi > lo ? ((uint64_t)hi - (uint64_t)lo - 1) / (uint64_t)step + 1 : 0;
+}
+static i64 beast_nth(i64 lo, i64 step, uint64_t i) { return (i64)((uint64_t)lo + i * (uint64_t)step); }
+`
+
 const cPopcount = `
 /* Set-bit count (SWAR) for the chunked inner loop's survivor mask. */
 static i64 beast_popcount(uint64_t x) {
@@ -177,6 +187,12 @@ func (e *emitter) cPreamble(threads bool) {
 	}
 	e.blank()
 	e.b.WriteString(cHelpers)
+	for _, lp := range prog.Loops {
+		if lp.Bounds != nil {
+			e.b.WriteString(cNarrow)
+			break
+		}
+	}
 	if e.chunk > 1 {
 		e.b.WriteString(cPopcount)
 	}

@@ -307,6 +307,74 @@ func TestInt64EdgeHelpers(t *testing.T) {
 	}
 }
 
+// TestWideRangeNarrowing: over x = range(-2^62, 2^62, 2^61), whose
+// stop - start exceeds MaxInt64, the emitted C (at -O0 and -O2, and on
+// two threads) and the emitted Go credit each absorbed constraint with
+// the kills, and deliver the survivors, of an engine run without
+// narrowing. The constraints reach a Lo bound, a Hi bound, a
+// suffix-feasible and a prefix-feasible probe; engine.TestNarrowWideRange
+// pins the same spaces on the engines.
+func TestWideRangeNarrowing(t *testing.T) {
+	x, lit := expr.NewRef("x"), expr.IntLit
+	constraints := []expr.Expr{
+		expr.Lt(x, lit(5)),
+		expr.Gt(x, lit(-5)),
+		expr.Lt(expr.MinOf(x, lit(7)), lit(5)),
+		expr.Gt(expr.MaxOf(x, lit(-7)), lit(5)),
+	}
+	goFiles := map[string]string{}
+	var goMain strings.Builder
+	goWant := map[string]string{}
+	for i, c := range constraints {
+		s := space.New()
+		s.RangeStep("x", lit(-1<<62), lit(1<<62), lit(1<<61))
+		s.Constrain("c", space.Hard, c)
+		prog := compileProg(t, s)
+		if prog.Loops[0].Bounds == nil {
+			t.Fatalf("%s: the constraint was not absorbed into bounds", c)
+		}
+		ref, err := plan.Compile(s, plan.Options{DisableNarrowing: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := engineStats(t, ref)
+		for _, chunk := range []int{0, 64} {
+			src, err := C(prog, COptions{Main: true, Threads: true, ChunkSize: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []struct {
+				opt  string
+				args []string
+			}{{"-O0", nil}, {"-O2", nil}, {"-O2", []string{"2"}}} {
+				survivors, _, kills := parseSweep(buildRunC(t, src, []string{run.opt}, run.args...))
+				if survivors != want.Survivors || kills["c"] != want.Kills[0] {
+					t.Errorf("%s: C chunk=%d %s %v: survivors %d kills %d, without narrowing %d and %d",
+						c, chunk, run.opt, run.args, survivors, kills["c"], want.Survivors, want.Kills[0])
+				}
+			}
+			fn := fmt.Sprintf("sweep%d_%d", i, chunk)
+			gosrc, err := Go(prog, GoOptions{Package: "main", FuncName: fn, StatsType: fn + "_stats", OmitShared: len(goFiles) > 0, ChunkSize: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			goFiles[fn+".go"] = gosrc
+			fmt.Fprintf(&goMain, "\t{\n\t\tst := %s(nil)\n\t\tfmt.Println(%q, st.Survivors, st.Kills[0])\n\t}\n", fn, fn)
+			goWant[fn] = fmt.Sprintf("%s %d %d", fn, want.Survivors, want.Kills[0])
+		}
+	}
+	goFiles["main.go"] = "package main\n\nimport \"fmt\"\n\nfunc main() {\n" + goMain.String() + "}\n"
+	got := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(runGeneratedGo(t, goFiles)), "\n") {
+		got[strings.Fields(line)[0]] = line
+	}
+	for fn, want := range goWant {
+		if got[fn] != want {
+			t.Errorf("Go: %q, without narrowing %q", got[fn], want)
+		}
+	}
+}
+
 // TestLoopFreeProgram runs a settings-only program in both languages,
 // with its prelude check passing and failing: the survivor count and the
 // number of delivered empty tuples match the engine.

@@ -493,39 +493,49 @@ func (e *emitter) emitChunkBody(d int) error {
 // step grid, Hi bounds clamp, monotone probes binary-search the feasible
 // boundary — and the values a group skips are credited to its
 // constraint's checks/kills counters, so the funnel matches a
-// non-narrowed sweep. dynStep guards the whole block on a positive
-// runtime step; tid0 restricts the crediting to thread 0 in the striped
-// variant, where every thread narrows the outer loop but the skips must
-// be counted once.
+// non-narrowed sweep. As in the engines, the count beast_n_d of values
+// left is kept as the bounds move, and counts and trial values are taken
+// in uint64 (beast_count, beast_nth), so a range wider than MaxInt64
+// narrows exactly. dynStep guards the whole block on a positive runtime
+// step; tid0 restricts the crediting to thread 0 in the striped variant,
+// where every thread narrows the outer loop but the skips must be counted
+// once.
 func (e *emitter) emitNarrow(d int, lp *plan.Loop, dynStep, tid0 bool) error {
 	x := e.d
 	lo, hi, step := fmt.Sprintf("beast_lo_%d", d), fmt.Sprintf("beast_hi_%d", d), fmt.Sprintf("beast_step_%d", d)
 	b, sl, sh, mid := fmt.Sprintf("beast_b_%d", d), fmt.Sprintf("beast_sl_%d", d), fmt.Sprintf("beast_sh_%d", d), fmt.Sprintf("beast_mid_%d", d)
-	count := "(" + x.ternary("i64", hi+" > "+lo, fmt.Sprintf("(%s - %s + %s - 1) / %s", hi, lo, step, step), "0") + ")"
+	n, k, before := fmt.Sprintf("beast_n_%d", d), fmt.Sprintf("beast_k_%d", d), fmt.Sprintf("beast_before_%d", d)
+	count := func(to string) string { return fmt.Sprintf("beast_count(%s, %s, %s)", lo, to, step) }
+	nth := func(i string) string { return fmt.Sprintf("beast_nth(%s, %s, %s)", lo, step, i) }
+	// dropFirst drops the first i values: the range empties when i
+	// reaches the count.
+	dropFirst := func(i string) string {
+		return fmt.Sprintf("%s { %s = %s; %s -= %s; } else { %s = %s; %s = 0; }", x.ifc(i+" < "+n), lo, nth(i), n, i, lo, hi, n)
+	}
 	if dynStep {
 		e.w("%s {", x.ifc(step+" > 0"))
 		e.indent++
 	}
+	e.w("%s;", x.decl("uint64_t", n, count(hi)))
 	v := e.ident(lp.Iter.Name)
 	for gi := range lp.Bounds.Groups {
 		grp := &lp.Bounds.Groups[gi]
 		e.w("{ /* narrow: %s (%s) */", grp.Name, e.prog.Constraints[grp.StatsID].Class)
 		e.indent++
-		e.w("%s;", x.decl("const i64", fmt.Sprintf("beast_before_%d", d), count))
+		e.w("%s;", x.decl("uint64_t", before, n))
 		for _, bound := range grp.Lo {
 			val, err := e.expr(bound)
 			if err != nil {
 				return err
 			}
-			e.w("{ %s; %s%s }", x.decl("const i64", b, val), x.ifc(b+" > "+lo),
-				x.one(fmt.Sprintf("%s += ((%s - %s + %s - 1) / %s) * %s", lo, b, lo, step, step, step)))
+			e.w("{ %s; %s { %s; %s } }", x.decl("const i64", b, val), x.ifc(b+" > "+lo), x.decl("uint64_t", k, count(b)), dropFirst(k))
 		}
 		for _, bound := range grp.Hi {
 			val, err := e.expr(bound)
 			if err != nil {
 				return err
 			}
-			e.w("{ %s; %s%s }", x.decl("const i64", b, val), x.ifc(b+" < "+hi), x.one(hi+" = "+b))
+			e.w("{ %s; %s { %s = %s; %s = %s; } }", x.decl("const i64", b, val), x.ifc(b+" < "+hi), hi, b, n, count(hi))
 		}
 		for pi := range grp.Probes {
 			p := &grp.Probes[pi]
@@ -535,11 +545,11 @@ func (e *emitter) emitNarrow(d int, lp *plan.Loop, dynStep, tid0 bool) error {
 			}
 			e.w("{")
 			e.indent++
-			e.w("%s;", x.decl("i64", sl, "0", sh, count))
+			e.w("%s;", x.decl("uint64_t", sl, "0", sh, n))
 			e.w("%s {", x.loop("", sl+" < "+sh, ""))
 			e.indent++
-			e.w("%s;", x.decl("const i64", mid, fmt.Sprintf("%s + (%s - %s) / 2", sl, sh, sl)))
-			e.w("%s;", x.decl("const i64", v, fmt.Sprintf("%s + %s * %s", lo, mid, step)))
+			e.w("%s;", x.decl("uint64_t", mid, fmt.Sprintf("%s + (%s - %s) / 2", sl, sh, sl)))
+			e.w("%s;", x.decl("const i64", v, nth(mid)))
 			// A suffix-feasible probe finds the first passing value, a
 			// prefix-feasible one the first failing value.
 			cond := x.truth(pred)
@@ -550,15 +560,15 @@ func (e *emitter) emitNarrow(d int, lp *plan.Loop, dynStep, tid0 bool) error {
 			e.indent--
 			e.w("}")
 			if p.SuffixFeasible {
-				e.w("%s += %s * %s;", lo, sl, step)
+				e.w("%s", dropFirst(sl))
 			} else {
-				e.w("%s = %s + %s * %s;", hi, lo, sl, step)
+				e.w("%s { %s = %s; %s = %s; }", x.ifc(sl+" < "+n), hi, nth(sl), n, sl)
 			}
 			e.indent--
 			e.w("}")
 		}
 		skip := fmt.Sprintf("beast_skip_%d", d)
-		e.w("%s;", x.decl("const i64", skip, fmt.Sprintf("beast_before_%d - %s", d, count)))
+		e.w("%s;", x.decl("const i64", skip, before+" - "+n))
 		credit := skip + " > 0"
 		if tid0 {
 			credit += " && tid == 0"

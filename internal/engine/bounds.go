@@ -95,10 +95,14 @@ func lowerLoopBounds(lb *plan.LoopBounds, slot int, lower boundLowering) (*compi
 // returning the tightened bounds. step must be positive. Skipped
 // iterations are credited in st at loop depth d. Probes write trial
 // values into the loop-variable register; callers reset it afterwards
-// (every caller stores the start value before iterating).
+// (every caller stores the start value before iterating). The count n of
+// values left is kept as the bounds move, counted in uint64 as
+// plan.rangeLen counts, so a range wider than MaxInt64 narrows exactly;
+// a bound or probe past the last value empties the range (lo = hi).
 func narrowRange(cb *compiledBounds, reg []int64, start, stop, step int64, st *Stats, d int) (int64, int64) {
 	lo, hi := start, stop
-	if rangeCount(lo, hi, step) == 0 {
+	n := rangeCount(lo, hi, step)
+	if n == 0 {
 		return lo, hi
 	}
 	if cb.tempRefs > 0 {
@@ -107,40 +111,37 @@ func narrowRange(cb *compiledBounds, reg []int64, start, stop, step int64, st *S
 	var totalSkipped int64
 	for gi := range cb.groups {
 		g := &cb.groups[gi]
-		before := rangeCount(lo, hi, step)
-		if before == 0 {
+		if n == 0 {
 			break
 		}
+		before := n
 		for _, fn := range g.lo {
 			if b := fn(reg); b > lo {
-				lo += ceilDiv(b-lo, step) * step
+				lo, n = dropFirst(lo, hi, step, n, rangeCount(lo, b, step))
 			}
 		}
 		for _, fn := range g.hi {
 			if b := fn(reg); b < hi {
 				hi = b
+				n = rangeCount(lo, hi, step)
 			}
 		}
 		for pi := range g.probes {
 			p := &g.probes[pi]
-			n := rangeCount(lo, hi, step)
 			if n == 0 {
 				break
 			}
-			rejects := func(i int64) bool {
-				reg[p.slot] = lo + i*step
+			rejects := func(i uint64) bool {
+				reg[p.slot] = nth(lo, step, i)
 				return p.pred(reg) != 0
 			}
-			var k int64
 			if p.suffix {
-				k = searchK(n, func(i int64) bool { return !rejects(i) })
-				lo += k * step
-			} else {
-				k = searchK(n, rejects)
-				hi = lo + k*step
+				lo, n = dropFirst(lo, hi, step, n, searchK(n, func(i uint64) bool { return !rejects(i) }))
+			} else if k := searchK(n, rejects); k < n {
+				hi, n = nth(lo, step, k), k
 			}
 		}
-		if skipped := before - rangeCount(lo, hi, step); skipped > 0 {
+		if skipped := int64(before - n); skipped > 0 {
 			st.Checks[g.statsID] += skipped
 			st.Kills[g.statsID] += skipped
 			totalSkipped += skipped
@@ -154,21 +155,32 @@ func narrowRange(cb *compiledBounds, reg []int64, start, stop, step int64, st *S
 }
 
 // rangeCount returns the number of values of the ascending progression
-// start, start+step, ... below stop.
-func rangeCount(start, stop, step int64) int64 {
+// start, start+step, ... below stop, in uint64: stop - start may exceed
+// MaxInt64.
+func rangeCount(start, stop, step int64) uint64 {
 	if stop <= start {
 		return 0
 	}
-	return (stop - start + step - 1) / step
+	return (uint64(stop)-uint64(start)-1)/uint64(step) + 1
 }
 
-// ceilDiv returns ceil(a/b) for a >= 0, b >= 1.
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
+// nth returns value i of the progression from lo, for i below its count,
+// where it cannot wrap.
+func nth(lo, step int64, i uint64) int64 { return int64(uint64(lo) + i*uint64(step)) }
+
+// dropFirst drops the first k of the n values of [lo, hi), returning the
+// new start and count: hi and 0 when k reaches n.
+func dropFirst(lo, hi, step int64, n, k uint64) (int64, uint64) {
+	if k >= n {
+		return hi, 0
+	}
+	return nth(lo, step, k), n - k
+}
 
 // searchK returns the smallest k in [0, n] with f(k) true, assuming f is
 // monotone (false for a prefix of ks, true for the rest).
-func searchK(n int64, f func(int64) bool) int64 {
-	lo, hi := int64(0), n
+func searchK(n uint64, f func(uint64) bool) uint64 {
+	lo, hi := uint64(0), n
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if f(mid) {

@@ -265,14 +265,15 @@ func (s *Stats) TotalIterationsSkipped() int64 {
 	return t
 }
 
-// ExprOps derives the total number of expression-tree nodes the run
+// ExprOps derives the number of expression-tree nodes the run's steps
 // evaluated: for each step, the node count of its expression times the
 // number of times the step executed (loop visits at its depth, minus the
 // iterations already killed by earlier checks at the same depth). It is
 // computed from the plan and the counters after the run, so it costs
 // nothing in the hot loop, and it is the quantity the CSE ablation
 // reduces: temps shrink the per-visit node count of every step that
-// shares a subexpression.
+// shares a subexpression. It counts steps only: the Lo/Hi bounds and
+// probes a narrowed loop evaluates at every entry are not in it.
 func (s *Stats) ExprOps(prog *plan.Program) int64 {
 	var total int64
 	countSteps := func(steps []plan.Step, visits int64) {

@@ -69,11 +69,11 @@ type Options struct {
 	Workers int
 
 	// SplitDepth overrides the tiling depth: tiles are value tuples of
-	// loops 0..SplitDepth-1. Zero (the default) lets the planner's
-	// cardinality analysis pick a depth that yields roughly 8 tiles per
-	// worker. It applies to every tiled run: Workers > 1, or any run with
-	// Checkpoint set (Resume forces the snapshot's depth instead). An
-	// untiled run ignores it.
+	// loops 0..SplitDepth-1. Zero (the default) lets the tiler descend
+	// until it has 32 tiles per worker or the next level's tiles would
+	// carry too little estimated work. It applies to every tiled run:
+	// Workers > 1, or any run with Checkpoint set (Resume forces the
+	// snapshot's depth instead). An untiled run ignores it.
 	SplitDepth int
 
 	// OnTuple, if non-nil, is called for every surviving tuple with the

@@ -845,9 +845,9 @@ const DefaultLoopCard = 8
 // nest order. Domains that depend only on settings and prelude-derived
 // values are sized against the prelude environment, exactly up to 1<<22
 // values; everything else gets DefaultLoopCard. The parallel scheduler
-// uses these estimates to pick its prefix split depth (§X.B: the level
-// sets make the nest embarrassingly parallel at L0; the estimates say how
-// many levels are worth tiling).
+// reads them only as a floor on the work under one tile (§X.B: the level
+// sets make the nest embarrassingly parallel at L0; the realized tile
+// counts say how many levels are worth tiling).
 func (p *Program) EstimateLoopCards() []int64 {
 	env := p.NewEnv()
 	runPreludeAssigns(p, env)
@@ -896,37 +896,6 @@ func envWalkLen(d space.DomainExpr, env *expr.Env, limit uint64) (n uint64) {
 		n++
 		return n < limit
 	})
-	return n
-}
-
-// ChooseSplitDepth picks the prefix depth K for the parallel scheduler:
-// the smallest K in [1, len(Loops)] whose estimated prefix-tile count
-// (the product of the first K loop cardinalities) reaches target. With no
-// loops it returns 0. An estimated-empty level stops the search early —
-// tiling will discover the truth at run time either way.
-func ChooseSplitDepth(p *Program, target int) int {
-	n := len(p.Loops)
-	if n == 0 {
-		return 0
-	}
-	if target < 1 {
-		target = 1
-	}
-	cards := p.EstimateLoopCards()
-	prod := int64(1)
-	for k := 0; k < n; k++ {
-		c := cards[k]
-		if c <= 0 {
-			return k + 1
-		}
-		if prod > int64(target)/c {
-			return k + 1 // prod*c >= target without overflow risk
-		}
-		prod *= c
-		if prod >= int64(target) {
-			return k + 1
-		}
-	}
 	return n
 }
 

@@ -335,46 +335,6 @@ func TestEstimateLoopCards(t *testing.T) {
 	}
 }
 
-func TestChooseSplitDepth(t *testing.T) {
-	mk := func(bounds ...int64) *Program {
-		s := space.New()
-		for i, b := range bounds {
-			s.Range(string(rune('a'+i)), expr.IntLit(0), expr.IntLit(b))
-		}
-		prog, err := Compile(s, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prog
-	}
-	cases := []struct {
-		bounds []int64
-		target int
-		want   int
-	}{
-		{[]int64{10, 10, 10}, 8, 1}, // outer loop alone suffices
-		{[]int64{4, 4, 4}, 8, 2},    // needs two levels: 4*4 = 16 >= 8
-		{[]int64{2, 2, 2}, 64, 3},   // never reaches target: full depth
-		{[]int64{3, 100}, 64, 2},    // second level carries the weight
-		{[]int64{5}, 1, 1},          // trivial target
-		{[]int64{0, 9}, 8, 1},       // empty level stops the search
-	}
-	for _, tc := range cases {
-		if got := ChooseSplitDepth(mk(tc.bounds...), tc.target); got != tc.want {
-			t.Errorf("ChooseSplitDepth(%v, %d) = %d, want %d", tc.bounds, tc.target, got, tc.want)
-		}
-	}
-	// No loops: depth 0.
-	s := space.New()
-	prog, err := Compile(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ChooseSplitDepth(prog, 8); got != 0 {
-		t.Errorf("empty program split depth = %d, want 0", got)
-	}
-}
-
 // TestFoldTypeErrors: an operator that folding applies to a string
 // setting and an integer is a *TypeError naming the entity and its
 // position, not a panic, wherever the expression sits and whatever

@@ -92,7 +92,7 @@ asan-smoke:
 		flags="-chunk $$chunk"; test $$threads = 1 || flags="$$flags -c-threads"; \
 		echo "asan-smoke: chunk=$$chunk threads=$$threads"; \
 		/tmp/beast-spacegen -gemm dgemm_nn -scale 16 -lang c -c-main $$flags -o /tmp/beast_asan_sweep.c; \
-		gcc -O1 -g -fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer \
+		gcc -O1 -g -Werror=unused-function -fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer \
 			-o /tmp/beast_asan_sweep /tmp/beast_asan_sweep.c -lpthread; \
 		/tmp/beast_asan_sweep $$threads; \
 	done; done

@@ -92,7 +92,8 @@ func haveCC(t *testing.T) string {
 }
 
 // buildRunC compiles emitted C at -O2 with the given extra compiler flags,
-// runs it with args and returns its output.
+// runs it with args and returns its output. A helper the program defines
+// but never calls fails the build.
 func buildRunC(t *testing.T, src string, ccFlags []string, args ...string) string {
 	t.Helper()
 	cc := haveCC(t)
@@ -102,7 +103,7 @@ func buildRunC(t *testing.T, src string, ccFlags []string, args ...string) strin
 		t.Fatal(err)
 	}
 	bin := filepath.Join(dir, "sweep")
-	cmd := exec.Command(cc, append([]string{"-O2", "-std=c99", "-o", bin, cpath, "-lpthread"}, ccFlags...)...)
+	cmd := exec.Command(cc, append([]string{"-O2", "-std=c99", "-Werror=unused-function", "-o", bin, cpath, "-lpthread"}, ccFlags...)...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("cc failed: %v\n%s\n--- source ---\n%s", err, out, numberLines(src))
 	}

@@ -93,12 +93,23 @@ type emitter struct {
 	// while a chunked step body is being emitted.
 	chunk   int
 	laneSub map[string]string
+	// calls records the shared helpers the code calls (call); the C
+	// preamble defines only those, at byte helpersAt.
+	calls     map[string]bool
+	helpersAt int
 }
 
 func newEmitter(prog *plan.Program, d dialect, chunk int) *emitter {
-	e := &emitter{prog: prog, d: d, chunk: genChunkSize(chunk, prog)}
+	e := &emitter{prog: prog, d: d, chunk: genChunkSize(chunk, prog), calls: make(map[string]bool)}
 	e.collectTables()
 	return e
+}
+
+// call returns a call of the shared helper fn on args and records that
+// the program uses it.
+func (e *emitter) call(fn string, args ...string) string {
+	e.calls[fn] = true
+	return fn + "(" + strings.Join(args, ", ") + ")"
 }
 
 func (e *emitter) w(format string, args ...any) {
@@ -468,7 +479,7 @@ func (e *emitter) emitChunkBody(d int) error {
 		}
 		e.w("%s {", x.ifc(x.truth("beast_kill")))
 		e.indent++
-		e.w("%s;", x.decl("const i64", "beast_kc", "beast_popcount(beast_kill)"))
+		e.w("%s;", x.decl("const i64", "beast_kc", e.call("beast_popcount", "beast_kill")))
 		e.w("%s[%d] += beast_kc;", x.stat("kills"), st.StatsID)
 		e.w("beast_mask &= %s;", x.complement("beast_kill"))
 		e.w("beast_live -= beast_kc;")
@@ -505,8 +516,8 @@ func (e *emitter) emitNarrow(d int, lp *plan.Loop, dynStep, tid0 bool) error {
 	lo, hi, step := fmt.Sprintf("beast_lo_%d", d), fmt.Sprintf("beast_hi_%d", d), fmt.Sprintf("beast_step_%d", d)
 	b, sl, sh, mid := fmt.Sprintf("beast_b_%d", d), fmt.Sprintf("beast_sl_%d", d), fmt.Sprintf("beast_sh_%d", d), fmt.Sprintf("beast_mid_%d", d)
 	n, k, before := fmt.Sprintf("beast_n_%d", d), fmt.Sprintf("beast_k_%d", d), fmt.Sprintf("beast_before_%d", d)
-	count := func(to string) string { return fmt.Sprintf("beast_count(%s, %s, %s)", lo, to, step) }
-	nth := func(i string) string { return fmt.Sprintf("beast_nth(%s, %s, %s)", lo, step, i) }
+	count := func(to string) string { return e.call("beast_count", lo, to, step) }
+	nth := func(i string) string { return e.call("beast_nth", lo, step, i) }
 	// dropFirst drops the first i values: the range empties when i
 	// reaches the count.
 	dropFirst := func(i string) string {
@@ -647,9 +658,9 @@ func (e *emitter) expr(x expr.Expr) (string, error) {
 		}
 		switch n.Op {
 		case expr.OpDiv:
-			return fmt.Sprintf("beast_div(%s, %s)", a[0], a[1]), nil
+			return e.call("beast_div", a[0], a[1]), nil
 		case expr.OpMod:
-			return fmt.Sprintf("beast_mod(%s, %s)", a[0], a[1]), nil
+			return e.call("beast_mod", a[0], a[1]), nil
 		case expr.OpAnd:
 			return e.d.boolInt(fmt.Sprintf("(%s && %s)", e.d.truth(a[0]), e.d.truth(a[1]))), nil
 		case expr.OpOr:
@@ -674,11 +685,11 @@ func (e *emitter) expr(x expr.Expr) (string, error) {
 		}
 		switch n.Fn {
 		case "abs":
-			return fmt.Sprintf("beast_abs(%s)", a[0]), nil
+			return e.call("beast_abs", a[0]), nil
 		case "min", "max":
 			out := a[0]
 			for _, b := range a[1:] {
-				out = fmt.Sprintf("beast_%s(%s, %s)", n.Fn, out, b)
+				out = e.call("beast_"+n.Fn, out, b)
 			}
 			return out, nil
 		}

@@ -24,6 +24,8 @@
 package beast
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
@@ -211,7 +213,13 @@ func BenchmarkGEMMSweep(b *testing.B) {
 }
 
 // BenchmarkGEMMSweepParallel is the §X.B multithreading claim: prefix-tile
-// scheduling across workers on the pruned GEMM sweep.
+// scheduling across workers on the pruned GEMM sweep. Two more rows run
+// beastbench's checkpoint legs in miniature on 2 workers, chunk 64, with a
+// snapshot every quarter of the tiles and every survivor delivered: a
+// checkpointed sweep, and a sweep cancelled at half its survivors and
+// resumed from its checkpoint. A checkpointed worker holds a tile's
+// survivors until the tile commits, so these rows feel the size of the
+// largest tile. Every row reports the realized tile count.
 func BenchmarkGEMMSweepParallel(b *testing.B) {
 	prog := gemmBenchProgram(b)
 	comp, err := engine.NewCompiled(prog)
@@ -220,13 +228,66 @@ func BenchmarkGEMMSweepParallel(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			var st *engine.Stats
 			for i := 0; i < b.N; i++ {
-				if _, err := comp.Run(engine.Options{Workers: workers}); err != nil {
+				if st, err = comp.Run(engine.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(st.Tiles), "tiles/op")
 		})
 	}
+	opts := engine.Options{Workers: 2, ChunkSize: 64}
+	clean, err := comp.Run(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fp := checkpoint.Fingerprint(prog, comp.Name(), opts)
+	every := max(1, clean.Tiles/4)
+	deliver := func([]int64) bool { return true }
+	sweep := func(b *testing.B, ctx context.Context, path string, onTuple func([]int64) bool, resume *engine.ResumeState) *engine.Stats {
+		o := opts
+		o.OnTuple, o.Resume = onTuple, resume
+		o.Checkpoint = checkpoint.NewWriter(path, fp, every, nil)
+		st, err := comp.RunContext(ctx, o)
+		if err != nil && !errors.Is(err, context.Canceled) {
+			b.Fatal(err)
+		}
+		return st
+	}
+	b.Run("workers2-checkpointed", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "sweep.ckpt")
+		var st *engine.Stats
+		for i := 0; i < b.N; i++ {
+			if st = sweep(b, context.Background(), path, deliver, nil); st.Survivors != clean.Survivors {
+				b.Fatalf("%d survivors, want %d", st.Survivors, clean.Survivors)
+			}
+		}
+		b.ReportMetric(float64(st.Tiles), "tiles/op")
+	})
+	b.Run("workers2-resumed", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "sweep.ckpt")
+		var st *engine.Stats
+		for i := 0; i < b.N; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			var seen atomic.Int64
+			sweep(b, ctx, path, func([]int64) bool {
+				if seen.Add(1) == clean.Survivors/2 {
+					cancel()
+				}
+				return true
+			}, nil)
+			cancel()
+			rs, _, err := checkpoint.Resume(path, fp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st = sweep(b, context.Background(), path, deliver, rs); st.Survivors != clean.Survivors {
+				b.Fatalf("%d survivors after the resume, want %d", st.Survivors, clean.Survivors)
+			}
+		}
+		b.ReportMetric(float64(st.Tiles), "tiles/op")
+	})
 }
 
 // BenchmarkParallelScaling measures the dynamic scheduler on a deliberately

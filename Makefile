@@ -83,7 +83,8 @@ lint-specs:
 
 # Compile the generated C sweep under ASan+UBSan and run it: memory and
 # undefined-behaviour smoke over the codegen backend. UBSan stops at its
-# first report, so undefined behaviour fails the target. Four variants:
+# first report, so undefined behaviour fails the target, and an unused
+# helper or variable fails the build. Four variants:
 # chunked and scalar innermost loops, each sequential and on 4 pthreads.
 asan-smoke:
 	@command -v gcc >/dev/null 2>&1 || { echo "gcc not installed; skipping"; exit 0; }
@@ -92,7 +93,7 @@ asan-smoke:
 		flags="-chunk $$chunk"; test $$threads = 1 || flags="$$flags -c-threads"; \
 		echo "asan-smoke: chunk=$$chunk threads=$$threads"; \
 		/tmp/beast-spacegen -gemm dgemm_nn -scale 16 -lang c -c-main $$flags -o /tmp/beast_asan_sweep.c; \
-		gcc -O1 -g -Werror=unused-function -fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer \
+		gcc -O1 -g -Werror=unused-function -Werror=unused-variable -fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer \
 			-o /tmp/beast_asan_sweep /tmp/beast_asan_sweep.c -lpthread; \
 		/tmp/beast_asan_sweep $$threads; \
 	done; done

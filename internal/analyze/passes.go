@@ -77,6 +77,12 @@ func passBoundsContradiction(ctx *context) {
 				lo, hi := ctx.narIv.Expr(e)
 				his = append(his, bound{g.Name, lo, hi})
 			}
+			for _, p := range g.Pins {
+				// A pin admits one value v: a Lo of v and a Hi of v+1.
+				lo, hi := ctx.narIv.Pin(p)
+				los = append(los, bound{g.Name, lo, hi})
+				his = append(his, bound{g.Name, satInc(lo), satInc(hi)})
+			}
 		}
 		for _, b := range los {
 			// Feasible values satisfy v >= Lo; if every possible Lo
@@ -315,6 +321,14 @@ func disjuncts(e expr.Expr) []expr.Expr {
 		return append(disjuncts(b.L), disjuncts(b.R)...)
 	}
 	return []expr.Expr{e}
+}
+
+// satInc adds one, saturating at MaxInt64.
+func satInc(v int64) int64 {
+	if v == math.MaxInt64 {
+		return v
+	}
+	return v + 1
 }
 
 // satProd multiplies loop-cardinality estimates, saturating at MaxInt64.

@@ -165,6 +165,16 @@ static uint64_t beast_count(i64 lo, i64 hi, i64 step) {
 }
 `},
 	{"beast_nth", "static i64 beast_nth(i64 lo, i64 step, uint64_t i) { return (i64)((uint64_t)lo + i * (uint64_t)step); }\n"},
+	{"beast_pin", `
+/* Pin narrowing: num / den when den >= 1 divides num and the value lies
+ * on the range lo, lo+step, ... < hi; hi when no value does. */
+static i64 beast_pin(i64 num, i64 den, i64 lo, i64 hi, i64 step) {
+    if (den < 1) return hi;
+    const i64 q = num / den, r = num % den;
+    if (r != 0 || q < lo || q >= hi) return hi;
+    return step == 1 || ((uint64_t)q - (uint64_t)lo) % (uint64_t)step == 0 ? q : hi;
+}
+`},
 	{"beast_popcount", `
 /* Set-bit count (SWAR) for the chunked inner loop's survivor mask. */
 static i64 beast_popcount(uint64_t x) {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/gemm"
+	"repro/internal/naive"
 	"repro/internal/plan"
 	"repro/internal/space"
 )
@@ -93,7 +94,8 @@ func haveCC(t *testing.T) string {
 
 // buildRunC compiles emitted C at -O2 with the given extra compiler flags,
 // runs it with args and returns its output. A helper the program defines
-// but never calls fails the build.
+// but never calls, or a variable it declares but never reads, fails the
+// build.
 func buildRunC(t *testing.T, src string, ccFlags []string, args ...string) string {
 	t.Helper()
 	cc := haveCC(t)
@@ -103,7 +105,7 @@ func buildRunC(t *testing.T, src string, ccFlags []string, args ...string) strin
 		t.Fatal(err)
 	}
 	bin := filepath.Join(dir, "sweep")
-	cmd := exec.Command(cc, append([]string{"-O2", "-std=c99", "-Werror=unused-function", "-o", bin, cpath, "-lpthread"}, ccFlags...)...)
+	cmd := exec.Command(cc, append([]string{"-O2", "-std=c99", "-Werror=unused-function", "-Werror=unused-variable", "-o", bin, cpath, "-lpthread"}, ccFlags...)...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("cc failed: %v\n%s\n--- source ---\n%s", err, out, numberLines(src))
 	}
@@ -376,6 +378,157 @@ func TestWideRangeNarrowing(t *testing.T) {
 	}
 }
 
+// TestWrapSpecsGenerated: the two specs whose absorbed bound once wrapped
+// (naive.WrapCorpus: a ceiling bound and a pin against big = MaxInt64)
+// reject every x, with and without narrowing, in the emitted C (scalar and
+// chunked, on one and two threads) and in the emitted Go;
+// engine.TestNarrowWrapSpecs pins the same specs on the engines.
+func TestWrapSpecsGenerated(t *testing.T) {
+	goFiles := map[string]string{}
+	var goMain strings.Builder
+	goWant := map[string]string{}
+	for i, tc := range naive.WrapCorpus() {
+		want := len(naive.Survivors(t, tc.Space))
+		for _, noNarrow := range []bool{false, true} {
+			prog, err := plan.Compile(tc.Space, plan.Options{DisableNarrowing: noNarrow, Verify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range []int{0, 64} {
+				label := fmt.Sprintf("%s no-narrow=%v chunk=%d", tc.Name, noNarrow, chunk)
+				src, err := C(prog, COptions{Main: true, Threads: true, ChunkSize: chunk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, args := range [][]string{nil, {"2"}} {
+					survivors, _, kills := parseSweep(buildRunC(t, src, nil, args...))
+					if survivors != int64(want) || kills["c"] != 10 {
+						t.Errorf("%s: C %v: survivors %d kills %d, naive enumeration %d and 10 kills", label, args, survivors, kills["c"], want)
+					}
+				}
+				fn := fmt.Sprintf("sweep%d_%v_%d", i, noNarrow, chunk)
+				gosrc, err := Go(prog, GoOptions{Package: "main", FuncName: fn, StatsType: fn + "_stats", OmitShared: len(goFiles) > 0, ChunkSize: chunk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				goFiles[fn+".go"] = gosrc
+				fmt.Fprintf(&goMain, "\t{\n\t\tst := %s(nil)\n\t\tfmt.Println(%q, st.Survivors, st.Kills[0])\n\t}\n", fn, fn)
+				goWant[fn] = fmt.Sprintf("%s %d 10", fn, want)
+			}
+		}
+	}
+	goFiles["main.go"] = "package main\n\nimport \"fmt\"\n\nfunc main() {\n" + goMain.String() + "}\n"
+	got := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(runGeneratedGo(t, goFiles)), "\n") {
+		got[strings.Fields(line)[0]] = line
+	}
+	for fn, want := range goWant {
+		if got[fn] != want {
+			t.Errorf("Go: %q, naive enumeration %q", got[fn], want)
+		}
+	}
+}
+
+// TestPinsGeneratedMatchNaive: on the pinned-equality corpus
+// (naive.PinCorpus) in declared order, which keeps the pin on the inner
+// loop dividing by c, the emitted C (scalar and chunked, on one and two
+// threads) delivers as many survivors as naive.Survivors and the kills of
+// an engine run without narrowing, and the emitted Go delivers
+// naive.Survivors' tuples; engine.TestPinsMatchNaive covers the engines.
+func TestPinsGeneratedMatchNaive(t *testing.T) {
+	goFiles := map[string]string{}
+	var goMain strings.Builder
+	goWant := map[string]string{}
+	type cJob struct {
+		name, src       string
+		survivors       int64
+		constraint      string
+		constraintKills int64
+	}
+	var cJobs []cJob
+	for i, tc := range naive.PinCorpus() {
+		want := naive.Survivors(t, tc.Space)
+		prog, err := plan.Compile(tc.Space, plan.Options{DisableReorder: true, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := plan.Compile(tc.Space, plan.Options{DisableReorder: true, DisableNarrowing: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kills := engineStats(t, ref).Kills[0]
+		for _, chunk := range []int{0, 64} {
+			// One C build a case, scalar and chunked in turn, keeps the
+			// compiler's share of the test small.
+			if chunk == 64*(i%2) {
+				src, err := C(prog, COptions{Main: true, Threads: true, ChunkSize: chunk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cJobs = append(cJobs, cJob{fmt.Sprintf("%s chunk=%d", tc.Name, chunk), src, int64(len(want)), tc.Space.Constraints()[0].Name, kills})
+			}
+			fn := fmt.Sprintf("pin%d_%d", i, chunk)
+			gosrc, err := Go(prog, GoOptions{Package: "main", FuncName: fn, StatsType: fn + "_stats", OmitShared: len(goFiles) > 0, ChunkSize: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			goFiles[fn+".go"] = gosrc
+			fmt.Fprintf(&goMain, "\tsweep(%q, func(on func([]int64) bool) (int64, int64) { st := %s(on); return st.Survivors, st.Kills[0] })\n", fn, fn)
+			goWant[fn] = strings.TrimSpace(fmt.Sprintf("%s %d %d %s", fn, len(want), kills, strings.Join(want, ";")))
+		}
+	}
+	goFiles["main.go"] = `package main
+
+import (
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+)
+
+// sweep prints a sweep's survivor count, its one constraint's kills and
+// its tuples in canonical order.
+func sweep(name string, run func(on func([]int64) bool) (int64, int64)) {
+	var tuples []string
+	survivors, kills := run(func(v []int64) bool {
+		parts := make([]string, len(v))
+		for i, x := range v {
+			parts[i] = strconv.FormatInt(x, 10)
+		}
+		tuples = append(tuples, strings.Join(parts, ","))
+		return true
+	})
+	sort.Strings(tuples)
+	fmt.Println(name, survivors, kills, strings.Join(tuples, ";"))
+}
+
+func main() {
+` + goMain.String() + "}\n"
+	t.Run("C", func(t *testing.T) {
+		for _, j := range cJobs {
+			t.Run(j.name, func(t *testing.T) {
+				t.Parallel()
+				for _, args := range [][]string{nil, {"2"}} {
+					survivors, _, k := parseSweep(buildRunC(t, j.src, nil, args...))
+					if survivors != j.survivors || k[j.constraint] != j.constraintKills {
+						t.Errorf("C %v: survivors %d kills %v, naive enumeration %d, kills without narrowing %d",
+							args, survivors, k, j.survivors, j.constraintKills)
+					}
+				}
+			})
+		}
+	})
+	got := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(runGeneratedGo(t, goFiles)), "\n") {
+		got[strings.Fields(line)[0]] = strings.TrimSpace(line)
+	}
+	for fn, want := range goWant {
+		if got[fn] != want {
+			t.Errorf("Go: %q, naive enumeration %q", got[fn], want)
+		}
+	}
+}
+
 // TestLoopFreeProgram runs a settings-only program in both languages,
 // with its prelude check passing and failing: the survivor count and the
 // number of delivered empty tuples match the engine.
@@ -524,8 +677,18 @@ func TestCGoldenStructure(t *testing.T) {
 	if warp < 0 || blkLoop < 0 || warp > blkLoop {
 		t.Errorf("partial_warps (at %d) not hoisted above blk_m loop (at %d)", warp, blkLoop)
 	}
-	// Settings burned in as constants.
-	if !strings.Contains(src, "const i64 max_threads_per_block = 1024;") {
+	// Settings burned in as constants: folded into the expressions that
+	// read them, and declared, only when read, without folding.
+	if !strings.Contains(src, "beast_div(1024, dim_m)") || strings.Contains(src, "max_threads_per_block") {
+		t.Error("settings not folded into generated C")
+	}
+	unfolded, err := plan.Compile(s, plan.Options{DisableFolding: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if usrc, err := C(unfolded, COptions{}); err != nil {
+		t.Fatal(err)
+	} else if !strings.Contains(usrc, "const i64 max_threads_per_block = 1024;") {
 		t.Error("settings not burned into generated C")
 	}
 	// Correctness constraints sit at the dim_n_a / dim_n_b depths.

@@ -8,7 +8,8 @@ import (
 // Runtime side of the plan's bounds-compilation pass (plan/bounds.go): at
 // every entry of a narrowed loop the engine evaluates the compiled bound
 // groups once against the current environment and shrinks [start, stop)
-// before the first body iteration. Groups apply in body order and each
+// before the first body iteration: Lo/Hi bounds, then pins, then probes
+// within a group. Groups apply in body order and each
 // skipped value is credited to its constraint's Checks/Kills counters, so
 // funnel totals are bit-identical to a run without narrowing; the savings
 // surface only in LoopVisits and the BoundsNarrowed/IterationsSkipped
@@ -29,8 +30,11 @@ type compiledBounds struct {
 type compiledBoundGroup struct {
 	statsID int
 	lo, hi  []expr.IntFn
+	pins    []compiledPin
 	probes  []compiledProbe
 }
+
+type compiledPin struct{ num, den expr.IntFn }
 
 type compiledProbe struct {
 	pred   expr.IntFn // nonzero when the trial value in reg[slot] is rejected
@@ -79,6 +83,17 @@ func lowerLoopBounds(lb *plan.LoopBounds, slot int, lower boundLowering) (*compi
 			}
 			cg.hi = append(cg.hi, fn)
 		}
+		for _, p := range g.Pins {
+			num, err := lower(p.Num, false)
+			if err != nil {
+				return nil, err
+			}
+			den, err := lower(p.Den, false)
+			if err != nil {
+				return nil, err
+			}
+			cg.pins = append(cg.pins, compiledPin{num: num, den: den})
+		}
 		for _, p := range g.Probes {
 			fn, err := lower(p.Pred, true)
 			if err != nil {
@@ -126,6 +141,12 @@ func narrowRange(cb *compiledBounds, reg []int64, start, stop, step int64, st *S
 				n = rangeCount(lo, hi, step)
 			}
 		}
+		for _, p := range g.pins {
+			if n == 0 {
+				break
+			}
+			lo, hi, n = pinRange(p.num(reg), p.den(reg), lo, hi, step)
+		}
 		for pi := range g.probes {
 			p := &g.probes[pi]
 			if n == 0 {
@@ -152,6 +173,20 @@ func narrowRange(cb *compiledBounds, reg []int64, start, stop, step int64, st *S
 		st.IterationsSkipped[d] += totalSkipped
 	}
 	return lo, hi
+}
+
+// pinRange narrows the nonempty progression lo, lo+step, ... below hi to
+// the value num / den, with one division: to that value when den divides
+// num and the value lies on the progression, and to nothing otherwise.
+// The plan proves den >= 1; a smaller den, reachable only through a
+// wrapped product, leaves nothing instead of dividing by zero.
+func pinRange(num, den, lo, hi, step int64) (int64, int64, uint64) {
+	if den >= 1 {
+		if v, r := num/den, num%den; r == 0 && v >= lo && v < hi && (uint64(v)-uint64(lo))%uint64(step) == 0 {
+			return v, v + 1, 1
+		}
+	}
+	return hi, hi, 0
 }
 
 // rangeCount returns the number of values of the ascending progression

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/families"
+	"repro/internal/naive"
 	"repro/internal/plan"
 	"repro/internal/space"
 )
@@ -499,6 +500,38 @@ func TestOptimizerNeverAddsWork(t *testing.T) {
 		if !reflect.DeepEqual(stats[0].LoopVisits, stats[1].LoopVisits) || !reflect.DeepEqual(stats[0].Kills, stats[1].Kills) {
 			t.Errorf("%s: visits %v kills %v with the optimizer, visits %v kills %v without",
 				c.name, stats[0].LoopVisits, stats[0].Kills, stats[1].LoopVisits, stats[1].Kills)
+		}
+	}
+}
+
+// TestNarrowWrapSpecs: with big = MaxInt64, `x * 2 < big` absorbs as a
+// ceiling bound and `x * 2 != big` as a pin whose numerator big is odd;
+// both reject every x of range(0, 10). With and without narrowing, every
+// backend at chunk 1 and 64 and with one and two workers delivers
+// naive.Survivors' (no) tuples and credits the constraint with all ten
+// kills.
+func TestNarrowWrapSpecs(t *testing.T) {
+	for _, tc := range naive.WrapCorpus() {
+		want := naive.Survivors(t, tc.Space)
+		for _, noNarrow := range []bool{false, true} {
+			prog, err := plan.Compile(tc.Space, verified(plan.Options{DisableNarrowing: noNarrow}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (prog.Loops[0].Bounds == nil) != noNarrow {
+				t.Fatalf("%s no-narrow=%v: bounds %v", tc.Name, noNarrow, prog.Loops[0].Bounds)
+			}
+			for _, e := range allBackends(t, prog) {
+				for _, chunk := range []int{1, 64} {
+					for _, workers := range []int{1, 2} {
+						l := fmt.Sprintf("%s no-narrow=%v %s chunk=%d workers=%d", tc.Name, noNarrow, e.Name(), chunk, workers)
+						got, st := collectCanon(t, e, Options{ChunkSize: chunk, Workers: workers}, l)
+						if !reflect.DeepEqual(got, want) || st.Kills[0] != 10 {
+							t.Errorf("%s: survivors %v kills %d, naive enumeration %v and 10 kills", l, got, st.Kills[0], want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/families"
+	"repro/internal/naive"
 	"repro/internal/plan"
 	"repro/internal/space"
 )
@@ -109,7 +110,7 @@ func TestAutoSchedule(t *testing.T) {
 // TestAutoScheduleMatchesNaive applies the planner-free enumerator where
 // the tile rule decides: the automatic schedule at 2, 4 and 8 workers,
 // plain and with a checkpoint that snapshots every tile, on every backend.
-// The survivor set must equal naiveSurvivors' and every counter the
+// The survivor set must equal naive.Survivors' and every counter the
 // sequential run's. The range space descends past level 1 (its level-2
 // tiles carry 4,096 estimated visits each); the work floor holds the
 // dense space at level 1.
@@ -131,7 +132,7 @@ func TestAutoScheduleMatchesNaive(t *testing.T) {
 		{"ranges/4-8-64-64", skewed, 2},
 		{"dense/256", dense, 1},
 	} {
-		want := naiveSurvivors(t, tc.s)
+		want := naive.Survivors(t, tc.s)
 		prog := mustCompile(t, tc.s)
 		for _, e := range allBackends(t, prog) {
 			seq, err := e.Run(Options{})

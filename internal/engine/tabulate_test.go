@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/naive"
 	"repro/internal/plan"
 	"repro/internal/space"
 )
@@ -202,21 +203,6 @@ func TestStringChecksFoldAway(t *testing.T) {
 	}
 }
 
-// canonTuples returns the tuple stream in a canonical order, so survivor
-// sets compare across worker schedules.
-func canonTuples(tuples [][]int64) []string {
-	out := make([]string, len(tuples))
-	for i, tu := range tuples {
-		parts := make([]string, len(tu))
-		for j, v := range tu {
-			parts[j] = fmt.Sprintf("%d", v)
-		}
-		out[i] = strings.Join(parts, ",")
-	}
-	sort.Strings(out)
-	return out
-}
-
 // collectCanon runs e and returns its canonical tuple stream. OnTuple runs
 // concurrently when opts.Workers > 1, so the append is locked.
 func collectCanon(t *testing.T, e Engine, opts Options, label string) ([]string, *Stats) {
@@ -235,7 +221,7 @@ func collectCanon(t *testing.T, e Engine, opts Options, label string) ([]string,
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	return canonTuples(tuples), st
+	return naive.Canon(tuples), st
 }
 
 // TestFuzzTabulateGrid sweeps random spaces through the ablation grid of

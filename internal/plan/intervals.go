@@ -67,6 +67,18 @@ func (iv *Intervals) Domain(d space.DomainExpr) (lo, hi int64) {
 	return r.lo, r.hi
 }
 
+// Pin returns a sound interval of the one value a pin admits: lo is the
+// least ceiling and hi the greatest floor of Num / Den over the operand
+// intervals, so lo > hi when no integer value is possible.
+func (iv *Intervals) Pin(p Pin) (lo, hi int64) {
+	num, den := iv.bc.intervalOf(p.Num), iv.bc.intervalOf(p.Den)
+	if den.lo < 1 {
+		return math.MinInt64, math.MaxInt64
+	}
+	// ceil(a/b) = -floor(-a/b)
+	return iNeg(iDivPos(iNeg(num), den)).lo, iDivPos(num, den).hi
+}
+
 // Prove decides the truthiness of a bound predicate over all environments
 // admitted by the slot intervals.
 func (iv *Intervals) Prove(e expr.Expr) Tri { return iv.bc.prove(e) }

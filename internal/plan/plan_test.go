@@ -27,6 +27,9 @@ func buildSpace(t *testing.T) *space.Space {
 	s.Constrain("k_mid", space.Soft, expr.Gt(expr.NewRef("ab"), expr.IntLit(50)))
 	s.Constrain("k_mode", space.Correctness,
 		expr.And(expr.Eq(expr.NewRef("mode"), expr.StrLit("off")), expr.Gt(expr.NewRef("c"), expr.IntLit(0))))
+	// chain's reader: an equality on a modulus, which bounds compilation
+	// cannot absorb, so chain, ab and const_d stay live steps.
+	s.Constrain("k_chain", space.Soft, expr.Eq(expr.Mod(expr.NewRef("chain"), expr.IntLit(3)), expr.IntLit(1)))
 	return s
 }
 

@@ -188,3 +188,39 @@ constraint hard b: i * j + j > 120
 	prog.Temps[0].Depth += 7
 	wantVerifyError(t, prog, "temp")
 }
+
+// TestVerifyCatchesDeadAssignment: an assignment step nothing reads is an
+// error; the planner drops every such step before the optimizer runs.
+func TestVerifyCatchesDeadAssignment(t *testing.T) {
+	prog := compileVerifySpec(t, Options{})
+	lp := prog.Loops[0]
+	slot := prog.Scope.Declare("unread")
+	lp.Steps = append(lp.Steps, Step{Kind: AssignStep, Name: "unread", Slot: slot,
+		Expr: expr.Add(&expr.Ref{Name: lp.Iter.Name, Slot: lp.Slot}, expr.IntLit(1)), StatsID: -1})
+	wantVerifyError(t, prog, "dead assignment")
+}
+
+// TestVerifyCatchesPinOnLoopVariable: a pin evaluates at loop entry, so
+// it must not read the variable of the loop it narrows.
+func TestVerifyCatchesPinOnLoopVariable(t *testing.T) {
+	s, err := speclang.Parse(`i = range(1, 20)
+j = range(1, 20)
+constraint hard eq: i * j != 12
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(s, Options{DisableReorder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := prog.Loops[1]
+	if lp.Bounds == nil || len(lp.Bounds.Groups[0].Pins) == 0 {
+		t.Fatalf("expected a pin on j:\n%s", prog.Describe())
+	}
+	if err := prog.Verify(); err != nil {
+		t.Fatalf("clean plan: %v", err)
+	}
+	lp.Bounds.Groups[0].Pins[0].Num = &expr.Ref{Name: lp.Iter.Name, Slot: lp.Slot}
+	wantVerifyError(t, prog, "pin references the loop variable")
+}

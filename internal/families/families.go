@@ -110,3 +110,32 @@ constraint correctness lanes: (cc + w + 12) %% 37 == 20
 func Dense(n int64) (*space.Space, error) {
 	return speclang.Parse(fmt.Sprintf(denseTemplate, n))
 }
+
+// Named is one space of Corpus: a stable name and its builder.
+type Named struct {
+	Name  string
+	Build func() (*space.Space, error)
+}
+
+// Corpus lists the spaces the plan and analyzer digests cover, by name:
+// the 16 GEMM variants at scale 32, batched Cholesky for every n in
+// [1, 512], six stencil specs and two dense-inner specs.
+func Corpus() []Named {
+	var out []Named
+	for _, name := range GEMMNames() {
+		out = append(out, Named{"gemm/" + name, func() (*space.Space, error) { return GEMM(name, 32) }})
+	}
+	for n := int64(1); n <= 512; n++ {
+		out = append(out, Named{fmt.Sprintf("batched/%d", n), func() (*space.Space, error) { return Batched(n) }})
+	}
+	for _, dim := range []int64{33, 129, 257} {
+		for _, elem := range []int64{4, 8} {
+			out = append(out, Named{fmt.Sprintf("stencil/%d/%d", dim, elem),
+				func() (*space.Space, error) { return Stencil(dim, elem) }})
+		}
+	}
+	for _, n := range []int64{1024, 2560} {
+		out = append(out, Named{fmt.Sprintf("dense/%d", n), func() (*space.Space, error) { return Dense(n) }})
+	}
+	return out
+}

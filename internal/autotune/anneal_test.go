@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/naive"
 	"repro/internal/space"
 )
 
@@ -112,5 +113,47 @@ func TestAnnealRespectsConstraints(t *testing.T) {
 	}
 	if rep.Best[0].Score < 70 {
 		t.Errorf("best %.0f; the feasible maximum is 78", rep.Best[0].Score)
+	}
+}
+
+// TestLocalSearchRespectsAbsorbedConstraints runs hill climbing and
+// annealing on spaces whose only constraint bounds narrowing absorbs, as
+// an upper bound (cap) and as a pin (pin), and requires every tuple they
+// report to be a survivor of the planner-free enumerator: an absorbed
+// constraint leaves no check step behind for the point checker to run.
+func TestLocalSearchRespectsAbsorbedConstraints(t *testing.T) {
+	x, y := expr.NewRef("x"), expr.NewRef("y")
+	for name, pred := range map[string]expr.Expr{
+		"cap": expr.Gt(expr.Add(x, y), expr.IntLit(30)),
+		"pin": expr.Ne(expr.Add(expr.Mul(x, expr.IntLit(2)), y), expr.IntLit(40)),
+	} {
+		s := space.New()
+		s.Range("x", expr.IntLit(0), expr.IntLit(40))
+		s.Range("y", expr.IntLit(0), expr.IntLit(40))
+		s.Constrain(name, space.Hard, pred)
+		survivors := make(map[string]bool)
+		for _, tu := range naive.Survivors(t, s) {
+			survivors[tu] = true
+		}
+		tuner, err := New(s, func(tu []int64) float64 { return float64(tu[0] + tu[1]) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{TopK: 3, Restarts: 4, Steps: 200, Seed: 1}
+		for _, strategy := range []Strategy{HillClimb, Anneal} {
+			opts.Strategy = strategy
+			rep, err := tuner.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Best) == 0 {
+				t.Fatalf("%s/%s: no results", name, strategy)
+			}
+			for _, r := range rep.Best {
+				if key := naive.Canon([][]int64{r.Tuple})[0]; !survivors[key] {
+					t.Errorf("%s/%s reported %v (score %.0f), which %s rejects", name, strategy, r.Tuple, r.Score, name)
+				}
+			}
+		}
 	}
 }

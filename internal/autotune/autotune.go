@@ -424,9 +424,8 @@ func (r *Report) Describe(res Result) map[string]int64 {
 // and constraint, independent of loop structure. It serves the hill
 // climber, which jumps around the space instead of enumerating it.
 type pointChecker struct {
-	prog  *plan.Program
-	steps []plan.Step
-	env   *expr.Env
+	prog *plan.Program
+	env  *expr.Env
 	// tupleIdx maps loop depth to the tuple position of that loop's
 	// iterator: tuples are emitted in source declaration order, which
 	// differs from nest order once the planner reorders loops.
@@ -434,11 +433,6 @@ type pointChecker struct {
 }
 
 func newPointChecker(prog *plan.Program) *pointChecker {
-	var steps []plan.Step
-	steps = append(steps, prog.Prelude...)
-	for _, lp := range prog.Loops {
-		steps = append(steps, lp.Steps...)
-	}
 	byName := make(map[string]int)
 	for i, n := range prog.TupleNames() {
 		byName[n] = i
@@ -447,17 +441,33 @@ func newPointChecker(prog *plan.Program) *pointChecker {
 	for i, lp := range prog.Loops {
 		tupleIdx[i] = byName[lp.Iter.Name]
 	}
-	return &pointChecker{prog: prog, steps: steps, env: prog.NewEnv(), tupleIdx: tupleIdx}
+	return &pointChecker{prog: prog, env: prog.NewEnv(), tupleIdx: tupleIdx}
 }
 
-// valid reports whether the tuple satisfies every constraint; it also
-// leaves the environment loaded for domain materialization.
+// valid reports whether the tuple satisfies every constraint: the checks
+// bounds compilation absorbed, through each loop's bound groups, and the
+// check steps left in the bodies. It also leaves the environment loaded
+// for domain materialization.
 func (pc *pointChecker) valid(tuple []int64) bool {
 	for i, lp := range pc.prog.Loops {
 		pc.env.Slots[lp.Slot] = expr.IntVal(tuple[pc.tupleIdx[i]])
 	}
-	for i := range pc.steps {
-		st := &pc.steps[i]
+	if !pc.passes(pc.prog.Prelude) {
+		return false
+	}
+	for _, lp := range pc.prog.Loops {
+		if !pc.inBounds(lp) || !pc.passes(lp.Steps) {
+			return false
+		}
+	}
+	return true
+}
+
+// passes runs steps over the environment and reports whether no check
+// rejects.
+func (pc *pointChecker) passes(steps []plan.Step) bool {
+	for i := range steps {
+		st := &steps[i]
 		if st.Kind == plan.AssignStep {
 			pc.env.Slots[st.Slot] = st.Expr.Eval(pc.env)
 			continue
@@ -470,6 +480,41 @@ func (pc *pointChecker) valid(tuple []int64) bool {
 		}
 		if kill {
 			return false
+		}
+	}
+	return true
+}
+
+// inBounds reports whether lp's variable, as bound in the environment,
+// keeps every bound group of the loop: at or above each Lo, below each
+// Hi, equal to each pin's value Num / Den, and accepted by each probe.
+// The environment holds everything outside the loop, as at loop entry.
+func (pc *pointChecker) inBounds(lp *plan.Loop) bool {
+	if lp.Bounds == nil {
+		return true
+	}
+	v := pc.env.Slots[lp.Slot].I
+	for _, g := range lp.Bounds.Groups {
+		for _, e := range g.Lo {
+			if v < e.Eval(pc.env).I {
+				return false
+			}
+		}
+		for _, e := range g.Hi {
+			if v >= e.Eval(pc.env).I {
+				return false
+			}
+		}
+		for _, p := range g.Pins {
+			num, den := p.Num.Eval(pc.env).I, p.Den.Eval(pc.env).I
+			if den < 1 || num%den != 0 || num/den != v {
+				return false
+			}
+		}
+		for _, p := range g.Probes {
+			if p.Pred.Eval(pc.env).Truthy() {
+				return false
+			}
 		}
 	}
 	return true

@@ -2,6 +2,8 @@ package expr
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -29,6 +31,11 @@ func (s *Scope) Declare(name string) int {
 	s.slots[name] = i
 	s.names = append(s.names, name)
 	return i
+}
+
+// Clone returns a copy of s that declares names independently of s.
+func (s *Scope) Clone() *Scope {
+	return &Scope{slots: maps.Clone(s.slots), names: slices.Clone(s.names)}
 }
 
 // Slot returns the slot of name, if declared.

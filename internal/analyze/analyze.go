@@ -140,7 +140,7 @@ type Options struct {
 // off, so every constraint is a plain check step at its hoisted depth),
 // a narrowed plan (narrowing and tabulation on, for the constraint-set
 // and budget passes), interval façades for both, and the loop-cardinality
-// estimates.
+// estimates. Both plans come from one placement of the space.
 type context struct {
 	space  *space.Space
 	opts   Options
@@ -160,11 +160,15 @@ type context struct {
 // plan. The error return is reserved for specs that fail to compile
 // otherwise (cycles, unbound names); such specs cannot be analyzed.
 func Analyze(s *space.Space, opts Options) (*Report, error) {
-	base, err := plan.Compile(s, plan.Options{
+	progs, err := plan.CompileEach(s, plan.Options{
 		DisableReorder:    true,
 		DisableCSE:        true,
 		DisableNarrowing:  true,
 		DisableTabulation: true,
+	}, plan.Options{
+		DisableReorder: true,
+		DisableCSE:     true,
+		TabulateBudget: opts.TabulateBudget,
 	})
 	var te *plan.TypeError
 	if errors.As(err, &te) {
@@ -176,14 +180,7 @@ func Analyze(s *space.Space, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
 	}
-	narrow, err := plan.Compile(s, plan.Options{
-		DisableReorder: true,
-		DisableCSE:     true,
-		TabulateBudget: opts.TabulateBudget,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
+	base, narrow := progs[0], progs[1]
 	ctx := &context{
 		space:  s,
 		opts:   opts,

@@ -27,6 +27,12 @@ import (
 // TabulateBudget zero.
 const DefaultTabulateBudget = 8 << 20
 
+// needBudget is the budget TabPricing.NeedBytes is sized at: more than
+// any candidate set commits, so every candidate fits, and a binary table
+// whose outer domain cannot be materialized whole is charged an even
+// share of it as row cache.
+const needBudget = int64(1) << 40
+
 // maxTabVals caps the plan-time enumeration of the inner (and outer)
 // domains: beyond this many values the table would dwarf any budget and
 // the enumeration itself would dominate plan time.
@@ -133,6 +139,20 @@ type Tabulation struct {
 	TableBytes int64
 
 	regs []int64 // register image of the settings and the prelude
+}
+
+// TabPricing is tabulation's record of its budget: the candidates the
+// budget left on the expression path and the bytes the whole candidate
+// set needs.
+type TabPricing struct {
+	// PricedOut names the candidates the budget left on the expression
+	// path: unary ones, then binary ones, each in innermost step order.
+	PricedOut []string
+
+	// NeedBytes is what the whole candidate set commits at needBudget:
+	// every unary bitset, every binary table over a static outer range
+	// whole, and the row caches of the other binary tables.
+	NeedBytes int64
 }
 
 // N returns the bits-per-row count (the inner domain cardinality).
@@ -346,11 +366,7 @@ func tabulate(prog *Program, budget int64) {
 		return outerSup, innerSup
 	}
 
-	type candidate struct {
-		t     *Table
-		outer string // "" for unary
-	}
-	var cands []candidate
+	var unary, binary []*Table
 	for i := range inner.Steps {
 		st := &inner.Steps[i]
 		if st.Kind != CheckStep || st.Constraint.Deferred() || st.Expr == nil || !st.Vec {
@@ -396,65 +412,70 @@ func tabulate(prog *Program, budget int64) {
 		}
 		if outer == "" {
 			t.Kind = UnaryTable
-		} else {
-			t.Kind = BinaryTable
-			t.OuterName = outer
-			slot, _ := prog.Scope.Slot(outer)
-			t.OuterSlot = slot
-		}
-		cands = append(cands, candidate{t: t, outer: outer})
-	}
-	if len(cands) == 0 {
-		return
-	}
-
-	// Budget pass one: unary bitsets, charged eagerly in step order.
-	var spent int64
-	var binary []*Table
-	for _, c := range cands {
-		if c.t.Kind == BinaryTable {
-			binary = append(binary, c.t)
+			unary = append(unary, t)
 			continue
 		}
-		if spent+rowBytes > budget {
-			continue
-		}
-		bits := make([]uint64, rowWords)
-		tb.BuildRow(c.t, 0, tb.NewBuildRegs(), bits)
-		c.t.Bits = bits
-		spent += rowBytes
-		tb.ByStats[c.t.StatsID] = len(tb.Tables)
-		tb.Tables = append(tb.Tables, c.t)
-	}
-
-	// Budget pass two: the remainder is split evenly across binary
-	// candidates as row-cache capacity. A statically enumerable range
-	// outer small enough to fit entirely marks the table Full, the form
-	// the code generators can emit whole.
-	if len(binary) > 0 {
-		maxRows := (budget - spent) / (int64(len(binary)) * rowBytes)
-		for _, t := range binary {
-			rows := maxRows
-			od := prog.Loops[iterDepth[t.OuterName]]
-			if od.Iter.Kind == space.ExprIter {
-				if r, isRange := od.Domain.(*space.RangeDomain); isRange {
-					if on, ook := staticLen(r, dynamic, env); ook && on > 0 {
-						if start, _, step, sok := r.Span(env); sok {
-							t.OuterBase, t.OuterStep = start, step
-							t.OuterN = on
-							if int64(t.OuterN) <= rows {
-								rows = int64(t.OuterN)
-								t.Full = true
-							}
-						}
+		t.Kind = BinaryTable
+		t.OuterName = outer
+		t.OuterSlot, _ = prog.Scope.Slot(outer)
+		// A statically enumerable range outer is recorded whole: a
+		// budget that fits all of its rows makes the table Full.
+		if od := prog.Loops[iterDepth[outer]]; od.Iter.Kind == space.ExprIter {
+			if r, isRange := od.Domain.(*space.RangeDomain); isRange {
+				if on, ook := staticLen(r, dynamic, env); ook && on > 0 {
+					if start, _, step, sok := r.Span(env); sok {
+						t.OuterBase, t.OuterStep, t.OuterN = start, step, on
 					}
 				}
 			}
-			if rows < 1 {
+		}
+		binary = append(binary, t)
+	}
+	if len(unary)+len(binary) == 0 {
+		return
+	}
+	pricing := &TabPricing{}
+	prog.TabPricing = pricing
+
+	// Budget pass one: unary bitsets, charged eagerly in step order.
+	var spent int64
+	for _, t := range unary {
+		if spent+rowBytes > budget {
+			pricing.PricedOut = append(pricing.PricedOut, t.Name)
+			continue
+		}
+		bits := make([]uint64, rowWords)
+		tb.BuildRow(t, 0, tb.NewBuildRegs(), bits)
+		t.Bits = bits
+		spent += rowBytes
+		tb.ByStats[t.StatsID] = len(tb.Tables)
+		tb.Tables = append(tb.Tables, t)
+	}
+	pricing.NeedBytes = int64(len(unary)) * rowBytes
+
+	// Budget pass two: the remainder is split evenly across binary
+	// candidates as row-cache capacity. A table whose static outer range
+	// fits its share whole is Full, the form the code generators can emit
+	// whole.
+	if len(binary) > 0 {
+		rows := func(t *Table, share int64) int64 {
+			if t.OuterN > 0 && int64(t.OuterN) <= share {
+				return int64(t.OuterN)
+			}
+			return share
+		}
+		share := (budget - spent) / (int64(len(binary)) * rowBytes)
+		needShare := (needBudget - pricing.NeedBytes) / (int64(len(binary)) * rowBytes)
+		for _, t := range binary {
+			pricing.NeedBytes += rows(t, needShare) * rowBytes
+			n := rows(t, share)
+			if n < 1 {
+				pricing.PricedOut = append(pricing.PricedOut, t.Name)
 				continue
 			}
-			t.MaxRows = int(rows)
-			spent += rows * rowBytes
+			t.Full = t.OuterN > 0 && int64(t.OuterN) <= share
+			t.MaxRows = int(n)
+			spent += n * rowBytes
 			tb.ByStats[t.StatsID] = len(tb.Tables)
 			tb.Tables = append(tb.Tables, t)
 		}

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/autotune"
 	"repro/internal/batched"
 	"repro/internal/checkpoint"
@@ -1138,9 +1139,10 @@ func BenchmarkLoopReorder(b *testing.B) {
 	}
 }
 
-// planFamilies returns the space families BenchmarkPlanCompile compiles:
-// four GEMM variants at scale 32, 32 batched-Cholesky sizes spread over
-// [8, 512], and four stencil and four dense-inner specs.
+// planFamilies returns the space families BenchmarkPlanCompile compiles
+// and BenchmarkAnalyze lints: four GEMM variants at scale 32, 32
+// batched-Cholesky sizes spread over [8, 512], and four stencil and four
+// dense-inner specs.
 func planFamilies(b *testing.B) []struct {
 	name   string
 	spaces []*space.Space
@@ -1193,6 +1195,23 @@ func BenchmarkPlanCompile(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkAnalyze measures lint cost: one op runs the analyzer over every
+// space of a family, planning its base and narrowed programs and running
+// every pass, at the default table budget.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, fam := range planFamilies(b) {
+		b.Run(fam.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, s := range fam.spaces {
+					if _, err := analyze.Analyze(s, analyze.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -870,15 +870,13 @@ func tableRows(t *expr.Table2D) (rows []string, cols int) {
 // emit as static data, in table order. Empty for scalar emission: the
 // scalar paths keep the expression form.
 //
-// Only value-indexed tabulations are emittable: their bit positions
-// derive from lane values with plan constants ((value − Base)/Step),
-// which stays valid whatever form the domain normalizes to and under
-// loop-entry narrowing. Binary tables are emitted only in Full form (the
-// outer domain materialized whole); lazily cached binary tables and
-// position-indexed tabulations keep the expression path, which computes
-// identical kill bits.
+// Bit positions derive from lane values with plan constants
+// ((value − Base)/Step), which stays valid under loop-entry narrowing.
+// Binary tables are emitted only in Full form (the outer domain
+// materialized whole); lazily cached binary tables keep the expression
+// path, which computes identical kill bits.
 func emittableTabs(prog *plan.Program, chunk int) []int {
-	if chunk <= 1 || prog.Tab == nil || !prog.Tab.ValueIndexed {
+	if chunk <= 1 || prog.Tab == nil {
 		return nil
 	}
 	var idx []int

@@ -23,8 +23,7 @@ import (
 
 // compiledBounds is a LoopBounds lowered to register-file closures.
 type compiledBounds struct {
-	tempRefs int
-	groups   []compiledBoundGroup
+	groups []compiledBoundGroup
 }
 
 type compiledBoundGroup struct {
@@ -66,7 +65,7 @@ func boxedBounds(eval func(expr.Expr) expr.Value, bind func(int64), slot int) bo
 
 // lowerLoopBounds lowers lb for the loop variable in slot.
 func lowerLoopBounds(lb *plan.LoopBounds, slot int, lower boundLowering) (*compiledBounds, error) {
-	cb := &compiledBounds{tempRefs: lb.TempRefs}
+	cb := &compiledBounds{}
 	for _, g := range lb.Groups {
 		cg := compiledBoundGroup{statsID: g.StatsID}
 		for _, e := range g.Lo {
@@ -117,12 +116,6 @@ func lowerLoopBounds(lb *plan.LoopBounds, slot int, lower boundLowering) (*compi
 func narrowRange(cb *compiledBounds, reg []int64, start, stop, step int64, st *Stats, d int) (int64, int64) {
 	lo, hi := start, stop
 	n := rangeCount(lo, hi, step)
-	if n == 0 {
-		return lo, hi
-	}
-	if cb.tempRefs > 0 {
-		st.TempHits[d] += int64(cb.tempRefs)
-	}
 	var totalSkipped int64
 	for gi := range cb.groups {
 		g := &cb.groups[gi]

@@ -121,8 +121,6 @@ func (r *ResumeState) validate(tiles *tileSet, st *Stats) error {
 		len(ts.LoopVisits) != len(st.LoopVisits) ||
 		len(ts.Checks) != len(st.Checks) ||
 		len(ts.Kills) != len(st.Kills) ||
-		len(ts.TempEvals) != len(st.TempEvals) ||
-		len(ts.TempHits) != len(st.TempHits) ||
 		len(ts.BoundsNarrowed) != len(st.BoundsNarrowed) ||
 		len(ts.IterationsSkipped) != len(st.IterationsSkipped) {
 		return fmt.Errorf("engine: checkpoint counters do not match the program shape")

@@ -63,14 +63,11 @@ type laneEval interface {
 
 // chunkStep is the chunker's view of one innermost step.
 type chunkStep struct {
-	check    bool
-	lane     int         // assign target lane
-	statsID  int         // check's constraint counters
-	tab      int         // check's plan table index, -1 for the expression path
-	host     func() bool // deferred check over the bound lane, set by the backend
-	temp     bool
-	level    int // Stats temp-counter index (step depth + 1)
-	tempRefs int64
+	check   bool
+	lane    int         // assign target lane
+	statsID int         // check's constraint counters
+	tab     int         // check's plan table index, -1 for the expression path
+	host    func() bool // deferred check over the bound lane, set by the backend
 }
 
 // chunker runs the innermost loop in blocks of lanes for every backend,
@@ -89,7 +86,6 @@ type chunker struct {
 	steps    []chunkStep
 	lane     [][]int64 // per lane-resident slot, plan.VectorLayout order; lane[0] is the fill buffer
 	n        int       // fill cursor
-	pushed   int       // values pushed since loop entry (position-indexed tables)
 	mask     laneMask
 	trace    []uint64         // the mask before each step, then before emission
 	innerPos int              // tuple position of the innermost loop variable
@@ -123,10 +119,7 @@ func newChunker(prog *plan.Program, opts Options, out *sink, tabx *tabExec) *chu
 	c.steps = make([]chunkStep, len(steps))
 	for i := range steps {
 		st := &steps[i]
-		c.steps[i] = chunkStep{
-			check: st.Kind == plan.CheckStep, statsID: st.StatsID, tab: tabIdx[i],
-			temp: st.Temp, level: st.Depth + 1, tempRefs: int64(st.TempRefs),
-		}
+		c.steps[i] = chunkStep{check: st.Kind == plan.CheckStep, statsID: st.StatsID, tab: tabIdx[i]}
 		if st.Kind == plan.AssignStep {
 			c.steps[i].lane = v.LaneOf[st.Slot]
 		}
@@ -142,15 +135,11 @@ func newChunker(prog *plan.Program, opts Options, out *sink, tabx *tabExec) *chu
 	return c
 }
 
-// begin starts one entry of the innermost loop.
-func (c *chunker) begin() { c.n, c.pushed = 0, 0 }
-
 // push appends one innermost value, flushing a full block. It returns
 // false when enumeration must stop.
 func (c *chunker) push(v int64) bool {
 	c.lane[0][c.n] = v
 	c.n++
-	c.pushed++
 	if c.n == c.size {
 		return c.flush()
 	}
@@ -196,12 +185,8 @@ func (c *chunker) flush() bool {
 	for i := range c.steps {
 		s := &c.steps[i]
 		c.trace = append(c.trace, c.mask...)
-		st.TempHits[s.level] += s.tempRefs * live
 		if !s.check {
 			copy(c.lane[s.lane][:k], c.ev.evalStep(i, k))
-			if s.temp {
-				st.TempEvals[s.level] += live
-			}
 			continue
 		}
 		st.Checks[s.statsID] += live
@@ -286,7 +271,7 @@ func (c *chunker) tabCheck(ti, k int) int64 {
 		outer = c.ev.tabOuter(t)
 	}
 	row := tx.row(ti, outer, c.out.stats)
-	return andMaskRow(c.mask, k, row, tx.basePos(c.lane[0][0], c.pushed, k))
+	return andMaskRow(c.mask, k, row, tx.pos(c.lane[0][0]))
 }
 
 // rewind subtracts the counter contributions of the lanes past stopLane
@@ -302,16 +287,11 @@ func (c *chunker) rewind(k, stopLane int) {
 	w := len(c.mask)
 	for i := range c.steps {
 		s := &c.steps[i]
-		before := c.trace[i*w : (i+1)*w]
-		live := liveAbove(before, stopLane)
-		st.TempHits[s.level] -= s.tempRefs * live
 		if !s.check {
-			if s.temp {
-				st.TempEvals[s.level] -= live
-			}
 			continue
 		}
-		st.Checks[s.statsID] -= live
+		before := c.trace[i*w : (i+1)*w]
+		st.Checks[s.statsID] -= liveAbove(before, stopLane)
 		if killed := killedAbove(before, c.trace[(i+1)*w:(i+2)*w], stopLane); killed > 0 {
 			st.Kills[s.statsID] -= killed
 			st.LanesMasked -= killed

@@ -36,9 +36,6 @@ type compiledStep struct {
 	fn           expr.IntFn
 	statsID      int
 	deferredFn   func(r []int64) bool // non-nil for deferred constraints
-	temp         bool                 // optimizer temp assignment
-	level        int                  // Stats temp-counter index (step depth + 1)
-	tempRefs     int64                // temp-slot reads in this step's expression
 	tabIdx       int                  // plan table index, -1 for the expression path
 	tabOuterSlot int                  // binary-table outer register, -1 for unary
 }
@@ -152,7 +149,6 @@ func (c *Compiled) compileSteps(steps []plan.Step) ([]compiledStep, error) {
 		st := &steps[i]
 		cs := compiledStep{
 			check: st.Kind == plan.CheckStep, slot: st.Slot, statsID: st.StatsID,
-			temp: st.Temp, level: st.Depth + 1, tempRefs: int64(st.TempRefs),
 			tabIdx: -1, tabOuterSlot: -1,
 		}
 		if tab := c.prog.Tab; tab != nil && cs.check {
@@ -279,31 +275,23 @@ func (s *compiledState) replay(steps []compiledStep) {
 func (s *compiledState) steps(steps []compiledStep) bool {
 	for i := range steps {
 		st := &steps[i]
-		if st.tempRefs > 0 {
-			s.stats.TempHits[st.level] += st.tempRefs
-		}
 		if !st.check {
 			s.reg[st.slot] = st.fn(s.reg)
-			if st.temp {
-				s.stats.TempEvals[st.level]++
-			}
 			continue
 		}
 		s.stats.Checks[st.statsID]++
-		var kill, tabbed bool
-		if st.tabIdx >= 0 && s.tabx != nil {
+		var kill bool
+		switch {
+		case st.tabIdx >= 0:
 			var outer int64
 			if st.tabOuterSlot >= 0 {
 				outer = s.reg[st.tabOuterSlot]
 			}
-			kill, tabbed = s.tabx.scalarKill(st.tabIdx, s.reg[s.tabx.tab.InnerSlot], outer, s.stats)
-		}
-		if !tabbed {
-			if st.deferredFn != nil {
-				kill = st.deferredFn(s.reg)
-			} else {
-				kill = st.fn(s.reg) != 0
-			}
+			kill = s.tabx.scalarKill(st.tabIdx, s.reg[s.tabx.tab.InnerSlot], outer, s.stats)
+		case st.deferredFn != nil:
+			kill = st.deferredFn(s.reg)
+		default:
+			kill = st.fn(s.reg) != 0
 		}
 		if kill {
 			s.stats.Kills[st.statsID]++
@@ -336,9 +324,7 @@ func (s *compiledState) body(d int, v int64) bool {
 func (s *compiledState) loop(d int) bool {
 	lp := &s.c.loops[d]
 	ch := s.chunk
-	if ch != nil && d == ch.depth {
-		ch.begin()
-	} else {
+	if ch != nil && d != ch.depth {
 		ch = nil
 	}
 	if lp.rng != nil {

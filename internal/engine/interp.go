@@ -377,33 +377,25 @@ func (s *interpState) replay(steps []plan.Step) {
 func (s *interpState) steps(steps []plan.Step, tabIdx []int) bool {
 	for i := range steps {
 		st := &steps[i]
-		if st.TempRefs > 0 {
-			s.stats.TempHits[st.Depth+1] += int64(st.TempRefs)
-		}
 		if st.Kind == plan.AssignStep {
 			s.env[st.Name] = evalMap(st.Expr, s.env)
-			if st.Temp {
-				s.stats.TempEvals[st.Depth+1]++
-			}
 			continue
 		}
 		s.stats.Checks[st.StatsID]++
-		var kill, tabbed bool
-		if tabIdx != nil && tabIdx[i] >= 0 {
+		var kill bool
+		switch {
+		case tabIdx != nil && tabIdx[i] >= 0:
 			ti := tabIdx[i]
 			t := s.tabx.tab.Tables[ti]
 			var outer int64
 			if t.Kind == plan.BinaryTable {
 				outer = s.env[t.OuterName].I
 			}
-			kill, tabbed = s.tabx.scalarKill(ti, s.env[s.tabx.tab.InnerName].I, outer, s.stats)
-		}
-		if !tabbed {
-			if st.Constraint.Deferred() {
-				kill = st.Constraint.Fn(s.deferredArgs(st.Constraint.DeclaredDeps))
-			} else {
-				kill = evalMap(st.Expr, s.env).Truthy()
-			}
+			kill = s.tabx.scalarKill(ti, s.env[s.tabx.tab.InnerName].I, outer, s.stats)
+		case st.Constraint.Deferred():
+			kill = st.Constraint.Fn(s.deferredArgs(st.Constraint.DeclaredDeps))
+		default:
+			kill = evalMap(st.Expr, s.env).Truthy()
 		}
 		if kill {
 			s.stats.Kills[st.StatsID]++
@@ -445,7 +437,6 @@ func (s *interpState) body(d int, v int64) bool {
 // they are property-tested to leave every counter unchanged.
 func (s *interpState) loop(d int) bool {
 	if ch := s.chunk; ch != nil && d == ch.depth {
-		ch.begin()
 		return s.each(d, ch.yield) && ch.flush()
 	}
 	if r, isRange := s.in.prog.Loops[d].Domain.(*space.RangeDomain); isRange {

@@ -249,8 +249,13 @@ func (t *tileSet) at(i int) []int64 { return t.vals[i*t.depth : (i+1)*t.depth] }
 // themselves when they find the context done at a tile or a delivery, so
 // deadlines and caller cancellation stop every worker promptly, and the
 // partial Stats come back with Cancelled set alongside the context's
-// error.
-func runContext(ctx context.Context, prog *plan.Program, b backend, opts Options) (*Stats, error) {
+// error. Every Stats it returns has its derived counters filled.
+func runContext(ctx context.Context, prog *plan.Program, b backend, opts Options) (st *Stats, err error) {
+	defer func() {
+		if st != nil {
+			st.deriveTemps(prog)
+		}
+	}()
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
@@ -274,7 +279,7 @@ func runContext(ctx context.Context, prog *plan.Program, b backend, opts Options
 	ctl := newRunCtl(ctx, opts.Limit, false)
 	stop := context.AfterFunc(ctx, ctl.cancelCtx)
 	defer stop()
-	opts, err := opts.perWorker()
+	opts, err = opts.perWorker()
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +290,7 @@ func runContext(ctx context.Context, prog *plan.Program, b backend, opts Options
 	if err != nil {
 		return nil, err
 	}
-	st := w.counters()
+	st = w.counters()
 	st.Stopped = ctl.stopped.Load()
 	if ctl.ctxCancelled() {
 		st.Cancelled = true

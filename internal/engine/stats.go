@@ -50,8 +50,12 @@ type Stats struct {
 	// optimizer's activity at level l (0 = prelude, d+1 = loop depth d):
 	// TempEvals counts executions of synthesized temp assignments (each a
 	// shared subexpression computed once), TempHits counts temp-slot reads
-	// by the steps that would otherwise have recomputed the subexpression.
-	// Both stay zero when the program was compiled with DisableCSE.
+	// by the steps that would otherwise have recomputed the subexpression,
+	// and by the bounds of a narrowed loop, credited to the level that
+	// enters it. Neither is counted while the run goes: the driver derives
+	// both from the plan and the counters above when the run ends
+	// (stepRuns), so they are nil until then. Both stay zero when the
+	// program was compiled with DisableCSE.
 	TempEvals []int64
 	TempHits  []int64
 
@@ -127,8 +131,6 @@ func NewStats(prog *plan.Program) *Stats {
 		LoopVisits:        make([]int64, len(prog.Loops)),
 		Checks:            make([]int64, len(prog.Constraints)),
 		Kills:             make([]int64, len(prog.Constraints)),
-		TempEvals:         make([]int64, len(prog.Loops)+1),
-		TempHits:          make([]int64, len(prog.Loops)+1),
 		BoundsNarrowed:    make([]int64, len(prog.Loops)),
 		IterationsSkipped: make([]int64, len(prog.Loops)),
 	}
@@ -144,7 +146,8 @@ func NewStats(prog *plan.Program) *Stats {
 	return s
 }
 
-// Merge adds other's counters into s.
+// Merge adds other's counters into s; the derived TempEvals and TempHits
+// are left alone.
 func (s *Stats) Merge(other *Stats) {
 	for i := range s.LoopVisits {
 		s.LoopVisits[i] += other.LoopVisits[i]
@@ -152,10 +155,6 @@ func (s *Stats) Merge(other *Stats) {
 	for i := range s.Checks {
 		s.Checks[i] += other.Checks[i]
 		s.Kills[i] += other.Kills[i]
-	}
-	for i := range s.TempEvals {
-		s.TempEvals[i] += other.TempEvals[i]
-		s.TempHits[i] += other.TempHits[i]
 	}
 	for i := range s.BoundsNarrowed {
 		s.BoundsNarrowed[i] += other.BoundsNarrowed[i]
@@ -180,10 +179,6 @@ func (s *Stats) MergeDelta(cur, prev *Stats) {
 		s.Checks[i] += cur.Checks[i] - prev.Checks[i]
 		s.Kills[i] += cur.Kills[i] - prev.Kills[i]
 	}
-	for i := range s.TempEvals {
-		s.TempEvals[i] += cur.TempEvals[i] - prev.TempEvals[i]
-		s.TempHits[i] += cur.TempHits[i] - prev.TempHits[i]
-	}
 	for i := range s.BoundsNarrowed {
 		s.BoundsNarrowed[i] += cur.BoundsNarrowed[i] - prev.BoundsNarrowed[i]
 		s.IterationsSkipped[i] += cur.IterationsSkipped[i] - prev.IterationsSkipped[i]
@@ -201,8 +196,6 @@ func (s *Stats) copyCountersFrom(other *Stats) {
 	copy(s.LoopVisits, other.LoopVisits)
 	copy(s.Checks, other.Checks)
 	copy(s.Kills, other.Kills)
-	copy(s.TempEvals, other.TempEvals)
-	copy(s.TempHits, other.TempHits)
 	copy(s.BoundsNarrowed, other.BoundsNarrowed)
 	copy(s.IterationsSkipped, other.IterationsSkipped)
 	s.ChunksEvaluated = other.ChunksEvaluated
@@ -267,40 +260,68 @@ func (s *Stats) TotalIterationsSkipped() int64 {
 
 // ExprOps derives the number of expression-tree nodes the run's steps
 // evaluated: for each step, the node count of its expression times the
-// number of times the step executed (loop visits at its depth, minus the
-// iterations already killed by earlier checks at the same depth). It is
-// computed from the plan and the counters after the run, so it costs
-// nothing in the hot loop, and it is the quantity the CSE ablation
-// reduces: temps shrink the per-visit node count of every step that
-// shares a subexpression. It counts steps only: the Lo/Hi bounds and
-// probes a narrowed loop evaluates at every entry are not in it.
+// number of times the step ran (stepRuns). It is computed from the plan
+// and the counters after the run, so it costs nothing in the hot loop,
+// and it is the quantity the CSE ablation reduces: temps shrink the
+// per-visit node count of every step that shares a subexpression. It
+// counts steps only: the Lo/Hi bounds and probes a narrowed loop
+// evaluates at every entry are not in it.
 func (s *Stats) ExprOps(prog *plan.Program) int64 {
 	var total int64
-	countSteps := func(steps []plan.Step, visits int64) {
-		live := visits
+	s.stepRuns(prog, func(st *plan.Step, runs int64) {
+		if st.Expr != nil {
+			total += int64(exprNodes(st.Expr)) * runs
+		}
+	}, nil)
+	return total
+}
+
+// deriveTemps fills TempEvals and TempHits from the plan and the pruning
+// counters: a temp assignment is one evaluation per run, every run of a
+// step reads its TempRefs temps, and every entry of a narrowed loop reads
+// its bounds' TempRefs.
+func (s *Stats) deriveTemps(prog *plan.Program) {
+	s.TempEvals = make([]int64, len(prog.Loops)+1)
+	s.TempHits = make([]int64, len(prog.Loops)+1)
+	s.stepRuns(prog, func(st *plan.Step, runs int64) {
+		if st.Temp {
+			s.TempEvals[st.Depth+1] += runs
+		}
+		s.TempHits[st.Depth+1] += int64(st.TempRefs) * runs
+	}, func(d int, entries int64) {
+		if lb := prog.Loops[d].Bounds; lb != nil {
+			s.TempHits[d] += int64(lb.TempRefs) * entries
+		}
+	})
+}
+
+// stepRuns walks the plan in nest order and reports how often each step
+// ran and each loop was entered, as the counters record them. The prelude
+// runs once. A step runs once per visit at its depth that no earlier check
+// at that depth killed, and loop d is entered once per prelude pass (d =
+// 0) or per visit at depth d-1 that passed every step there, whether its
+// range turns out empty or not. A check's kills include the values a
+// narrowed range skipped, which never ran it; those are the checks beyond
+// its runs, so only the rest reduce the visits left. entry may be nil.
+func (s *Stats) stepRuns(prog *plan.Program, step func(st *plan.Step, runs int64), entry func(d int, entries int64)) {
+	walk := func(steps []plan.Step, live int64) int64 {
 		for i := range steps {
 			st := &steps[i]
-			if st.Expr != nil {
-				total += int64(exprNodes(st.Expr)) * live
-			}
+			step(st, live)
 			if st.Kind == plan.CheckStep {
-				// A partially-absorbed constraint's Checks/Kills include
-				// iterations the narrowed range skipped; those never ran the
-				// residual check, so only the body kills reduce live. The
-				// skipped share is exactly the checks beyond the live count.
-				skipped := s.Checks[st.StatsID] - live
-				if skipped < 0 {
-					skipped = 0
-				}
+				skipped := max(s.Checks[st.StatsID]-live, 0)
 				live -= s.Kills[st.StatsID] - skipped
 			}
 		}
+		return live
 	}
-	countSteps(prog.Prelude, 1)
+	live := walk(prog.Prelude, 1)
 	for d, lp := range prog.Loops {
-		countSteps(lp.Steps, s.LoopVisits[d])
+		if entry != nil {
+			entry(d, live)
+		}
+		live = walk(lp.Steps, s.LoopVisits[d])
 	}
-	return total
 }
 
 // exprNodes counts the nodes of an expression tree.

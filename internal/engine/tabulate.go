@@ -10,8 +10,10 @@ import (
 // Each engine state owns one tabExec: the immutable plan tables plus the
 // state's private binary row caches, so parallel workers never share
 // mutable table state. The chunker ANDs a 64-bit window of the
-// pass bitset into the survivor mask per mask word; the scalar paths of
-// value-indexed tabulations test single bits.
+// pass bitset into the survivor mask per mask word; the scalar paths
+// test single bits. Every value the inner loop binds lies on the table's
+// grid (plan.Tabulation), so a tabulated check never evaluates its
+// expression.
 
 // tabExec is one state's view of the plan's constraint tables.
 type tabExec struct {
@@ -99,16 +101,19 @@ func (tx *tabExec) row(ti int, outer int64, stats *Stats) []uint64 {
 	return rt.scratch
 }
 
-// basePos maps the current chunk's first lane to its table bit position:
-// value-indexed tabulations derive it from the lane value (robust under
-// bounds narrowing, which keeps ranges on the step grid), position-
-// indexed ones from the fill cursor (pushed values so far minus the k
-// lanes of this chunk).
-func (tx *tabExec) basePos(v0 int64, pushed, k int) int {
-	if tx.tab.ValueIndexed {
-		return int((v0 - tx.tab.Base) / tx.tab.Step)
+// pos returns the bit position of inner value v: (v − Base) / Step,
+// counted in uint64 so a range wider than MaxInt64 indexes exactly.
+func (tx *tabExec) pos(v int64) int {
+	tab := tx.tab
+	if tab.Step == 1 {
+		// Unit step is the common case; skip the divide.
+		return int(v - tab.Base)
 	}
-	return pushed - k
+	d, step := uint64(v)-uint64(tab.Base), uint64(tab.Step)
+	if tab.Step < 0 {
+		d, step = -d, -step
+	}
+	return int(d / step)
 }
 
 // andMaskRow ANDs the pass-bit window of row starting at bit basePos
@@ -134,45 +139,19 @@ func andMaskRow(mask laneMask, k int, row []uint64, basePos int) int64 {
 func tabWindow(row []uint64, off int) uint64 {
 	wi, sh := off>>6, uint(off&63)
 	var w uint64
-	if wi >= 0 && wi < len(row) {
+	if wi < len(row) {
 		w = row[wi] >> sh
 	}
-	if sh != 0 && wi+1 >= 0 && wi+1 < len(row) {
+	if sh != 0 && wi+1 < len(row) {
 		w |= row[wi+1] << (64 - sh)
 	}
 	return w
 }
 
 // scalarKill tests the single pass bit for (inner, outer) in table ti.
-// Only valid for value-indexed tabulations (the scalar paths have no
-// fill cursor); ok is false when the value falls off the table, in
-// which case the caller keeps the expression path.
-func (tx *tabExec) scalarKill(ti int, inner, outer int64, stats *Stats) (kill, ok bool) {
-	tab := tx.tab
-	if !tab.ValueIndexed {
-		return false, false
-	}
-	var pos int
-	if tab.Step == 1 {
-		// Unit step is the common case; skip the divide and grid check.
-		pos = int(inner - tab.Base)
-		if pos < 0 || pos >= tab.N() {
-			return false, false
-		}
-	} else {
-		pos = int((inner - tab.Base) / tab.Step)
-		if pos < 0 || pos >= tab.N() || tab.Base+int64(pos)*tab.Step != inner {
-			return false, false
-		}
-	}
+func (tx *tabExec) scalarKill(ti int, inner, outer int64, stats *Stats) bool {
+	pos := tx.pos(inner)
 	row := tx.row(ti, outer, stats)
 	stats.TabulatedChecks++
-	return row[pos>>6]>>(uint(pos&63))&1 == 0, true
-}
-
-// predKill evaluates table ti's compiled kill predicate directly over the
-// register file (plan slots and registers share numbering) — the cold
-// fallback when scalarKill declines a value.
-func (tx *tabExec) predKill(ti int, reg []int64) bool {
-	return tx.tab.Tables[ti].Kills(reg)
+	return row[pos>>6]>>(uint(pos&63))&1 == 0
 }

@@ -70,25 +70,23 @@ const (
 	opMinN // pop a values, push min
 	opMaxN // pop a values, push max
 	opAbs
-	opTable    // pop col, pop row, push tables[a][row][col] or default b
-	opJmp      // pc = a
-	opJz       // pop; if zero pc = a
-	opJnz      // pop; if nonzero pc = a
-	opForPrep  // pop step->reg[c], stop->reg[b], start->reg[a]
-	opForTest  // if !(reg[c]>0 ? reg[a]<reg[b] : (reg[c]<0 ? reg[a]>reg[b] : false)) pc = d
-	opForIncr  // reg[a] += reg[c]; pc = d
-	opHostDom  // bufs[a] = materialize hostDoms[a]; reg[b] = 0 (cursor)
-	opForList  // if reg[b] >= len(bufs[a]) pc = d else reg[c] = bufs[a][reg[b]]
-	opListInc  // reg[b]++; pc = d
-	opVisit    // stats.LoopVisits[a]++
-	opCheck    // pop; stats.Checks[a]++; if nonzero { stats.Kills[a]++; pc = b }
-	opHostChk  // stats.Checks[c]++; if deferred[a](reg) { stats.Kills[c]++; pc = b }
-	opSurvive  // survivor bookkeeping; may halt enumeration
-	opLeaf     // leaf(reg[a]): a tiling level's surviving value
-	opTempEval // stats.TempEvals[a]++ (optimizer temp assignment executed)
-	opTempHits // stats.TempHits[a] += b (temp-slot reads in the step just run)
-	opNarrow   // narrows[a]: tighten the freshly prepped loop range in place
-	opTabChk   // tabulated check: test table a's pass bit; stats.Checks[c]++; killed -> pc = b
+	opTable   // pop col, pop row, push tables[a][row][col] or default b
+	opJmp     // pc = a
+	opJz      // pop; if zero pc = a
+	opJnz     // pop; if nonzero pc = a
+	opForPrep // pop step->reg[c], stop->reg[b], start->reg[a]
+	opForTest // if !(reg[c]>0 ? reg[a]<reg[b] : (reg[c]<0 ? reg[a]>reg[b] : false)) pc = d
+	opForIncr // reg[a] += reg[c]; pc = d
+	opHostDom // bufs[a] = materialize hostDoms[a]; reg[b] = 0 (cursor)
+	opForList // if reg[b] >= len(bufs[a]) pc = d else reg[c] = bufs[a][reg[b]]
+	opListInc // reg[b]++; pc = d
+	opVisit   // stats.LoopVisits[a]++
+	opCheck   // pop; stats.Checks[a]++; if nonzero { stats.Kills[a]++; pc = b }
+	opHostChk // stats.Checks[c]++; if deferred[a](reg) { stats.Kills[c]++; pc = b }
+	opSurvive // survivor bookkeeping; may halt enumeration
+	opLeaf    // leaf(reg[a]): a tiling level's surviving value
+	opNarrow  // narrows[a]: tighten the freshly prepped loop range in place
+	opTabChk  // tabulated check: test table a's pass bit; stats.Checks[c]++; killed -> pc = b
 
 	// Chunked innermost loop: push the prepped range registers (or a
 	// materialized list buffer) into the chunker.
@@ -398,28 +396,17 @@ func (a *vmAssembler) emitBinary(n *expr.Binary) {
 // killTarget (patched later via the returned patch list). It returns the
 // instruction index to patch, or -1.
 func (a *vmAssembler) emitStep(st plan.Step, _ int32) int32 {
-	// Optimizer accounting rides only this counted path; emitAssign's
-	// prefix replay stays silent so merged parallel stats equal sequential
-	// ones.
-	if st.TempRefs > 0 {
-		a.emit(instr{op: opTempHits, a: int32(st.Depth + 1), b: int32(st.TempRefs)})
-	}
 	if st.Kind == plan.AssignStep {
-		a.emitExpr(st.Expr)
-		a.emit(instr{op: opStore, a: int32(st.Slot)})
-		if st.Temp {
-			a.emit(instr{op: opTempEval, a: int32(st.Depth + 1)})
-		}
+		a.emitAssign(st)
 		return -1
 	}
 	if st.Constraint.Deferred() {
 		a.code.deferred = append(a.code.deferred, deferredCheck(&st, a.settings))
 		return a.emit(instr{op: opHostChk, a: int32(len(a.code.deferred) - 1), c: int32(st.StatsID)})
 	}
-	// Value-indexed tabulated checks test a single precomputed pass bit
-	// instead of evaluating the expression (position-indexed tables have
-	// no scalar cursor and stay chunk-only; see tabulate.go).
-	if tab := a.vm.prog.Tab; tab != nil && tab.ValueIndexed {
+	// Tabulated checks test a single precomputed pass bit instead of
+	// evaluating the expression.
+	if tab := a.vm.prog.Tab; tab != nil {
 		if ti, ok := tab.ByStats[st.StatsID]; ok {
 			return a.emit(instr{op: opTabChk, a: int32(ti), c: int32(st.StatsID)})
 		}
@@ -812,10 +799,6 @@ func (x *vmExec) run() {
 				stats.Kills[in.c]++
 				pc = in.b
 			}
-		case opTempEval:
-			stats.TempEvals[in.a]++
-		case opTempHits:
-			stats.TempHits[in.a] += int64(in.b)
 		case opTabChk:
 			tx := x.tabx
 			t := tx.tab.Tables[in.a]
@@ -824,12 +807,7 @@ func (x *vmExec) run() {
 				outer = reg[t.OuterSlot]
 			}
 			stats.Checks[in.c]++
-			kill, ok := tx.scalarKill(int(in.a), reg[tx.tab.InnerSlot], outer, stats)
-			if !ok {
-				// Value off the table grid: cold fallback to the predicate.
-				kill = tx.predKill(int(in.a), reg)
-			}
-			if kill {
+			if tx.scalarKill(int(in.a), reg[tx.tab.InnerSlot], outer, stats) {
 				stats.Kills[in.c]++
 				pc = in.b
 			}
@@ -847,13 +825,11 @@ func (x *vmExec) run() {
 			x.leaf(reg[in.a])
 		case opChunkRange:
 			ch := x.chunk
-			ch.begin()
 			if !ch.pushRange(reg[in.a], reg[in.b], reg[in.c]) || !ch.flush() {
 				return
 			}
 		case opChunkList:
 			ch := x.chunk
-			ch.begin()
 			for _, v := range bufs[in.a] {
 				if !ch.push(v) {
 					return

@@ -57,8 +57,8 @@ type LoopBounds struct {
 	Groups []BoundGroup
 
 	// TempRefs counts static optimizer-temp references across all Lo/Hi
-	// bound and pin expressions; engines add it to the per-level
-	// cache-hit counter once per narrowing evaluation.
+	// bound and pin expressions; the engine's derived cache-hit counter
+	// credits it once per entry of the loop.
 	TempRefs int
 }
 

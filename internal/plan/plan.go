@@ -65,12 +65,12 @@ type Step struct {
 	Temp bool
 
 	// Depth is the loop depth the step is attached to (-1 for the
-	// prelude). Engines use it to index the per-level optimizer counters.
+	// prelude). It indexes the per-level optimizer counters.
 	Depth int
 
 	// TempRefs counts the static references to optimizer temps in this
-	// step's expression; engines add it to the per-level cache-hit counter
-	// each time the step executes.
+	// step's expression; the engine's derived cache-hit counter credits it
+	// once per run of the step.
 	TempRefs int
 
 	// Vec marks an innermost-loop step whose expression can be evaluated

@@ -16,11 +16,14 @@ import (
 // bounded, memoized per-worker row cache so huge cross products never
 // fully materialize. The chunked evaluators then replace per-lane
 // expression evaluation with one word-wise AND of precomputed mask words
-// against the survivor bitmask; scalar paths index single bits. Anything
-// host-deferred, multi-outer, over-budget, or over a non-enumerable inner
-// domain keeps the existing expression path. Pass bits are defined as the
-// negation of the kill predicate, so kill counts are bit-identical to the
-// untabulated run by construction.
+// against the survivor bitmask; scalar paths index single bits. Tables
+// are indexed by value: the inner domain must be a range whose span
+// depends only on settings and prelude values, so every value the loop
+// binds, narrowed or not, lies on the table's grid. Anything host-deferred,
+// multi-outer, over-budget, or over another inner domain (a list, a
+// condition, set algebra) keeps the existing expression path. Pass bits
+// are defined as the negation of the kill predicate, so kill counts are
+// bit-identical to the untabulated run by construction.
 
 // DefaultTabulateBudget bounds the bytes committed to constraint tables
 // (unary bitsets plus binary row-cache capacity) when Options leaves
@@ -62,9 +65,7 @@ type Table struct {
 	Name    string
 	StatsID int
 
-	// Pred is the bound kill predicate the table was built from; the
-	// scalar fallback paths still evaluate it, compiled (Kills), when a
-	// position cannot be derived.
+	// Pred is the bound kill predicate the table was built from.
 	Pred expr.Expr
 
 	// InnerSupport and OuterSupport are the assignment steps in the
@@ -101,11 +102,6 @@ type Table struct {
 	inner, outer []intAssign
 }
 
-// Kills evaluates t's kill predicate over a register file numbered like
-// the plan's slots, the engines' fallback when a value falls off the
-// table.
-func (t *Table) Kills(r []int64) bool { return t.kill(r) != 0 }
-
 // Tabulation is the plan's constraint-table set: the inner-domain
 // geometry shared by every table plus the tables themselves. It is
 // immutable after planning; run-time row caches live in the engines.
@@ -116,17 +112,12 @@ type Tabulation struct {
 	InnerName string
 	InnerSlot int
 
-	// ValueIndexed marks a static range inner domain: position =
-	// (value − Base)/Step, which survives bounds narrowing because
-	// narrowed ranges stay on the step grid. Position-indexed domains
-	// (static lists, conditionals, algebra) use the fill cursor instead
-	// and are consumed only by the chunked evaluators.
-	ValueIndexed bool
-	Base, Step   int64
-
-	// Vals is the inner domain in iteration order; N = len(Vals) is the
-	// bits-per-row count.
-	Vals []int64
+	// Base, Step and N describe the inner range: the value at bit
+	// position i is Base + i*Step, and N, the bits-per-row count, is the
+	// number of values. Bounds narrowing keeps a range on its step grid,
+	// so every value the loop binds has a position.
+	Base, Step int64
+	N          int
 
 	// Tables lists the tabulated checks in innermost step order.
 	Tables []*Table
@@ -155,9 +146,6 @@ type TabPricing struct {
 	NeedBytes int64
 }
 
-// N returns the bits-per-row count (the inner domain cardinality).
-func (tb *Tabulation) N() int { return len(tb.Vals) }
-
 // NewBuildRegs returns a fresh int64 register file for row building:
 // settings prefilled and prelude assignments applied. Each call returns an
 // independent register file, so concurrent workers can build rows without
@@ -166,16 +154,16 @@ func (tb *Tabulation) NewBuildRegs() []int64 { return slices.Clone(tb.regs) }
 
 // BuildRow fills dst with the pass bits of t for the given outer value
 // (ignored for unary tables): bit i is 1 when the kill predicate is
-// falsy at inner value Vals[i]. r must come from NewBuildRegs and is
-// clobbered.
+// falsy at inner value Base + i*Step. r must come from NewBuildRegs and
+// is clobbered.
 func (tb *Tabulation) BuildRow(t *Table, outer int64, r []int64, dst []uint64) {
 	clear(dst)
 	if t.Kind == BinaryTable {
 		r[t.OuterSlot] = outer
 		runIntAssigns(t.outer, r)
 	}
-	for i, v := range tb.Vals {
-		r[tb.InnerSlot] = v
+	for i := range tb.N {
+		r[tb.InnerSlot] = tb.Base + int64(i)*tb.Step
 		runIntAssigns(t.inner, r)
 		if t.kill(r) == 0 {
 			dst[i>>6] |= 1 << uint(i&63)
@@ -211,34 +199,26 @@ func dynamicNames(prog *Program) map[string]bool {
 	return dynamic
 }
 
-// staticLen sizes a domain against the prelude environment when none of
-// its dependencies are nest-bound. ok is false for dynamic or oversized
-// (more than maxTabVals values) domains.
-func staticLen(d space.DomainExpr, dynamic map[string]bool, env *expr.Env) (n int, ok bool) {
-	for _, dep := range space.DomainDeps(d) {
+// staticRange sizes a range domain against the prelude environment when
+// none of its dependencies are nest-bound: its first value, step and
+// value count. ok is false for any other domain and for dynamic, empty or
+// oversized (more than maxTabVals values) ranges.
+func staticRange(d space.DomainExpr, dynamic map[string]bool, env *expr.Env) (base, step int64, n int, ok bool) {
+	r, isRange := d.(*space.RangeDomain)
+	if !isRange {
+		return 0, 0, 0, false
+	}
+	for _, dep := range space.DomainDeps(r) {
 		if dynamic[dep] {
-			return 0, false
+			return 0, 0, 0, false
 		}
 	}
-	m := envDomainLen(d, env, maxTabVals+1)
-	if m > maxTabVals {
-		return 0, false
+	m := envDomainLen(r, env, maxTabVals+1)
+	base, _, step, ok = r.Span(env)
+	if !ok || m == 0 || m > maxTabVals {
+		return 0, 0, 0, false
 	}
-	return int(m), true
-}
-
-// staticVals enumerates a domain that staticLen sizes.
-func staticVals(d space.DomainExpr, dynamic map[string]bool, env *expr.Env) (vals []int64, ok bool) {
-	n, ok := staticLen(d, dynamic, env)
-	if !ok {
-		return nil, false
-	}
-	vals = make([]int64, 0, n)
-	d.Iterate(env, func(v int64) bool {
-		vals = append(vals, v)
-		return true
-	})
-	return vals, true
+	return base, step, int(m), true
 }
 
 // tabulate classifies the innermost pruning checks and attaches the
@@ -253,14 +233,11 @@ func tabulate(prog *Program, budget int64) {
 	}
 	depth := len(prog.Loops) - 1
 	inner := prog.Loops[depth]
-	if inner.Iter.Kind != space.ExprIter {
-		return
-	}
 	dynamic := dynamicNames(prog)
 	env := prog.NewEnv()
 	runPreludeAssigns(prog, env)
-	vals, ok := staticVals(inner.Domain, dynamic, env)
-	if !ok || len(vals) == 0 {
+	base, step, n, ok := staticRange(inner.Domain, dynamic, env)
+	if !ok {
 		return
 	}
 	ic := newIntCompiler(env)
@@ -268,17 +245,13 @@ func tabulate(prog *Program, budget int64) {
 		Depth:     depth,
 		InnerName: inner.Iter.Name,
 		InnerSlot: inner.Slot,
-		Vals:      vals,
+		Base:      base,
+		Step:      step,
+		N:         n,
 		ByStats:   make(map[int]int),
 		regs:      ic.regs,
 	}
-	if r, isRange := inner.Domain.(*space.RangeDomain); isRange {
-		if start, _, step, sok := r.Span(env); sok {
-			tb.ValueIndexed = true
-			tb.Base, tb.Step = start, step
-		}
-	}
-	rowWords := (len(vals) + 63) / 64
+	rowWords := (n + 63) / 64
 	rowBytes := int64(rowWords) * 8
 
 	settings := make(map[string]bool, len(prog.Settings))
@@ -420,15 +393,7 @@ func tabulate(prog *Program, budget int64) {
 		t.OuterSlot, _ = prog.Scope.Slot(outer)
 		// A statically enumerable range outer is recorded whole: a
 		// budget that fits all of its rows makes the table Full.
-		if od := prog.Loops[iterDepth[outer]]; od.Iter.Kind == space.ExprIter {
-			if r, isRange := od.Domain.(*space.RangeDomain); isRange {
-				if on, ook := staticLen(r, dynamic, env); ook && on > 0 {
-					if start, _, step, sok := r.Span(env); sok {
-						t.OuterBase, t.OuterStep, t.OuterN = start, step, on
-					}
-				}
-			}
-		}
+		t.OuterBase, t.OuterStep, t.OuterN, _ = staticRange(prog.Loops[iterDepth[outer]].Domain, dynamic, env)
 		binary = append(binary, t)
 	}
 	if len(unary)+len(binary) == 0 {

@@ -377,22 +377,12 @@ func (v *verifier) checkTabulation() {
 		v.errf("tabulation: inner %s/slot %d does not match loop %s/slot %d",
 			tb.InnerName, tb.InnerSlot, lp.Iter.Name, lp.Slot)
 	}
-	n := tb.N()
-	if n == 0 {
-		v.errf("tabulation: empty inner domain window")
+	if _, isRange := lp.Domain.(*space.RangeDomain); !isRange {
+		v.errf("tabulation: inner loop %s is not a range", lp.Iter.Name)
 	}
-	if tb.ValueIndexed {
-		if tb.Step == 0 {
-			v.errf("tabulation: value-indexed window with zero step")
-		} else {
-			for i, val := range tb.Vals {
-				if val != tb.Base+int64(i)*tb.Step {
-					v.errf("tabulation: Vals[%d] = %d off the value grid base %d step %d",
-						i, val, tb.Base, tb.Step)
-					break
-				}
-			}
-		}
+	n := tb.N
+	if n == 0 || tb.Step == 0 {
+		v.errf("tabulation: empty inner domain window (%d values, step %d)", n, tb.Step)
 	}
 	wantWords := (n + 63) / 64
 	for ti, t := range tb.Tables {

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/expr"
@@ -154,6 +155,42 @@ func TestLocalSearchRespectsAbsorbedConstraints(t *testing.T) {
 					t.Errorf("%s/%s reported %v (score %.0f), which %s rejects", name, strategy, r.Tuple, r.Score, name)
 				}
 			}
+		}
+	}
+}
+
+// TestLocalSearchTopKDistinct requires every tuple a local search reports
+// to be distinct: its restarts revisit the optimum, and the top-K must
+// keep that tuple once.
+func TestLocalSearchTopKDistinct(t *testing.T) {
+	s := space.New()
+	s.Range("x", expr.IntLit(0), expr.IntLit(50))
+	s.Range("y", expr.IntLit(0), expr.IntLit(50))
+	tuner, err := New(s, func(tu []int64) float64 {
+		dx, dy := float64(tu[0]-31), float64(tu[1]-17)
+		return -(dx*dx + dy*dy)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range []Strategy{HillClimb, Anneal} {
+		rep, err := tuner.Run(Options{Strategy: strategy, TopK: 3, Restarts: 4, Steps: 200, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Best) != 3 {
+			t.Fatalf("%s: %d results, want 3", strategy, len(rep.Best))
+		}
+		seen := make(map[string]bool)
+		for _, r := range rep.Best {
+			key := fmt.Sprint(r.Tuple)
+			if seen[key] {
+				t.Errorf("%s reported %s more than once: %v", strategy, key, rep.Best)
+			}
+			seen[key] = true
+		}
+		if got := rep.Best[0].Tuple; got[0] != 31 || got[1] != 17 {
+			t.Errorf("%s best = %v, want [31 17]", strategy, got)
 		}
 	}
 }

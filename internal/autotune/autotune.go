@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -230,20 +231,36 @@ func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
 func (h *resultHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// offer admits a scored tuple if it ranks among the best k. The heap owns
-// its tuples and copies only an admitted one, into the evicted root's
-// storage once the heap is full, so callers may pass a borrowed slice and
-// a run allocates k tuples whatever order the scores arrive in.
+// offer admits a scored tuple if it ranks among the best k and the heap
+// does not hold it yet: the local searches revisit tuples across restarts.
+// It looks for the tuple only when it would admit it, so a tuple turned
+// away by score costs one comparison. The heap owns its tuples and copies
+// only an admitted one, into the evicted root's storage once the heap is
+// full, so callers may pass a borrowed slice and a run allocates k tuples
+// whatever order the scores arrive in.
 func (h *resultHeap) offer(tuple []int64, score float64, k int) {
-	if h.Len() < k {
+	full := h.Len() >= k
+	if full && score <= (*h)[0].Score || h.holds(tuple) {
+		return
+	}
+	if !full {
 		heap.Push(h, Result{Tuple: append([]int64(nil), tuple...), Score: score})
 		return
 	}
-	if root := &(*h)[0]; score > root.Score {
-		root.Tuple = append(root.Tuple[:0], tuple...)
-		root.Score = score
-		heap.Fix(h, 0)
+	root := &(*h)[0]
+	root.Tuple = append(root.Tuple[:0], tuple...)
+	root.Score = score
+	heap.Fix(h, 0)
+}
+
+// holds reports whether the heap holds tuple.
+func (h resultHeap) holds(tuple []int64) bool {
+	for _, r := range h {
+		if slices.Equal(r.Tuple, tuple) {
+			return true
+		}
 	}
+	return false
 }
 
 func (h resultHeap) sorted() []Result {

@@ -254,10 +254,14 @@ func passScale(ctx *context) {
 		budget = plan.DefaultTabulateBudget
 	}
 	if pr := ctx.narrow.TabPricing; pr != nil {
+		uncounted := ""
+		if pr.RowCached > 0 {
+			uncounted = ", not counting the row caches of " + strconv.Itoa(pr.RowCached) + " table(s) whose outer loop is not a static range"
+		}
 		for _, name := range pr.PricedOut {
 			ctx.add("W202", Warning, name, ctx.constraintPos(name),
-				"constraint %s qualifies for tabulation but exceeds the %d-byte table budget (full table set needs ~%d bytes); raise -tabulate-budget",
-				name, budget, pr.NeedBytes)
+				"constraint %s qualifies for tabulation but exceeds the %d-byte table budget (full table set needs ~%d bytes%s); raise -tabulate-budget",
+				name, budget, pr.NeedBytes, uncounted)
 		}
 	}
 

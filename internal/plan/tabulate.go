@@ -30,12 +30,6 @@ import (
 // TabulateBudget zero.
 const DefaultTabulateBudget = 8 << 20
 
-// needBudget is the budget TabPricing.NeedBytes is sized at: more than
-// any candidate set commits, so every candidate fits, and a binary table
-// whose outer domain cannot be materialized whole is charged an even
-// share of it as row cache.
-const needBudget = int64(1) << 40
-
 // maxTabVals caps the plan-time enumeration of the inner (and outer)
 // domains: beyond this many values the table would dwarf any budget and
 // the enumeration itself would dominate plan time.
@@ -140,10 +134,13 @@ type TabPricing struct {
 	// path: unary ones, then binary ones, each in innermost step order.
 	PricedOut []string
 
-	// NeedBytes is what the whole candidate set commits at needBudget:
-	// every unary bitset, every binary table over a static outer range
-	// whole, and the row caches of the other binary tables.
+	// NeedBytes is what the candidate set commits with every table
+	// whole: every unary bitset and every binary table over a static outer
+	// range. RowCached counts the binary candidates it leaves out: their
+	// outer domain follows another loop, so they only ever get a row
+	// cache, whose size is the budget's choice.
 	NeedBytes int64
+	RowCached int
 }
 
 // NewBuildRegs returns a fresh int64 register file for row building:
@@ -430,9 +427,12 @@ func tabulate(prog *Program, budget int64) {
 			return share
 		}
 		share := (budget - spent) / (int64(len(binary)) * rowBytes)
-		needShare := (needBudget - pricing.NeedBytes) / (int64(len(binary)) * rowBytes)
 		for _, t := range binary {
-			pricing.NeedBytes += rows(t, needShare) * rowBytes
+			if t.OuterN > 0 {
+				pricing.NeedBytes += int64(t.OuterN) * rowBytes
+			} else {
+				pricing.RowCached++
+			}
 			n := rows(t, share)
 			if n < 1 {
 				pricing.PricedOut = append(pricing.PricedOut, t.Name)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 )
 
 // Scope assigns a stable slot number to every name that may appear free in a
@@ -54,13 +53,6 @@ func (s *Scope) Name(i int) string { return s.names[i] }
 func (s *Scope) Names() []string {
 	out := make([]string, len(s.names))
 	copy(out, s.names)
-	return out
-}
-
-// SortedNames returns all declared names in lexical order.
-func (s *Scope) SortedNames() []string {
-	out := s.Names()
-	sort.Strings(out)
 	return out
 }
 
@@ -137,16 +129,6 @@ func Bind(e Expr, sc *Scope) (Expr, error) {
 	default:
 		return nil, fmt.Errorf("expr: cannot bind node of type %T", e)
 	}
-}
-
-// MustBind is Bind for expressions known to be closed over sc; it panics on
-// unbound names. Intended for package-internal construction of fixed spaces.
-func MustBind(e Expr, sc *Scope) Expr {
-	b, err := Bind(e, sc)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // EvalClosed evaluates an expression that has no free variables (or whose

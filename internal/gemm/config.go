@@ -128,16 +128,3 @@ func (c Config) Name() string {
 	}
 	return fmt.Sprintf("%cgemm_%c%c", b, t(c.TransA), t(c.TransB))
 }
-
-// ElemWords returns the element size in 32-bit words (1, 2, or 4), the
-// factor Figure 12 applies via its precision/arithmetic doublings.
-func (c Config) ElemWords() int64 {
-	w := int64(1)
-	if c.Precision == "double" {
-		w *= 2
-	}
-	if c.Arithmetic == "complex" {
-		w *= 2
-	}
-	return w
-}

@@ -1,7 +1,5 @@
 package plan
 
-import "repro/internal/space"
-
 // VectorLayout describes how the innermost loop can be evaluated in
 // chunks: which environment slots become per-lane arrays (the loop
 // variable plus every value assigned at the innermost depth, including
@@ -60,19 +58,4 @@ func computeVector(prog *Program) {
 		}
 	}
 	prog.Vector = v
-}
-
-// InnermostList reports whether the innermost loop's domain requires
-// value materialization (anything that is not a plain range): engines
-// use it to size their chunk-fill buffers.
-func (p *Program) InnermostList() bool {
-	if len(p.Loops) == 0 {
-		return false
-	}
-	lp := p.Loops[len(p.Loops)-1]
-	if lp.Iter.Kind != space.ExprIter {
-		return true
-	}
-	_, ok := lp.Domain.(*space.RangeDomain)
-	return !ok
 }

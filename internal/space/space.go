@@ -45,11 +45,10 @@ func (k NodeKind) String() string {
 // A Space accumulates declaration errors instead of returning them from
 // every method (fluent construction); Validate reports them all.
 type Space struct {
-	settings    map[string]expr.Value
-	settingDocs map[string]string
-	settingPos  map[string]Pos
-	order       []string // declaration order of all names
-	kinds       map[string]NodeKind
+	settings   map[string]expr.Value
+	settingPos map[string]Pos
+	order      []string // declaration order of all names
+	kinds      map[string]NodeKind
 
 	iters       []*Iterator
 	deriveds    []*Derived
@@ -61,10 +60,9 @@ type Space struct {
 // New returns an empty space.
 func New() *Space {
 	return &Space{
-		settings:    make(map[string]expr.Value),
-		settingDocs: make(map[string]string),
-		settingPos:  make(map[string]Pos),
-		kinds:       make(map[string]NodeKind),
+		settings:   make(map[string]expr.Value),
+		settingPos: make(map[string]Pos),
+		kinds:      make(map[string]NodeKind),
 	}
 }
 
@@ -95,12 +93,6 @@ func (s *Space) IntSetting(name string, v int64) *Space { return s.Setting(name,
 
 // StrSetting declares a fixed string parameter.
 func (s *Space) StrSetting(name, v string) *Space { return s.Setting(name, expr.StrVal(v)) }
-
-// SettingDoc attaches a description to an existing setting.
-func (s *Space) SettingDoc(name, doc string) *Space {
-	s.settingDocs[name] = doc
-	return s
-}
 
 // SetSettingPos records the source position of a setting declaration; the
 // speclang parser calls it so diagnostics can point at the declaration.

@@ -301,3 +301,34 @@ func TestFuzzTabulateGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestTabulateWideRange: a table over an inner range wider than MaxInt64
+// indexes every value exactly, on every backend at chunk 1 and 64, with
+// the kills and tuples of the untabulated plan. (v − Base) of its last
+// value overflows int64.
+func TestTabulateWideRange(t *testing.T) {
+	s := space.New()
+	s.RangeStep("x", expr.IntLit(-6<<60), expr.IntLit(6<<60), expr.IntLit(4<<60))
+	s.Constrain("c", space.Soft, expr.Eq(expr.Mod(expr.NewRef("x"), expr.IntLit(3)), expr.IntLit(0)))
+	prog := mustCompile(t, s)
+	if prog.Tab == nil {
+		t.Fatal("the check was not tabulated")
+	}
+	ref, err := plan.Compile(s, plan.Options{DisableTabulation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTuples, want := collectCanon(t, NewInterp(ref), Options{ChunkSize: 1}, "untabulated")
+	for _, e := range allEngines(t, prog) {
+		for _, chunk := range []int{1, 64} {
+			label := fmt.Sprintf("%s chunk=%d", e.Name(), chunk)
+			tuples, st := collectCanon(t, e, Options{ChunkSize: chunk}, label)
+			if st.TabulatedChecks == 0 {
+				t.Errorf("%s: no check served from the table", label)
+			}
+			if !reflect.DeepEqual(st.Kills, want.Kills) || !reflect.DeepEqual(tuples, wantTuples) {
+				t.Errorf("%s: kills %v tuples %v, untabulated %v %v", label, st.Kills, tuples, want.Kills, wantTuples)
+			}
+		}
+	}
+}

@@ -30,9 +30,9 @@ import (
 // TabulateBudget zero.
 const DefaultTabulateBudget = 8 << 20
 
-// maxTabVals caps the plan-time enumeration of the inner (and outer)
-// domains: beyond this many values the table would dwarf any budget and
-// the enumeration itself would dominate plan time.
+// maxTabVals caps the inner (and outer) range sizes: beyond this many
+// values a table would dwarf any budget and building its rows would
+// dominate plan time.
 const maxTabVals = 1 << 20
 
 // TableKind discriminates unary (inner-only) from binary (inner×outer)

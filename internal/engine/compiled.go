@@ -159,9 +159,12 @@ func (c *Compiled) compileSteps(steps []plan.Step) ([]compiledStep, error) {
 				}
 			}
 		}
-		if cs.check && st.Constraint.Deferred() {
+		switch {
+		case cs.tabIdx >= 0:
+			// The table answers every value the loop binds.
+		case cs.check && st.Constraint.Deferred():
 			cs.deferredFn = deferredCheck(st, c.settings)
-		} else {
+		default:
 			fn, err := expr.CompileInt(st.Expr)
 			if err != nil {
 				return nil, fmt.Errorf("step %s: %w", st.Name, err)

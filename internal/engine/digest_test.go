@@ -13,7 +13,7 @@ import (
 // runCountersDigest pins the run counters of every corpus space on every
 // backend under every digest schedule: loop visits, checks, kills,
 // survivors, the optimizer's temp counters and ExprOps. A change to how
-// the engines or the driver count that keeps every number must leave it
+// the engines or runContext count that keeps every number must leave it
 // alone. runCountersDigestShort pins the -short sample, every eighth
 // corpus space.
 const (

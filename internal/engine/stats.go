@@ -52,8 +52,8 @@ type Stats struct {
 	// shared subexpression computed once), TempHits counts temp-slot reads
 	// by the steps that would otherwise have recomputed the subexpression,
 	// and by the bounds of a narrowed loop, credited to the level that
-	// enters it. Neither is counted while the run goes: the driver derives
-	// both from the plan and the counters above when the run ends
+	// enters it. Neither is counted while the run goes: runContext
+	// derives both from the plan and the counters above when the run ends
 	// (stepRuns), so they are nil until then. Both stay zero when the
 	// program was compiled with DisableCSE.
 	TempEvals []int64
